@@ -1,7 +1,7 @@
 """Tor of R/I against R/I^s: ranks, explicit generators, and the
 vanishing product table.
 
-Three independent routes compute the same ranks: direct slice homology of
+Three routes compute the same ranks: direct slice homology of
 the tensored complex, a cokernel count through the transfer map, and the
 column sums of the degree-2 page of the filtration spectral sequence.
 For s >= 2 every product of positive-degree classes is a boundary; the

@@ -282,10 +282,6 @@ class ChainComplex:
     def dims(self) -> tuple[int, ...]:
         return tuple(self.module(n).dim for n in range(self.max_degree + 1))
 
-    def max_internal_degree(self) -> int:
-        return max((g.ideg for m in self.modules.values() for g in m),
-                   default=0)
-
     def same_shape_as(self, other: ChainComplex) -> bool:
         return self.modules == other.modules
 
@@ -417,10 +413,6 @@ class GradedSlice:
     col_basis: list[tuple[Label, tuple[int, ...]]]
     rows: list[list]
     domain: Domain
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.row_basis)
 
     @property
     def n_cols(self) -> int:

@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import dataclass, asdict
 
-from .poly import QQ, ZZ, GF, Domain, RegularSequenceSpec, parse_poly
+from .poly import Domain, RegularSequenceSpec, parse_domain, parse_poly
 from .chain import verify_complex
 from .koszul import koszul_complex, verify_identities
 from .resolution import build_k_ris, verify_exactness, reduction_chain_map, \
@@ -55,20 +55,10 @@ class RunConfig:
 
 
 def parse_field(text: str) -> Domain:
-    if text == "Q":
-        return QQ
-    if text == "Z":
-        return ZZ
-    if text.startswith("Fp:"):
-        try:
-            p = int(text[3:])
-        except ValueError:
-            raise ConfigError(f"bad prime in field spec {text!r}") from None
-        try:
-            return GF(p)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-    raise ConfigError(f"unknown field {text!r} (expected Q, Z, or Fp:p)")
+    try:
+        return parse_domain(text)
+    except ValueError as e:
+        raise ConfigError(f"bad field {text!r}: {e}") from None
 
 
 def _read_sequence_file(path: str) -> list[str]:
@@ -126,13 +116,11 @@ def explicit_spec(strings: list[str], n_vars: int,
             p = parse_poly(text, n_vars, domain)
         except ValueError as e:
             raise ConfigError(f"cannot parse {text!r}: {e}") from None
-        if p.is_zero():
-            raise ConfigError(f"zero polynomial in sequence: {text!r}")
-        degs = {sum(e) for e in p.terms}
-        if len(degs) != 1:
-            raise ConfigError(f"sequence entry {text!r} is not homogeneous")
         polys.append(p)
-    return RegularSequenceSpec.explicit(polys)
+    try:
+        return RegularSequenceSpec.explicit(polys)
+    except ValueError as e:
+        raise ConfigError(f"bad sequence: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +188,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("s must be >= 1")
     if cfg.n_vars < 1:
         raise ConfigError("n must be >= 1")
+    if cfg.max_degree is not None and cfg.max_degree < 0:
+        raise ConfigError("max-degree must be >= 0")
     if cfg.max_internal is not None and cfg.max_internal < 1:
         raise ConfigError("max-internal must be >= 1")
     if cfg.workers < 1:

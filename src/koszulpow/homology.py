@@ -7,6 +7,13 @@ of the sequence generators).  All Tor accounting happens on that integer
 skeleton: ranks and kernels over the rationals, torsion via Smith normal
 form, and base change to any coefficient field is legitimate exactly when
 the elementary divisors are units, which freeness_check certifies.
+
+One tor(spec, s) run builds the resolution K and its tensored complex
+t = K (x) R/I once, and per degree n one reduced-echelon span of the
+columns of d_{n+1} (the boundaries in degree n).  The TorReport carries
+both; generator selection, tor_products and the induced reduction map
+read them and rebuild neither.  The reduction map needs exactly one more
+report, tor(spec, s - 1).
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from math import gcd, lcm
 
 from .poly import Polynomial, QQ, GF, RegularSequenceSpec, binomial
 from .linalg import (smith_normal_form, SmithForm, kernel_basis, rank_dense,
-                     sparse_rank, solve, Echelon)
+                     sparse_rank, solve, mat_vec, Echelon)
 from .chain import (ChainComplex, ChainMap, Element, constant_matrix,
                     element_str, element_add, map_slice, tensor_mod_I)
 from .koszul import koszul_complex, del_map
@@ -86,6 +93,8 @@ class TorReport:
     generators: list[list[Element]]      # per homological degree
     torsion: tuple[tuple[int, ...], ...]
     routes: dict[str, tuple[int, ...]]
+    t: ChainComplex                      # the tensored complex
+    spans: list[Echelon]                 # degree n -> columns of d_{n+1}
     products: ProductTable | None = None
     induced_reduction: dict | None = None
 
@@ -106,30 +115,21 @@ def _primitive_int_vector(v: list[Fraction]) -> list[int]:
     return w
 
 
-def _cycle_generators(t: ChainComplex, n: int) -> list[list[int]]:
-    """Homology generators at degree n: reduced-echelon kernel basis
-    vectors of d_n that are independent modulo the image of d_{n+1},
-    taken in column order.  Deterministic."""
-    dim = t.module(n).dim
-    if dim == 0:
-        return []
-    fd = _coeff_field(t.domain)
-    m_out = constant_matrix(t.differential(n))
-    kb = kernel_basis(m_out, dim, fd)
-    ech = Echelon(fd)
-    m_in = t.differential(n + 1)
-    if not m_in.is_zero():
-        cols = constant_matrix(m_in)
-        for j in range(t.module(n + 1).dim):
-            ech.insert([row[j] for row in cols])
-    out = []
-    for v in kb:
-        if ech.insert(v):
-            if fd.kind == "Fp":
-                out.append([int(x) for x in v])
-            else:
-                out.append(_primitive_int_vector(v))
-    return out
+def _column_span(matrix: list[list], n_cols: int, dom) -> Echelon:
+    """Reduced echelon span of the columns of a dense matrix."""
+    span = Echelon(dom)
+    for j in range(n_cols):
+        span.insert([row[j] for row in matrix])
+    return span
+
+
+def _homology_basis(m_out: list[list], n_cols: int,
+                    span: Echelon) -> list[list]:
+    """Reduced-echelon kernel basis vectors of m_out that are independent
+    modulo span (the incoming image), taken in column order.
+    Deterministic."""
+    ech = span.copy()
+    return [v for v in kernel_basis(m_out, n_cols, span.dom) if ech.insert(v)]
 
 
 def _vector_to_element(t: ChainComplex, n: int, v: list[int]) -> Element:
@@ -178,7 +178,7 @@ def tor(spec: RegularSequenceSpec, s: int, with_products: bool = True,
         cross_check: bool = True) -> TorReport:
     """Tor of (R/I, R/I^s): ranks, explicit generator cycles, torsion.
 
-    Ranks are cross-checked against two independent routes: the cokernel
+    Ranks are cross-checked against two further routes: the cokernel
     formula for the last transfer map and the rank-2 page of the column
     filtration (cross_check=False skips those).
     """
@@ -186,13 +186,20 @@ def tor(spec: RegularSequenceSpec, s: int, with_products: bool = True,
         raise ValueError("power must be >= 1")
     if with_reduction is None:
         with_reduction = s >= 2
-    t = tensor_mod_I_complex(spec, s)
+    kris = build_k_ris(spec, s)
+    t = tensor_mod_I(kris, spec)
     hr = homology_ranks(t)
     ranks = tuple(r for r, _ in hr)
     torsion = tuple(tor_ for _, tor_ in hr)
-    generators = []
+    mats = tensored_matrices(t)
+    fd = _coeff_field(t.domain)
+    spans, generators = [], []
     for n in range(t.max_degree + 1):
-        vecs = _cycle_generators(t, n)
+        spans.append(_column_span(mats.get(n + 1, []),
+                                  t.module(n + 1).dim, fd))
+        vecs = _homology_basis(mats.get(n, []), t.module(n).dim, spans[n])
+        if fd.kind != "Fp":
+            vecs = [_primitive_int_vector(v) for v in vecs]
         generators.append([_vector_to_element(t, n, v) for v in vecs])
     routes = {"direct": ranks}
     if cross_check:
@@ -202,12 +209,15 @@ def tor(spec: RegularSequenceSpec, s: int, with_products: bool = True,
         routes["page2"] = tuple(
             sum(r for (p, q), r in page.cells.items() if q == n)
             for n in range(t.max_degree + 1))
-    report = TorReport(s, spec.n_gens, ranks, generators, torsion, routes)
+    report = TorReport(s, spec.n_gens, ranks, generators, torsion, routes,
+                       t, spans)
     if with_products:
-        report.products = tor_products(spec, s, report=report)
+        report.products = tor_products(report, kris)
     if with_reduction and s >= 2:
-        report.induced_reduction = induced_tor_map(
-            reduction_chain_map(spec, s))
+        lower = tor(spec, s - 1, with_products=False, with_reduction=False,
+                    cross_check=False)
+        report.induced_reduction = _induced_matrices(
+            reduction_chain_map(spec, s), report, lower)
     return report
 
 
@@ -215,52 +225,29 @@ def tensor_mod_I_complex(spec: RegularSequenceSpec, s: int) -> ChainComplex:
     return tensor_mod_I(build_k_ris(spec, s), spec)
 
 
-def tor_products(spec: RegularSequenceSpec, s: int,
-                 report: TorReport | None = None) -> ProductTable:
-    """Pairwise products of positive-degree Tor generators, reduced
-    modulo boundaries.  All zero for s >= 2; genuinely nonzero for s=1."""
-    if report is None:
-        report = tor(spec, s, with_products=False, with_reduction=False,
-                     cross_check=False)
-    kris = build_k_ris(spec, s)
-    t = tensor_mod_I_complex(spec, s)
+def tor_products(report: TorReport, kris: ChainComplex) -> ProductTable:
+    """Pairwise products in kris, the resolution the report was computed
+    from, of its positive-degree Tor generators, reduced modulo
+    boundaries.  All zero for s >= 2; genuinely nonzero for s=1."""
+    t = report.t
     fd = _coeff_field(t.domain)
     fone = Polynomial.one(t.n_vars, fd)
     flat = [(n, i) for n in range(1, len(report.generators))
             for i in range(len(report.generators[n]))]
-    # one boundary echelon per result degree
-    echelons: dict[int, Echelon] = {}
-
-    def boundary_echelon(n: int) -> Echelon:
-        if n not in echelons:
-            ech = Echelon(fd)
-            f = t.differential(n + 1)
-            if not f.is_zero():
-                cols = constant_matrix(f)
-                for j in range(t.module(n + 1).dim):
-                    ech.insert([row[j] for row in cols])
-            echelons[n] = ech
-        return echelons[n]
-
     entries = {}
-    all_zero = True
     for ai, (na, ia) in enumerate(flat):
         for bi, (nb, ib) in enumerate(flat):
-            a = report.generators[na][ia]
-            b = report.generators[nb][ib]
-            prod = dga_multiply(kris, a, b)
+            prod = dga_multiply(kris, report.generators[na][ia],
+                                report.generators[nb][ib])
             nd = na + nb
             if nd > t.max_degree or not prod:
                 entries[(ai, bi)] = {}
                 continue
-            v = _element_to_vector(t, nd, prod)
-            resid = boundary_echelon(nd).reduce(v)
-            relt: Element = {g: fone.scale(c) for g, c in
-                             zip(t.module(nd).labels, resid) if c != fd.zero()}
-            entries[(ai, bi)] = relt
-            if relt:
-                all_zero = False
-    return ProductTable(flat, entries, all_zero)
+            resid = report.spans[nd].reduce(_element_to_vector(t, nd, prod))
+            entries[(ai, bi)] = {g: fone.scale(c) for g, c in
+                                 zip(t.module(nd).labels, resid)
+                                 if c != fd.zero()}
+    return ProductTable(flat, entries, not any(entries.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -319,61 +306,46 @@ def induced_tor_map(f: ChainMap) -> dict[int, list[list]]:
     target Tor generators, columns source generators, in the deterministic
     generator bases of tor().
     """
-    src_c, tgt_c = f.source, f.target
-    for c in (src_c, tgt_c):
+    for c in (f.source, f.target):
         if not hasattr(c, "spec"):
             raise ValueError("induced map needs system-built complexes")
+    src_rep, tgt_rep = (tor(c.spec, c.s, with_products=False,
+                            with_reduction=False, cross_check=False)
+                        for c in (f.source, f.target))
+    return _induced_matrices(f, src_rep, tgt_rep)
+
+
+def _induced_matrices(f: ChainMap, src: TorReport,
+                      tgt: TorReport) -> dict[int, list[list]]:
+    """induced_tor_map, given the Tor reports of f's source and target."""
     chain_ok = f.verify()
     if not chain_ok.ok:
         raise ValueError(f"not a chain map: {chain_ok.detail}")
-    src_rep = tor(src_c.spec, src_c.s, with_products=False,
-                  with_reduction=False, cross_check=False)
-    tgt_rep = tor(tgt_c.spec, tgt_c.s, with_products=False,
-                  with_reduction=False, cross_check=False)
-    src_t = tensor_mod_I_complex(src_c.spec, src_c.s)
-    tgt_t = tensor_mod_I_complex(tgt_c.spec, tgt_c.s)
-    fd = _coeff_field(tgt_t.domain)
+    fd = _coeff_field(tgt.t.domain)
     out = {}
-    top = max(len(src_rep.ranks), len(tgt_rep.ranks)) - 1
-    for n in range(top + 1):
-        src_gens = src_rep.generators[n] if n < len(src_rep.generators) else []
-        tgt_gens = tgt_rep.generators[n] if n < len(tgt_rep.generators) else []
-        comp = constant_matrix(f.component(n)) if f.component(n).entries else None
-        tdim = tgt_t.module(n).dim
-        cols = []
-        for g in src_gens:
-            v = _element_to_vector(src_t, n, g)
-            img = [sum((fd.mul(fd.coerce(comp[i][j]), v[j])
-                        for j in range(len(v))), start=fd.zero())
-                   for i in range(tdim)] if comp else [fd.zero()] * tdim
-            cols.append(_express_in_homology(tgt_t, n, tgt_gens, img))
-        out[n] = [[cols[j][i] for j in range(len(src_gens))]
-                  for i in range(len(tgt_gens))]
+    for n in range(max(len(src.ranks), len(tgt.ranks))):
+        src_gens = src.generators[n] if n < len(src.generators) else []
+        tgt_gens = tgt.generators[n] if n < len(tgt.generators) else []
+        # generators, then the boundaries: coordinates on the generators
+        # are unique because they are independent modulo the boundaries
+        basis = [_element_to_vector(tgt.t, n, g) for g in tgt_gens]
+        if n < len(tgt.spans):
+            basis += [row for _, row in tgt.spans[n].rows]
+        comp = constant_matrix(f.component(n))
+        cols = [_class_coordinates(
+                    basis, len(tgt_gens),
+                    mat_vec(comp, _element_to_vector(src.t, n, g), fd), fd)
+                for g in src_gens]
+        out[n] = [[col[i] for col in cols] for i in range(len(tgt_gens))]
     return out
 
 
-def _express_in_homology(t: ChainComplex, n: int, gens: list[Element],
-                         vec: list) -> list:
-    """Coordinates of a cycle's class in the chosen generator basis."""
-    fd = _coeff_field(t.domain)
-    gv = [_element_to_vector(t, n, g) for g in gens]
-    bd = []
-    f = t.differential(n + 1)
-    if not f.is_zero():
-        cols = constant_matrix(f)
-        bd = [[fd.coerce(row[j]) for row in cols]
-              for j in range(t.module(n + 1).dim)]
-    basis = gv + bd
-    if not basis:
-        if any(x != fd.zero() for x in vec):
-            raise ValueError("cycle not expressible: empty basis")
-        return []
-    cols_m = [list(c) for c in zip(*basis)]
-    sol = solve(cols_m, vec, fd)
+def _class_coordinates(basis: list[list], k: int, vec: list, fd) -> list:
+    """Coordinates of a cycle's class on the first k basis vectors."""
+    sol = solve([list(c) for c in zip(*basis)], vec, fd)
     if sol is None:
         raise ValueError("cycle class not in generator span")
-    coords = sol[:len(gens)]
-    return [int(x) if x.denominator == 1 else x for x in coords]
+    return [int(x) if x.denominator == 1 else x for x in sol[:k]]
 
 
 # ---------------------------------------------------------------------------
@@ -416,18 +388,15 @@ def koszul_regularity_probe(spec: RegularSequenceSpec,
 def _slice_homology_witness(c: ChainComplex, n: int, d: int) -> str:
     """A cycle at slice (n, d) that is not a boundary, as printable text."""
     sl = map_slice(c.differential(n), d)
-    dom = c.domain
-    kb = kernel_basis(sl.rows, sl.n_cols, dom)
-    ech = Echelon(dom)
     up = map_slice(c.differential(n + 1), d)
-    for j in range(up.n_cols):
-        ech.insert([row[j] for row in up.rows])
-    for v in kb:
-        if ech.insert(v):
-            elt: Element = {}
-            for (g, mono), coeff in zip(sl.col_basis, v):
-                if coeff != dom.zero():
-                    term = Polynomial(c.n_vars, dom, {mono: coeff})
-                    elt = element_add(elt, {g: term})
-            return element_str(elt)
-    return "(none)"
+    dom = c.domain
+    basis = _homology_basis(sl.rows, sl.n_cols,
+                            _column_span(up.rows, up.n_cols, dom))
+    if not basis:
+        return "(none)"
+    elt: Element = {}
+    for (g, mono), coeff in zip(sl.col_basis, basis[0]):
+        if coeff != dom.zero():
+            term = Polynomial(c.n_vars, dom, {mono: coeff})
+            elt = element_add(elt, {g: term})
+    return element_str(elt)

@@ -119,11 +119,6 @@ def mat_mul(a: list[list], b: list[list], dom: Domain) -> list[list]:
              for col in bt] for row in a]
 
 
-def identity_matrix(n: int, dom: Domain) -> list[list]:
-    one, zero = dom.one(), dom.zero()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 class Echelon:
     """Incrementally built reduced echelon basis of a subspace.
 
@@ -140,6 +135,11 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def copy(self) -> Echelon:
+        other = Echelon(self.dom)
+        other.rows = list(self.rows)     # insert() never edits a row in place
+        return other
 
     def reduce(self, v: list) -> list:
         dom = self.dom

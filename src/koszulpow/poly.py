@@ -119,10 +119,6 @@ def parse_domain(text: str) -> Domain:
 # ---------------------------------------------------------------------------
 # Monomials: exponent tuples of fixed length.
 
-def mono_degree(m: Exponents) -> int:
-    return sum(m)
-
-
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
 

@@ -55,6 +55,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             explicit_spec(["x3"], 2, QQ)             # parse error
 
+    def test_explicit_rejects_constant(self):
+        with pytest.raises(ConfigError, match="degree 0"):
+            explicit_spec(["3", "x2"], 2, QQ)
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n": 2, "s": 3, "field": "Q"}))
@@ -88,6 +92,22 @@ class TestExitCodes:
         assert capture(capsys, ["tor", "--n", "2", "--s", "0"])[0] == 2
         assert capture(capsys, ["tor", "--n", "2", "--field", "X"])[0] == 2
         assert capture(capsys, ["tor", "--n", "2", "--workers", "0"])[0] == 2
+
+    def test_negative_max_degree_is_two(self, capsys):
+        code = run(["build", "--n", "2", "--s", "2", "--max-degree", "-3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_constant_generator_is_two(self, tmp_path, capsys):
+        f = tmp_path / "seq.json"
+        f.write_text('["3", "x2"]')
+        code = run(["tor", "--n", "2", "--s", "2", "--sequence", f"file:{f}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_math_failure_is_one(self, tmp_path, capsys):
         # honest red: a repeated generator is not regular, so the built

@@ -253,6 +253,37 @@ class TestInducedMap:
             induced_tor_map(identity_chain_map(c))
 
 
+class TestSharedPass:
+    """tor() builds one tensored complex per power and shares it."""
+
+    def test_call_counts(self, monkeypatch):
+        import koszulpow.homology as homology
+        import koszulpow.resolution as resolution
+        calls = {}
+
+        def count(name, orig, *modules):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return orig(*args, **kwargs)
+            for mod in modules:
+                monkeypatch.setattr(mod, name, wrapper)
+
+        count("tor", homology.tor, homology)
+        count("tensor_mod_I", homology.tensor_mod_I, homology)
+        count("build_k_ris", resolution.build_k_ris, homology, resolution)
+        rep = homology.tor(SPEC2, 2)
+        assert rep.induced_reduction is not None and rep.products.all_zero
+        # the outer call plus one tor(SPEC2, 1) for the reduction map
+        assert calls == {"tor": 2, "tensor_mod_I": 2, "build_k_ris": 4}
+
+    @pytest.mark.parametrize("dom", [QQ, ZZ, GF(5)], ids=str)
+    @pytest.mark.parametrize("n,s", [(2, 2), (3, 3)])
+    def test_reduction_matches_public_wrapper(self, n, s, dom):
+        spec = RegularSequenceSpec.variables(n, dom)
+        assert tor(spec, s).induced_reduction == \
+            induced_tor_map(reduction_chain_map(spec, s))
+
+
 class TestRegularityProbe:
     def test_repeated_variable_flagged(self):
         bad = RegularSequenceSpec.explicit([P("x1"), P("x1")])
