@@ -371,18 +371,28 @@ def tensor_mod_I(c: ChainComplex, spec: RegularSequenceSpec) -> ChainComplex:
                              f"coefficients; not an integer combination")
         return Polynomial.constant(c.n_vars, dom, const)
 
+    # entries repeat across the whole complex: solve once per distinct one
+    reduced: dict[Polynomial, Polynomial] = {}
     diffs = {}
     for n, f in c.diffs.items():
-        ent = {k: reduce_entry(p) for k, p in f.entries.items()}
+        ent = {}
+        for k, p in f.entries.items():
+            q = reduced.get(p)
+            if q is None:
+                q = reduced[p] = reduce_entry(p)
+            ent[k] = q
         diffs[n] = SparseMap(f.source, f.target, ent, c.n_vars, dom)
     return ChainComplex(c.n_vars, dom, dict(c.modules), diffs)
 
 
-def constant_matrix(f: SparseMap) -> list[list[int]]:
-    """Integer matrix of a map whose entries are all integer constants
-    (tensored differentials, transfer maps).  Rows follow target label
-    order, columns source label order."""
-    rows = [[0] * f.source.dim for _ in range(f.target.dim)]
+def constant_rows(f: SparseMap) -> list[dict[int, int]]:
+    """Sparse integer matrix of a map whose entries are all integer
+    constants (tensored differentials, transfer maps): one dict
+    column -> nonzero entry per row.  Rows follow target label order,
+    columns source label order."""
+    row_of = {g: i for i, g in enumerate(f.target.labels)}
+    col_of = {g: j for j, g in enumerate(f.source.labels)}
+    rows: list[dict[int, int]] = [{} for _ in range(f.target.dim)]
     for (tgt, src), p in f.entries.items():
         if not p.is_constant():
             raise ValueError(f"non-constant entry {p} at {tgt} <- {src}")
@@ -391,8 +401,17 @@ def constant_matrix(f: SparseMap) -> list[list[int]]:
             if v.denominator != 1:
                 raise ValueError(f"non-integer entry {p} at {tgt} <- {src}")
             v = v.numerator
-        rows[f.target.index_of(tgt)][f.source.index_of(src)] = int(v)
+        rows[row_of[tgt]][col_of[src]] = int(v)
     return rows
+
+
+def constant_matrix(f: SparseMap) -> list[list[int]]:
+    """Dense form of constant_rows."""
+    out = [[0] * f.source.dim for _ in range(f.target.dim)]
+    for row, entries in zip(out, constant_rows(f)):
+        for j, v in entries.items():
+            row[j] = v
+    return out
 
 
 # -- graded slices ----------------------------------------------------------

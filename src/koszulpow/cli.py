@@ -318,8 +318,8 @@ def cmd_tor(cfg: RunConfig):
 def cmd_spectral(cfg: RunConfig):
     spec = _resolve_spec(cfg)
     p1 = e1_page(spec, cfg.s)
-    p2 = e2_page(spec, cfg.s)
-    collapse = collapse_check(spec, cfg.s)
+    p2 = e2_page(spec, cfg.s, p1)
+    collapse = collapse_check(spec, cfg.s, p2)
     payload = {
         "page1": {"ranks": _pair_keys(p1.cells),
                   "grid": p1.grid_lines()},

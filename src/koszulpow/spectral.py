@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poly import RegularSequenceSpec, binomial
-from .linalg import rank_dense, smith_normal_form, merge_divisor_chains
+from .linalg import sparse_rank, smith_normal_form, merge_divisor_chains
 from .chain import (FreeModule, SparseMap, ChainComplex, Label, zero_map,
-                    compose, constant_matrix, EMPTY_MODULE)
+                    compose, constant_matrix, constant_rows, EMPTY_MODULE)
 from .koszul import q_module, boundary_entries, transfer_entries
-from .homology import tor, _coeff_field
+from .homology import homology_ranks, tensor_mod_I_complex, _coeff_field
 
 
 @dataclass
@@ -204,16 +204,19 @@ def e1_rank_formula(n_gens: int, p: int, q: int) -> int:
     return binomial(n_gens, q) * binomial(n_gens + p - 1, p)
 
 
-def e2_page(spec: RegularSequenceSpec, s: int) -> SpectralPage:
-    """Page 2: homology of the transfer chains on page 1, cell by cell."""
-    page1 = e1_page(spec, s)
+def e2_page(spec: RegularSequenceSpec, s: int,
+            page1: SpectralPage | None = None) -> SpectralPage:
+    """Page 2: homology of the transfer chains on page 1, cell by cell.
+    page1, if given, must be e1_page(spec, s); it is then not rebuilt."""
+    if page1 is None:
+        page1 = e1_page(spec, s)
     fd = _coeff_field(spec.domain)
 
     def d1_rank(p: int, q: int) -> int:
         f = page1.d1.get((p, q)) if page1.d1 else None
         if f is None or f.is_zero():
             return 0
-        return rank_dense(constant_matrix(f), f.source.dim, fd)
+        return sparse_rank(constant_rows(f), fd)
 
     cells = {}
     for p in range(s):
@@ -250,17 +253,19 @@ class CollapseReport:
         return out
 
 
-def collapse_check(spec: RegularSequenceSpec, s: int) -> CollapseReport:
+def collapse_check(spec: RegularSequenceSpec, s: int,
+                   page2: SpectralPage | None = None) -> CollapseReport:
     """The page-2 column sums must equal the Tor ranks computed directly
     from the tensored resolution, and nothing may survive off the
-    predicted support.  Exact integer equality, no tolerance."""
-    page = e2_page(spec, s)
-    rep = tor(spec, s, with_products=False, with_reduction=False,
-              cross_check=False)
+    predicted support.  Exact integer equality, no tolerance.  page2, if
+    given, must be e2_page(spec, s); it is then not rebuilt."""
+    page = e2_page(spec, s) if page2 is None else page2
+    tor_ranks = tuple(r for r, _ in
+                      homology_ranks(tensor_mod_I_complex(spec, s)))
     page_ranks = page.total_ranks()
     off = off_support_cells(page)
-    ok = page_ranks == rep.ranks and not off
-    return CollapseReport(ok, s, page_ranks, rep.ranks, off)
+    ok = page_ranks == tor_ranks and not off
+    return CollapseReport(ok, s, page_ranks, tor_ranks, off)
 
 
 # ---------------------------------------------------------------------------

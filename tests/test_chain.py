@@ -199,6 +199,25 @@ class TestTensorModI:
                          {1: f})
         assert tensor_mod_I(c, SPEC2).differential(1).is_zero()
 
+    def test_one_solve_per_distinct_entry(self, monkeypatch):
+        import koszulpow.linalg as linalg
+        from koszulpow.resolution import build_k_ris
+        solves = []
+
+        def counting(*args):
+            solves.append(args)
+            return solve(*args)
+
+        solve = linalg.solve
+        monkeypatch.setattr(linalg, "solve", counting)
+        spec = RegularSequenceSpec.variables(3)
+        c = build_k_ris(spec, 3)
+        t = tensor_mod_I(c, spec)
+        entries = [p for f in c.diffs.values() for p in f.entries.values()]
+        assert len(solves) == len({p for p in entries if not p.is_constant()})
+        assert len(solves) < len(entries)
+        assert t.dims() == c.dims()
+
 
 class TestGradedSlice:
     def test_koszul_slice_identity(self):

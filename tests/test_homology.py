@@ -1,13 +1,18 @@
 import pytest
 
 from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec, parse_poly, Polynomial, binomial
-from koszulpow.chain import SparseMap, ChainMap
+from koszulpow.linalg import (Echelon, kernel_basis, rank_dense, solve,
+                              smith_normal_form)
+from koszulpow.chain import (SparseMap, ChainMap, element_str, constant_rows,
+                             tensor_mod_I)
 from koszulpow.koszul import koszul_complex
-from koszulpow.resolution import build_k_ris, reduction_chain_map
+from koszulpow.resolution import build_k_ris, reduction_chain_map, dga_multiply
+from koszulpow.spectral import label_support
 from koszulpow.homology import (tensored_matrices, homology_ranks,
                                 tensor_mod_I_complex, tor, coker_transfer_ranks,
                                 tor_products, freeness_check, divisor_report,
-                                induced_tor_map, koszul_regularity_probe)
+                                induced_tor_map, koszul_regularity_probe,
+                                direct_summands)
 
 
 def P(text, n=2):
@@ -47,6 +52,71 @@ class TestHomologyRanks:
     def test_untensored_entries_rejected(self):
         with pytest.raises(ValueError):
             homology_ranks(build_k_ris(SPEC2, 2))
+
+    def test_torsion_merges_across_blocks(self):
+        # d_1 = diag(2, 3) is two blocks; Z/2 + Z/3 is Z/6
+        from koszulpow.chain import ChainComplex, FreeModule, Label
+        e1, e2 = Label((1,), (), 1), Label((2,), (), 1)
+        t1, t2 = Label((), (1,), 1), Label((), (2,), 1)
+        m0, m1 = FreeModule((t1, t2)), FreeModule((e1, e2))
+        d1 = SparseMap(m1, m0, {(t1, e1): P("2"), (t2, e2): P("3")}, 2, QQ)
+        t = ChainComplex(2, QQ, {0: m0, 1: m1}, {1: d1})
+        assert len(direct_summands(t)) == 2
+        assert homology_ranks(t) == [(0, (6,)), (0, ())]
+        assert smith_normal_form(tensored_matrices(t)[1]).torsion == (6,)
+
+    def test_each_block_ranked_once(self, monkeypatch):
+        import koszulpow.homology as homology
+        ranked = []
+
+        def counting(matrix, n_cols, dom):
+            ranked.append(id(matrix))
+            return rank_dense(matrix, n_cols, dom)
+
+        monkeypatch.setattr(homology, "rank_dense", counting)
+        t = tensor_mod_I_complex(SPEC3, 3)
+        homology_ranks(t)
+        # one call per (block, differential) pair, no matrix twice
+        assert len(ranked) == sum(len(b.mats)
+                                  for b in direct_summands(t))
+        assert len(set(ranked)) == len(ranked)
+
+
+class TestDirectSummands:
+    @pytest.mark.parametrize("n,s", [(2, 2), (3, 3), (4, 2)])
+    def test_partition_without_crossing_entries(self, n, s):
+        t = tensor_mod_I_complex(RegularSequenceSpec.variables(n), s)
+        block_of = {}
+        for k, b in enumerate(direct_summands(t)):
+            for d, idx in b.index.items():
+                assert idx == sorted(idx)
+                for i in idx:
+                    assert (d, i) not in block_of
+                    block_of[(d, i)] = k
+        assert len(block_of) == sum(t.dims())
+        for d in range(1, t.max_degree + 1):
+            for i, row in enumerate(constant_rows(t.differential(d))):
+                for j in row:
+                    assert block_of[(d - 1, i)] == block_of[(d, j)]
+
+    @pytest.mark.parametrize("n,s", [(2, 3), (3, 3)])
+    def test_blocks_reassemble_and_keep_support(self, n, s):
+        t = tensor_mod_I_complex(RegularSequenceSpec.variables(n), s)
+        mats = tensored_matrices(t)
+        seen = {d: [[0] * len(r) for r in m] for d, m in mats.items()}
+        for b in direct_summands(t):
+            labels = [t.module(d).labels[i]
+                      for d, idx in b.index.items() for i in idx]
+            assert len({label_support(g) for g in labels}) == 1
+            for d, m in b.mats.items():
+                for li, i in enumerate(b.index[d - 1]):
+                    for lj, j in enumerate(b.index[d]):
+                        seen[d][i][j] = m[li][lj]
+        assert seen == mats
+
+    def test_untensored_entries_rejected(self):
+        with pytest.raises(ValueError):
+            direct_summands(build_k_ris(SPEC2, 2))
 
 
 class TestTor:
@@ -311,3 +381,123 @@ class TestRegularityProbe:
         rep = koszul_regularity_probe(bad)
         assert not rep.ok
         assert rep.failures[0][0] == 1
+
+
+# ---------------------------------------------------------------------------
+# Reference: the whole-matrix elimination that tor() replaced by block-wise
+# elimination.  Kept here only, to pin that the blocks change no output.
+
+def _primitive(v):
+    from fractions import Fraction
+    from math import gcd, lcm
+    mult = lcm(*(Fraction(x).denominator for x in v))
+    w = [int(x * mult) for x in v]
+    g = gcd(*w)
+    return [x // g for x in w] if g > 1 else w
+
+
+def _dense_tor(spec, s, with_products=True):
+    """ranks, torsion, generators, generator strings, per-degree boundary
+    spans and the tensored complex, by dense elimination of whole matrices;
+    plus the product lines when with_products."""
+    kris = build_k_ris(spec, s)
+    t = tensor_mod_I(kris, spec)
+    mats = tensored_matrices(t)
+    fd = spec.domain if spec.domain.kind == "Fp" else QQ
+    one = Polynomial.one(t.n_vars, t.domain)
+    ranks, torsion, spans, gens = [], [], [], []
+    for n in range(t.max_degree + 1):
+        dim, up = t.module(n).dim, t.module(n + 1).dim
+        m_out, m_in = mats.get(n, []), mats.get(n + 1, [])
+        r_out = rank_dense(m_out, dim, fd) if m_out else 0
+        r_in = rank_dense(m_in, up, fd) if m_in else 0
+        ranks.append(dim - r_out - r_in)
+        torsion.append(smith_normal_form(m_in).torsion
+                       if m_in and fd.kind != "Fp" else ())
+        span = Echelon(fd)
+        for j in range(up):
+            span.insert([row[j] for row in m_in])
+        spans.append(span)
+        ech = span.copy()
+        vecs = [v for v in kernel_basis(m_out, dim, fd) if ech.insert(v)]
+        if fd.kind != "Fp":
+            vecs = [_primitive(v) for v in vecs]
+        gens.append([{g: one.scale(c) for g, c in zip(t.module(n).labels, v)
+                      if c} for v in vecs])
+    out = {"ranks": tuple(ranks), "torsion": tuple(torsion), "gens": gens,
+           "strings": [[element_str(g) for g in gs] for gs in gens],
+           "spans": spans, "t": t}
+    if with_products:
+        flat = [(n, g) for n in range(1, len(gens)) for g in gens[n]]
+        fone = Polynomial.one(t.n_vars, fd)
+        lines = []
+        for a, (na, ga) in enumerate(flat):
+            for b, (nb, gb) in enumerate(flat):
+                prod, nd, res = dga_multiply(kris, ga, gb), na + nb, {}
+                if nd <= t.max_degree and prod:
+                    resid = spans[nd].reduce(_dense_vector(t, nd, prod, fd))
+                    res = {g: fone.scale(c)
+                           for g, c in zip(t.module(nd).labels, resid)
+                           if c != fd.zero()}
+                lines.append(f"g{a} * g{b} = "
+                             f"{element_str(res) if res else '0'}")
+        out["lines"] = lines
+    return out
+
+
+def _dense_vector(t, n, elt, fd):
+    v = [fd.zero()] * t.module(n).dim
+    for g, p in elt.items():
+        assert p.is_constant()
+        v[t.module(n).index_of(g)] = fd.coerce(p.constant_value())
+    return v
+
+
+def _dense_induced(f, src, tgt, fd):
+    comps = {}
+    for n in range(max(len(src["ranks"]), len(tgt["ranks"]))):
+        sg = src["gens"][n] if n < len(src["gens"]) else []
+        tg = tgt["gens"][n] if n < len(tgt["gens"]) else []
+        basis = [_dense_vector(tgt["t"], n, g, fd) for g in tg]
+        if n < len(tgt["spans"]):
+            basis += [row for _, row in tgt["spans"][n].rows]
+        matrix = [list(c) for c in zip(*basis)]
+        cols = []
+        for g in sg:
+            image = f.component(n).apply(g)
+            sol = solve(matrix, _dense_vector(tgt["t"], n, image, fd), fd)
+            cols.append([int(x) if x.denominator == 1 else x
+                         for x in sol[:len(tg)]])
+        comps[n] = [[c[i] for c in cols] for i in range(len(tg))]
+    return comps
+
+
+def _assert_block_path_matches(spec, s):
+    rep = tor(spec, s)
+    ref = _dense_tor(spec, s)
+    assert rep.ranks == ref["ranks"]
+    assert rep.torsion == ref["torsion"]
+    assert rep.generator_strings() == ref["strings"]
+    assert rep.products.lines() == ref["lines"]
+    if s >= 2:
+        lower = _dense_tor(spec, s - 1, with_products=False)
+        fd = spec.domain if spec.domain.kind == "Fp" else QQ
+        assert rep.induced_reduction == _dense_induced(
+            reduction_chain_map(spec, s), ref, lower, fd)
+
+
+class TestBlockEquivalence:
+    """Block-wise elimination reproduces whole-matrix elimination."""
+
+    @pytest.mark.parametrize("dom", [QQ, ZZ, GF(5)], ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_variables_grid(self, n, s, dom):
+        _assert_block_path_matches(RegularSequenceSpec.variables(n, dom), s)
+
+    @pytest.mark.parametrize("dom", [QQ, ZZ, GF(5)], ids=str)
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_linear_forms(self, s, dom):
+        spec = RegularSequenceSpec.explicit(
+            [parse_poly(p, 3, dom) for p in ("x1+2*x2-x3", "x2-x3", "x3")])
+        _assert_block_path_matches(spec, s)

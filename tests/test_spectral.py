@@ -157,6 +157,27 @@ class TestCollapse:
     def test_prime_field(self):
         assert collapse_check(RegularSequenceSpec.variables(2, GF(2)), 2).ok
 
+    def test_spectral_command_builds_each_page_once(self, monkeypatch):
+        import koszulpow.cli as cli
+        import koszulpow.homology as homology
+        import koszulpow.spectral as spectral
+        calls = {}
+
+        def count(name, orig, *modules):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return orig(*args, **kwargs)
+            for mod in modules:
+                monkeypatch.setattr(mod, name, wrapper)
+
+        count("e1_page", spectral.e1_page, spectral, cli)
+        count("e2_page", spectral.e2_page, spectral, cli)
+        count("tor", homology.tor, homology, cli)
+        payload, ok = cli.cmd_spectral(cli.build_config(
+            cli.make_parser().parse_args(["spectral", "--n", "3", "--s", "3"])))
+        assert ok and payload["collapse"]["tor_ranks"] == [1, 10, 15, 6]
+        assert calls == {"e1_page": 1, "e2_page": 1}
+
 
 class TestSupportBlocks:
     def test_supports_two_vars(self):
