@@ -6,8 +6,9 @@ wedge factors) and a tag part (weakly increasing indices, a monomial in
 the sequence generators); either may be empty.  Homological degree of a
 generator is its exterior length; the internal (polynomial) degree is
 stored on the label.  Maps are sparse associations (target, source) ->
-polynomial, kept homogeneous.  Dense matrices appear only in GradedSlice,
-where one internal degree of a map is expanded over monomial bases.
+polynomial, kept homogeneous.  A GradedSlice expands one internal degree
+of a map over monomial bases into a sparse scalar matrix (one dict per
+row); its dense form is built only on request.
 """
 
 from __future__ import annotations
@@ -418,28 +419,40 @@ def constant_matrix(f: SparseMap) -> list[list[int]]:
 
 @dataclass
 class GradedSlice:
-    """One internal degree of a map, as a dense scalar matrix.
+    """One internal degree of a map, as a sparse scalar matrix.
 
     Rows and columns are labeled by (generator, complementary monomial)
     pairs: generator g of internal degree e contributes the columns
     {(g, mu) : deg mu = d - e}.  Ordering is module label order, then the
-    monomial enumeration order within a generator.
+    monomial enumeration order within a generator.  entries holds one dict
+    column -> nonzero scalar per row.
     """
 
     hom_degree: int | None
     internal_degree: int
     row_basis: list[tuple[Label, tuple[int, ...]]]
     col_basis: list[tuple[Label, tuple[int, ...]]]
-    rows: list[list]
+    entries: list[dict[int, object]]
     domain: Domain
 
     @property
     def n_cols(self) -> int:
         return len(self.col_basis)
 
+    @property
+    def rows(self) -> list[list]:
+        """The dense matrix, built on each access."""
+        zero = self.domain.zero()
+        out = []
+        for entries in self.entries:
+            row = [zero] * self.n_cols
+            for j, v in entries.items():
+                row[j] = v
+            out.append(row)
+        return out
+
     def sparse_rows(self) -> list[dict[int, object]]:
-        return [{j: v for j, v in enumerate(r) if v != self.domain.zero()}
-                for r in self.rows]
+        return self.entries
 
     def rank(self) -> int:
         dom = self.domain if self.domain.is_field else QQ
@@ -455,27 +468,22 @@ def slice_basis(mod: FreeModule, n_vars: int, d: int):
 
 
 def map_slice(f: SparseMap, d: int, hom_degree: int | None = None) -> GradedSlice:
-    """Dense matrix of f restricted to internal degree d."""
-    dom = f.domain
+    """Sparse matrix of f restricted to internal degree d.
+
+    Column (g, mu) holds the terms c*mon of the entries f[tgt, g] at rows
+    (tgt, mon*mu).  Distinct (tgt, mon) give distinct rows and stored
+    coefficients are nonzero, so every cell gets at most one nonzero value.
+    """
     row_basis = slice_basis(f.target, f.n_vars, d)
     col_basis = slice_basis(f.source, f.n_vars, d)
     row_index = {rc: i for i, rc in enumerate(row_basis)}
-    zero = dom.zero()
-    cols: list[dict[int, object]] = []
+    rows: list[dict[int, object]] = [{} for _ in row_basis]
     f_cols = f.columns()
-    for g, mu in col_basis:
-        col: dict[int, object] = {}
+    for j, (g, mu) in enumerate(col_basis):
         for tgt, p in f_cols[g]:
             for mon, cval in p.terms.items():
-                i = row_index[(tgt, mono_mul(mon, mu))]
-                col[i] = dom.add(col.get(i, zero), cval)
-        cols.append(col)
-    rows = [[zero] * len(col_basis) for _ in range(len(row_basis))]
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            if v != zero:
-                rows[i][j] = v
-    return GradedSlice(hom_degree, d, row_basis, col_basis, rows, dom)
+                rows[row_index[(tgt, mono_mul(mon, mu))]][j] = cval
+    return GradedSlice(hom_degree, d, row_basis, col_basis, rows, f.domain)
 
 
 def graded_slice(c: ChainComplex, n: int, d: int) -> GradedSlice:

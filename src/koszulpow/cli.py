@@ -399,7 +399,9 @@ def make_parser() -> argparse.ArgumentParser:
                         help="cap reported homological degrees")
     common.add_argument("--max-internal", type=int, dest="max_internal",
                         help="internal-degree bound for slice checks")
-    common.add_argument("--workers", type=int, help="parallel slice workers")
+    common.add_argument("--workers", type=int,
+                        help="accepted for compatibility (must be >= 1); "
+                             "slices are ranked sequentially")
     common.add_argument("--out", help="write the report here, not stdout")
     parser = argparse.ArgumentParser(
         prog="koszulpow",

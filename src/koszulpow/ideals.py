@@ -7,7 +7,8 @@ as coordinates.  Two regimes.  When the generators are variable powers
 x_i^{a_i} the monomials themselves split into inside/outside I^s and no
 linear algebra is needed.  For a general homogeneous sequence, (I^s)_d is
 the column span of the multiplication matrix {mu * u_m} over degree-s tags
-m, and residues come from echelon reduction against that span.
+m: its dimension comes from a sparse rank of those columns, and residues
+come from echelon reduction against that span.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import combinations_with_replacement
 
 from .poly import (Polynomial, Domain, QQ, RegularSequenceSpec,
                    monomials_of_degree, count_monomials, mono_mul)
-from .linalg import Echelon, solve
+from .linalg import Echelon, solve, sparse_rank
 
 Tag = tuple[int, ...]
 
@@ -53,25 +54,33 @@ def monomial_in_power(spec: RegularSequenceSpec, expo: tuple[int, ...],
     return sum(e // a for e, a in zip(expo, spec.powers)) >= s
 
 
-def power_span_vectors(spec: RegularSequenceSpec, s: int, d: int):
-    """Spanning vectors of (I^s)_d in degree-d monomial coordinates.
+def power_span_columns(spec: RegularSequenceSpec, s: int, d: int):
+    """Spanning vectors of (I^s)_d, sparse, with what they are.
 
-    One vector per (tag m of length s, monomial mu of degree d - deg u_m),
-    in (tag, monomial) enumeration order: the column mu * u_m.
+    One (tag m of length s, monomial mu of degree d - deg u_m, column) per
+    spanning vector, in (tag, monomial) enumeration order: the column is
+    mu * u_m as a dict degree-d monomial index -> nonzero coefficient.
     """
-    dom = spec.domain
-    monos_d = monomials_of_degree(spec.n_vars, d)
-    index = {m: i for i, m in enumerate(monos_d)}
-    vecs = []
+    index = {m: i for i, m in enumerate(monomials_of_degree(spec.n_vars, d))}
     for tag in tags_of_length(spec.n_gens, s):
         um = tag_product(spec, tag)
         rem = d - tag_degree(spec, tag)
         for mu in monomials_of_degree(spec.n_vars, rem):
-            v = [dom.zero()] * len(monos_d)
-            for mon, c in um.terms.items():
-                v[index[mono_mul(mon, mu)]] = c
-            vecs.append(v)
-    return vecs
+            yield tag, mu, {index[mono_mul(mon, mu)]: c
+                            for mon, c in um.terms.items()}
+
+
+def _dense(spec: RegularSequenceSpec, d: int, col: dict) -> list:
+    v = [spec.domain.zero()] * count_monomials(spec.n_vars, d)
+    for i, c in col.items():
+        v[i] = c
+    return v
+
+
+def power_span_vectors(spec: RegularSequenceSpec, s: int, d: int):
+    """Dense form of power_span_columns: degree-d monomial coordinates."""
+    return [_dense(spec, d, col)
+            for _, _, col in power_span_columns(spec, s, d)]
 
 
 def hilbert_function(spec: RegularSequenceSpec, s: int, d: int) -> int:
@@ -87,11 +96,8 @@ def hilbert_function(spec: RegularSequenceSpec, s: int, d: int) -> int:
         return sum(1 for m in monomials_of_degree(spec.n_vars, d)
                    if not monomial_in_power(spec, m, s))
     dom = spec.domain if spec.domain.is_field else QQ
-    ech = Echelon(dom)
-    for v in power_span_vectors(spec.with_domain(dom) if dom != spec.domain
-                                else spec, s, d):
-        ech.insert(v)
-    return count_monomials(spec.n_vars, d) - ech.rank
+    cols = [col for _, _, col in power_span_columns(spec, s, d)]
+    return count_monomials(spec.n_vars, d) - sparse_rank(cols, dom)
 
 
 class PowerReducer:
@@ -171,22 +177,13 @@ class SubquotientModule:
         ech_b = Echelon(spec.domain)
         for v in power_span_vectors(spec, self.b, d):
             ech_b.insert(v)
-        monos_d = monomials_of_degree(spec.n_vars, d)
-        index = {m: i for i, m in enumerate(monos_d)}
         basis, labels = [], []
-        seen = Echelon(spec.domain)
-        for v in ech_b.rows:
-            seen.insert(v[1])
-        for tag in tags_of_length(spec.n_gens, self.a):
-            um = tag_product(spec, tag)
-            rem = d - tag_degree(spec, tag)
-            for mu in monomials_of_degree(spec.n_vars, rem):
-                v = [spec.domain.zero()] * len(monos_d)
-                for mon, c in um.terms.items():
-                    v[index[mono_mul(mon, mu)]] = c
-                if seen.insert(list(v)):
-                    basis.append(v)
-                    labels.append((tag, mu))
+        seen = ech_b.copy()
+        for tag, mu, col in power_span_columns(spec, self.a, d):
+            v = _dense(spec, d, col)
+            if seen.insert(v):
+                basis.append(v)
+                labels.append((tag, mu))
         self._cache[d] = (basis, ech_b, labels)
         return self._cache[d]
 

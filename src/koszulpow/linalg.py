@@ -2,9 +2,10 @@
 
 Two regimes.  Small matrices (kernels, solving, membership) use dense
 reduced row echelon over a field with Fraction or mod-p scalars.  Large
-graded slices only need rank, so those go through a sparse dict-of-columns
-elimination that stays in integers (denominators cleared up front, rows
-renormalized by gcd) to avoid Fraction overhead.
+graded slices and the spanning sets of ideal powers only need rank, so
+those go through a sparse row elimination that stays in integers
+(denominators cleared up front, rows renormalized by gcd) to avoid
+Fraction overhead.
 
 Matrices are lists of rows; a row is a list of scalars (dense) or a dict
 col->scalar with no stored zeros (sparse).
@@ -13,7 +14,7 @@ col->scalar with no stored zeros (sparse).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .poly import Domain, QQ
@@ -175,9 +176,14 @@ class Echelon:
 # ---------------------------------------------------------------------------
 # Sparse rank.
 
-def _clear_row(row: dict[int, Fraction]) -> dict[int, int]:
-    mult = lcm(*(f.denominator for f in row.values())) if row else 1
-    out = {c: int(f * mult) for c, f in row.items()}
+def _clear_row(row: dict[int, object]) -> dict[int, int]:
+    """The primitive integer row proportional to a row of rationals (int or
+    Fraction), with zero entries dropped."""
+    mult = lcm(*(v.denominator for v in row.values()))
+    if mult == 1:
+        out = {c: v.numerator for c, v in row.items() if v}
+    else:
+        out = {c: (v * mult).numerator for c, v in row.items() if v}
     g = gcd(*out.values()) if out else 1
     if g > 1:
         out = {c: v // g for c, v in out.items()}
@@ -191,65 +197,64 @@ def sparse_rank(rows: list[dict[int, object]], dom: Domain = QQ) -> int:
     pivot*row - entry*pivot_row followed by a gcd renormalization, so all
     intermediate values stay integers.  Over F_p arithmetic is mod p.
     Input dicts are not mutated.
+
+    Rows wait in buckets keyed by their leading column, and the columns
+    are taken in increasing order from a heap: only the rows of the
+    current bucket contain the pivot column, so only they are eliminated,
+    and each moves to the bucket of its new leading column.
     """
     modp = dom.p if dom.kind == "Fp" else None
-    if modp is None:
-        work = [_clear_row({c: Fraction(v) for c, v in r.items()}) for r in rows]
-    else:
-        work = [{c: dom.coerce(v) for c, v in r.items()} for r in rows]
-    work = [{c: v for c, v in r.items() if v} for r in work]
-    work = [r for r in work if r]
+    buckets: dict[int, list[dict[int, int]]] = {}
+    for r in rows:
+        if modp is None:
+            r = _clear_row(r)
+        else:
+            r = {c: dom.coerce(v) for c, v in r.items()}
+            r = {c: v for c, v in r.items() if v}
+        if r:
+            buckets.setdefault(min(r), []).append(r)
+    heap = list(buckets)
+    heapify(heap)
     rank = 0
-    while work:
-        col = min(min(r) for r in work)
-        cands = [i for i, r in enumerate(work) if col in r]
-        # sparsest pivot row limits fill-in; index tie-break keeps it stable
-        pi = min(cands, key=lambda i: (len(work[i]), i))
-        piv = work.pop(pi)
-        pv = piv[col]
+    while heap:
+        col = heappop(heap)
+        bucket = buckets.pop(col)
+        # sparsest pivot row limits fill-in; the first one keeps it stable
+        pi = min(range(len(bucket)), key=lambda i: len(bucket[i]))
+        piv = bucket.pop(pi)
+        pv = piv.pop(col)
         rank += 1
         if modp is not None:
             inv = pow(pv, -1, modp)
-            nxt = []
-            for r in work:
-                if col not in r:
-                    nxt.append(r)
-                    continue
-                f = r[col] * inv % modp
-                out = {c: v for c, v in r.items() if c != col}
+        for r in bucket:
+            f = r.pop(col)
+            if modp is not None:
+                f = f * inv % modp
+                out = r
                 for c, v in piv.items():
-                    if c == col:
-                        continue
                     w = (out.get(c, 0) - f * v) % modp
                     if w:
                         out[c] = w
                     else:
-                        out.pop(c, None)
-                if out:
-                    nxt.append(out)
-            work = nxt
-        else:
-            nxt = []
-            for r in work:
-                if col not in r:
-                    nxt.append(r)
-                    continue
-                f = r[col]
-                out = {c: pv * v for c, v in r.items() if c != col}
+                        del out[c]
+            else:
+                out = {c: pv * v for c, v in r.items()}
                 for c, v in piv.items():
-                    if c == col:
-                        continue
                     w = out.get(c, 0) - f * v
                     if w:
                         out[c] = w
                     else:
-                        out.pop(c, None)
-                if out:
-                    g = gcd(*out.values())
-                    if g > 1:
-                        out = {c: v // g for c, v in out.items()}
-                    nxt.append(out)
-            work = nxt
+                        del out[c]
+                g = gcd(*out.values()) if out else 1
+                if g > 1:
+                    out = {c: v // g for c, v in out.items()}
+            if out:
+                lead = min(out)
+                if lead in buckets:
+                    buckets[lead].append(out)
+                else:
+                    buckets[lead] = [out]
+                    heappush(heap, lead)
     return rank
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from operator import add
 
 Exponents = tuple[int, ...]
 
@@ -120,7 +122,7 @@ def parse_domain(text: str) -> Domain:
 # Monomials: exponent tuples of fixed length.
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def grlex_key(m: Exponents):
@@ -134,15 +136,17 @@ def monomials_of_degree(n_vars: int, d: int) -> list[Exponents]:
     Descending lex puts x1-dominant monomials first, matching the canonical
     printed term order.
     """
+    return list(_monomials(n_vars, d))
+
+
+@lru_cache(maxsize=None)
+def _monomials(n_vars: int, d: int) -> tuple[Exponents, ...]:
     if d < 0:
-        return []
+        return ()
     if n_vars == 0:
-        return [()] if d == 0 else []
-    out = []
-    for e1 in range(d, -1, -1):
-        for rest in monomials_of_degree(n_vars - 1, d - e1):
-            out.append((e1,) + rest)
-    return out
+        return ((),) if d == 0 else ()
+    return tuple((e1,) + rest for e1 in range(d, -1, -1)
+                 for rest in _monomials(n_vars - 1, d - e1))
 
 
 def count_monomials(n_vars: int, d: int) -> int:

@@ -12,7 +12,6 @@ with the differential vanish.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .poly import Polynomial, QQ, GF, RegularSequenceSpec
@@ -98,23 +97,16 @@ def default_internal_bound(spec: RegularSequenceSpec, s: int) -> int:
     return (s + spec.n_gens) * spec.max_degree + 2
 
 
-def _rank_grid(c: ChainComplex, top_n: int, max_d: int,
-               workers: int | None) -> dict:
-    tasks = [(n, d) for n in range(1, top_n + 1) for d in range(max_d + 1)]
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ranks = list(pool.map(
-                lambda nd: graded_slice(c, nd[0], nd[1]).rank(), tasks))
-    else:
-        ranks = [graded_slice(c, n, d).rank() for n, d in tasks]
-    return dict(zip(tasks, ranks))
-
-
 def homology_slice_dims(c: ChainComplex, max_d: int,
                         workers: int | None = None) -> dict:
-    """(n, d) -> dim of degree-d slice homology, by rank-nullity."""
+    """(n, d) -> dim of degree-d slice homology, by rank-nullity.
+
+    The slices are ranked one after another; workers is accepted for
+    compatibility and ignored.
+    """
     top = c.max_degree
-    ranks = _rank_grid(c, top + 1, max_d, workers)
+    ranks = {(n, d): graded_slice(c, n, d).rank()
+             for n in range(1, top + 2) for d in range(max_d + 1)}
     out = {}
     for n in range(top + 1):
         for d in range(max_d + 1):
@@ -132,8 +124,13 @@ def verify_exactness(spec: RegularSequenceSpec, s: int,
 
     Positive homological degrees must vanish in every internal degree up
     to the bound; the degree-0 cokernel dims must equal the independent
-    Hilbert function.  Over ZZ the check runs over QQ and small prime
-    fields (unit elementary divisors make all of them agree).
+    Hilbert function.  Over ZZ the check runs over QQ and the small prime
+    fields F_p.  Tensoring the integral resolution with F_p gives
+    H_n = Tor_n^Z(R/I^s, F_p) (universal coefficients): H_0 has the
+    Hilbert function of the sequence mod p, H_1 is the p-torsion of R/I^s,
+    of dimension HF_p(d) - HF_Q(d), and H_n = 0 for n >= 2.  For
+    unit-coefficient sequences HF_p = HF_Q and every F_p run must be
+    exact like the QQ run.  workers is accepted for compatibility.
     """
     if max_internal is None:
         max_internal = default_internal_bound(spec, s)
@@ -149,22 +146,22 @@ def verify_exactness(spec: RegularSequenceSpec, s: int,
         c = build_k_ris(rspec, s)
         dims = homology_slice_dims(c, max_internal, workers)
         fields_checked.append(str(dom))
+        hf = {d: hilbert_function(rspec, s, d)
+              for d in range(max_internal + 1)}
         if dom == run_domains[0]:
-            homology = dims
-            hilbert = {d: hilbert_function(rspec, s, d)
-                       for d in range(max_internal + 1)}
+            homology, hilbert = dims, hf
         for (n, d), h in sorted(dims.items()):
-            if n >= 1 and h != 0:
-                mismatches.append(
-                    f"[{dom}] homology at n={n}, d={d} has dim {h}, expected 0")
             if n == 0:
-                want = hilbert.get(d)
-                if want is None:
-                    want = hilbert_function(rspec, s, d)
-                if h != want:
+                if h != hf[d]:
                     mismatches.append(
                         f"[{dom}] cokernel dim at d={d} is {h}, "
-                        f"Hilbert function says {want}")
+                        f"Hilbert function says {hf[d]}")
+                continue
+            want = hf[d] - hilbert[d] if n == 1 else 0
+            if h != want:
+                mismatches.append(
+                    f"[{dom}] homology at n={n}, d={d} has dim {h}, "
+                    f"expected {want}")
     return ExactnessReport(not mismatches, s, max_internal, homology,
                            hilbert, mismatches, fields_checked)
 

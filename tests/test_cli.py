@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +124,38 @@ class TestExitCodes:
         assert code == 1
         assert not doc["ok"]
         assert doc["report"]["exactness"]["mismatches"]
+
+    @pytest.mark.parametrize("seq", ['["2*x1", "x2"]', '["3*x1+x2", "x2"]'])
+    def test_integer_torsion_sequence_is_zero(self, seq, tmp_path, capsys):
+        # regular over Z with torsion in R/I^2: the F_p runs see it as H_1
+        f = tmp_path / "seq.json"
+        f.write_text(seq)
+        code, doc = capture(capsys, ["verify", "--n", "2", "--s", "2",
+                                     "--field", "Z", "--sequence", f"file:{f}"])
+        assert code == 0, doc["report"]["exactness"]["mismatches"]
+        assert doc["report"]["exactness"]["fields_checked"] == \
+            ["QQ", "F2", "F3", "F5"]
+
+    def test_non_regular_over_integers_is_one(self, tmp_path, capsys):
+        f = tmp_path / "seq.json"
+        f.write_text('["x1*x2", "x1*x2"]')
+        code, doc = capture(capsys, ["verify", "--n", "2", "--s", "2",
+                                     "--field", "Z", "--sequence", f"file:{f}"])
+        assert code == 1
+        assert doc["report"]["exactness"]["mismatches"]
+
+
+class TestStartup:
+    def test_cli_import_skips_concurrent_futures(self):
+        # the slices are ranked sequentially; no CLI run pays for the
+        # thread-pool machinery at start-up
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import koszulpow.cli, sys; "
+                "print('concurrent.futures' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
 
 
 class TestReports:

@@ -4,11 +4,13 @@ from math import comb
 
 import pytest
 
-from koszulpow.poly import QQ, GF, RegularSequenceSpec, parse_poly
+from koszulpow.poly import (QQ, ZZ, GF, RegularSequenceSpec, parse_poly,
+                            count_monomials)
 from koszulpow.linalg import Echelon, rank_dense
 from koszulpow.ideals import (tags_of_length, tag_degree, tag_product,
                               monomial_in_power, hilbert_function,
-                              PowerReducer, SubquotientModule)
+                              power_span_vectors, PowerReducer,
+                              SubquotientModule)
 
 
 def vars_spec(n):
@@ -114,6 +116,24 @@ class TestHilbert:
         for d in range(8):
             assert hilbert_function(a, 1, d) == hilbert_function(b, 1, d)
         assert [hilbert_function(a, 1, d) for d in range(4)] == [1, 1, 0, 0]
+
+    @pytest.mark.parametrize("dom", [QQ, ZZ, GF(2), GF(5)], ids=str)
+    def test_general_regime_matches_echelon_count(self, dom):
+        # the sparse rank of the span columns against the dense echelon
+        # count; includes a torsion sequence whose rank drops mod 2
+        field = dom if dom.is_field else QQ
+        for texts in (["x1+2*x2-x3", "x2-x3", "x3"],
+                      ["x1^2+x2*x3", "x2^2-2*x1*x3"],
+                      ["2*x1", "x2+x3"]):
+            spec = RegularSequenceSpec.explicit(
+                [parse_poly(t, 3, ZZ) for t in texts]).with_domain(dom)
+            for s in (1, 2, 3):
+                for d in range(6):
+                    ech = Echelon(field)
+                    for v in power_span_vectors(spec, s, d):
+                        ech.insert(v)
+                    assert hilbert_function(spec, s, d) == \
+                        count_monomials(3, d) - ech.rank
 
 
 class TestPowerReducer:

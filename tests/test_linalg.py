@@ -125,6 +125,42 @@ class TestSparseRank:
         assert sparse_rank([{0: 2}], QQ) == 1
         assert sparse_rank([{0: 2}], GF(2)) == 0
 
+    @staticmethod
+    def sparse_matrix(rng, p=None):
+        """Random sparse integer matrix with zero rows, duplicate rows and
+        several rows sharing a leading column."""
+        nr, nc = rng.randint(1, 10), rng.randint(1, 12)
+        m = [[rng.randint(-5, 5) if rng.random() < 0.3 else 0
+              for _ in range(nc)] for _ in range(nr)]
+        m.append([0] * nc)
+        m.append(list(rng.choice(m)))
+        lead = rng.randrange(nc)
+        for _ in range(3):
+            row = [0] * nc
+            row[lead] = rng.choice((-2, -1, 1, 3))
+            for j in range(lead + 1, nc):
+                row[j] = rng.randint(-3, 3)
+            m.append(row)
+        rng.shuffle(m)
+        if p is not None:
+            m = [[x % p for x in row] for row in m]
+        return m, nc
+
+    def test_random_sparse_matches_dense_qq(self):
+        rng = random.Random(21)
+        for _ in range(200):
+            m, nc = self.sparse_matrix(rng)
+            rows = [{j: v for j, v in enumerate(r) if v} for r in m]
+            assert sparse_rank(rows, QQ) == rank_dense(m, nc, QQ)
+
+    @pytest.mark.parametrize("p", [2, 5, 7])
+    def test_random_sparse_matches_dense_fp(self, p):
+        rng = random.Random(22 + p)
+        for _ in range(200):
+            m, nc = self.sparse_matrix(rng, p)
+            rows = [{j: v for j, v in enumerate(r) if v} for r in m]
+            assert sparse_rank(rows, GF(p)) == rank_dense(m, nc, GF(p))
+
 
 class TestSmithNormalForm:
     def test_identity(self):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from koszulpow.poly import (QQ, ZZ, RegularSequenceSpec, parse_poly,
+from koszulpow.poly import (QQ, ZZ, GF, RegularSequenceSpec, parse_poly,
                             Polynomial, random_polynomial)
 from koszulpow.ideals import PowerReducer
 from koszulpow.chain import make_label, verify_complex, element_add, element_neg
@@ -134,6 +134,30 @@ class TestExactness:
         rep = verify_exactness(spec, 2, max_internal=5)
         assert rep.ok
         assert rep.fields_checked == ["QQ", "F2", "F3", "F5"]
+
+    def test_integer_torsion_is_universal_coefficients(self):
+        # regular over Z, but R/I^s has 2- or 3-torsion: H_0 over F_p has
+        # the Hilbert function mod p, and H_1 is the p-torsion
+        for texts, p in ((["2*x1", "x2"], 2), (["3*x1+x2", "x2"], 3)):
+            spec = RegularSequenceSpec.explicit(
+                [parse_poly(t, 2, ZZ) for t in texts])
+            rep = verify_exactness(spec, 2, max_internal=5)
+            assert rep.ok, rep.mismatches
+            fp = spec.with_domain(GF(p))
+            dims = homology_slice_dims(build_k_ris(fp, 2), 5)
+            assert dims[(1, 2)] == 2 and dims[(0, 2)] == 2
+            assert rep.hilbert[2] == 0
+
+    def test_integer_torsion_in_higher_homology_detected(self):
+        # (2*x1, 2*x2) is regular over Q but not over Z: 2*x2 kills x1
+        # modulo 2*x1.  The F_2 run sees the torsion of H_1 over Z.
+        spec = RegularSequenceSpec.explicit(
+            [parse_poly(t, 2, ZZ) for t in ("2*x1", "2*x2")])
+        rep = verify_exactness(spec, 2, max_internal=5)
+        assert not rep.ok
+        assert "[F2] homology at n=1, d=3 has dim 6, expected 4" in \
+            rep.mismatches
+        assert all(m.startswith("[F2] homology") for m in rep.mismatches)
 
     def test_workers_deterministic(self):
         a = verify_exactness(SPEC2, 2, max_internal=6, workers=1)
