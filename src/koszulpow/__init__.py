@@ -7,7 +7,7 @@ splice compatibility) in exact arithmetic.
 """
 
 from .poly import (Domain, QQ, ZZ, GF, parse_domain, Polynomial, parse_poly,
-                   ParseError, RegularSequenceSpec, regular_sequence_spec)
+                   ParseError, RegularSequenceSpec)
 from .linalg import (rank_dense, kernel_basis, solve, sparse_rank,
                      SmithForm, smith_normal_form)
 from .ideals import (hilbert_function, PowerReducer, SubquotientModule,

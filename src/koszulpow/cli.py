@@ -19,14 +19,12 @@ from dataclasses import dataclass, asdict
 from .poly import Domain, RegularSequenceSpec, parse_domain, parse_poly
 from .chain import verify_complex
 from .koszul import koszul_complex, verify_identities
-from .resolution import build_k_ris, verify_exactness, reduction_chain_map, \
-    default_internal_bound
+from .resolution import build_k_ris, verify_exactness
 from .homology import tor, freeness_check, koszul_regularity_probe
 from .spectral import e1_page, e2_page, off_support_cells, collapse_check, \
     support_blocks
 from .extensions import power_ses, split_power_ses, iterated_splice, \
     theta_representative
-from .ideals import hilbert_function
 
 SCHEMA_VERSION = 1
 
@@ -245,8 +243,7 @@ def cmd_build(cfg: RunConfig):
 
 def cmd_verify(cfg: RunConfig):
     spec = _resolve_spec(cfg)
-    exact = verify_exactness(spec, cfg.s, cfg.max_internal,
-                             workers=cfg.workers)
+    exact = verify_exactness(spec, cfg.s, cfg.max_internal)
     ids = verify_identities(spec, cfg.s)
     payload = {
         "exactness": {
@@ -288,13 +285,12 @@ def cmd_tor(cfg: RunConfig):
         "routes": {k: list(v) for k, v in sorted(rep.routes.items())},
         "routes_agree": rep.routes_agree,
         "generators": rep.generator_strings(),
+        "products": {"all_zero": rep.products.all_zero,
+                     "lines": rep.products.lines()},
     }
     ok = rep.routes_agree and all(not t for t in rep.torsion)
-    if rep.products is not None:
-        payload["products"] = {"all_zero": rep.products.all_zero,
-                               "lines": rep.products.lines()}
-        if cfg.s >= 2:
-            ok = ok and rep.products.all_zero
+    if cfg.s >= 2:
+        ok = ok and rep.products.all_zero
     if rep.induced_reduction is not None:
         dom = spec.domain
         zero, one = dom.zero(), dom.one()

@@ -28,14 +28,14 @@ here relies on that.)  Block by block:
 One tor(spec, s) run builds the resolution K, its tensored complex
 t = K (x) R/I and its blocks once, and per degree n and block one
 reduced-echelon span of the block's columns of d_{n+1} (the boundaries in
-degree n).  The TorReport carries t and those spans; generator selection,
-tor_products and the induced reduction map read them and rebuild neither.
-The reduction map needs exactly one more report, tor(spec, s - 1).
+degree n).  The TorReport carries them all; its generators are a basis of
+homology over the rank field, so their counts are the free ranks.  The
+reduction map needs one more basis-only report (_tor_basis), of R/I^{s-1}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -46,8 +46,9 @@ from .chain import (ChainComplex, ChainMap, Element, Label, constant_matrix,
                     constant_rows, element_str, element_add, map_slice,
                     tensor_mod_I)
 from .koszul import koszul_complex, del_map
-from .resolution import (build_k_ris, reduction_chain_map, dga_multiply,
-                         homology_slice_dims, default_internal_bound)
+from .resolution import (KRIsComplex, build_k_ris, cut_top_level,
+                         dga_multiply, homology_slice_dims,
+                         default_internal_bound)
 
 
 def tensored_matrices(t: ChainComplex) -> dict[int, list[list[int]]]:
@@ -134,32 +135,33 @@ def homology_ranks(t: ChainComplex) -> list[tuple[int, tuple[int, ...]]]:
     """Per homological degree: (free rank, torsion divisors > 1).
 
     Input must have constant integer entries (the tensored complexes).
-    Rank from rank-nullity; torsion from the Smith normal form of the
-    incoming differential (skipped over F_p, where every divisor is a unit).
+    Rank from rank-nullity, each block of each differential ranked once;
+    torsion as in _torsion.
     """
-    return _block_homology_ranks(t, direct_summands(t))
-
-
-def _block_homology_ranks(t: ChainComplex, summands: list[Summand]):
-    """homology_ranks from the blocks: each block of each differential is
-    ranked once, and its torsion divisors merge into those of the whole
-    differential."""
+    summands = direct_summands(t)
     fd = _coeff_field(t.domain)
     rank: dict[int, int] = {}
-    chains: dict[int, list[tuple[int, ...]]] = {}
     for b in summands:
         for n, m in b.mats.items():
             rank[n] = rank.get(n, 0) + rank_dense(m, b.dim(n), fd)
-            if fd.kind != "Fp":
+    torsion = _torsion(t, summands)
+    return [(t.module(n).dim - rank.get(n, 0) - rank.get(n + 1, 0),
+             torsion[n]) for n in range(t.max_degree + 1)]
+
+
+def _torsion(t: ChainComplex,
+             summands: list[Summand]) -> tuple[tuple[int, ...], ...]:
+    """Per degree n, the torsion divisors > 1 of H_n: the merged Smith chains
+    of the blocks of d_{n+1} (none over F_p, where every divisor is a unit)."""
+    chains: dict[int, list[tuple[int, ...]]] = {}
+    if t.domain.kind != "Fp":
+        for b in summands:
+            for n, m in b.mats.items():
                 chains.setdefault(n, []).append(smith_normal_form(m).torsion)
-    out = []
-    for n in range(t.max_degree + 1):
-        free = t.module(n).dim - rank.get(n, 0) - rank.get(n + 1, 0)
-        # dropped units never change a merged chain; gcds can create new ones
-        torsion = tuple(d for d in merge_divisor_chains(chains.get(n + 1, []))
-                        if d > 1)
-        out.append((free, torsion))
-    return out
+    # dropped units never change a merged chain; gcds can create new ones
+    return tuple(tuple(d for d in merge_divisor_chains(chains.get(n + 1, []))
+                       if d > 1)
+                 for n in range(t.max_degree + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +170,16 @@ def _block_homology_ranks(t: ChainComplex, summands: list[Summand]):
 @dataclass
 class ProductTable:
     gens: list[tuple[int, int]]          # (homological degree, index)
-    entries: dict                        # (i, j) -> residue Element
+    entries: dict                        # (i, j) -> nonzero residue Element
     all_zero: bool
 
     def lines(self) -> list[str]:
         out = []
-        for (i, j), res in sorted(self.entries.items()):
-            tag = "0" if not res else element_str(res)
-            out.append(f"g{i} * g{j} = {tag}")
+        for i in range(len(self.gens)):
+            for j in range(len(self.gens)):
+                res = self.entries.get((i, j))
+                tag = element_str(res) if res else "0"
+                out.append(f"g{i} * g{j} = {tag}")
         return out
 
 
@@ -185,16 +189,22 @@ BlockSpans = list[tuple[list[int], Echelon]]
 
 @dataclass
 class TorReport:
-    s: int
-    n_gens: int
-    ranks: tuple[int, ...]
+    """Tor of (R/I, R/I^s); _tor_basis fills it up to spans, tor() the rest."""
+
     generators: list[list[Element]]      # per homological degree
-    torsion: tuple[tuple[int, ...], ...]
-    routes: dict[str, tuple[int, ...]]
-    t: ChainComplex                      # the tensored complex
+    kris: KRIsComplex                    # the resolution of R/I^s
+    t: ChainComplex                      # its tensored complex
+    summands: list[Summand]              # the blocks of t
     spans: list[BlockSpans]              # degree n -> columns of d_{n+1}
+    torsion: tuple[tuple[int, ...], ...] = ()
+    routes: dict[str, tuple[int, ...]] = field(default_factory=dict)
     products: ProductTable | None = None
     induced_reduction: dict | None = None
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        """Free ranks: over the rank field the generators are a basis."""
+        return tuple(len(gens) for gens in self.generators)
 
     @property
     def routes_agree(self) -> bool:
@@ -273,25 +283,38 @@ def coker_transfer_ranks(spec: RegularSequenceSpec, s: int) -> tuple[int, ...]:
     return tuple(ranks)
 
 
-def tor(spec: RegularSequenceSpec, s: int, with_products: bool = True,
-        with_reduction: bool | None = None,
-        cross_check: bool = True) -> TorReport:
-    """Tor of (R/I, R/I^s): ranks, explicit generator cycles, torsion.
+def tor(spec: RegularSequenceSpec, s: int) -> TorReport:
+    """Tor of (R/I, R/I^s): ranks, explicit generator cycles, torsion, the
+    product table and, for s >= 2, the map induced by R/I^s -> R/I^{s-1}.
 
     Ranks are cross-checked against two further routes: the cokernel
     formula for the last transfer map and the rank-2 page of the column
-    filtration (cross_check=False skips those).
+    filtration.
     """
     if s < 1:
         raise ValueError("power must be >= 1")
-    if with_reduction is None:
-        with_reduction = s >= 2
+    report = _tor_basis(spec, s)
+    report.torsion = _torsion(report.t, report.summands)
+    from .spectral import e2_page
+    report.routes = {"direct": report.ranks,
+                     "transfer-cokernel": coker_transfer_ranks(spec, s),
+                     "page2": e2_page(spec, s).total_ranks()}
+    report.products = tor_products(report)
+    if s >= 2:
+        lower = _tor_basis(spec, s - 1)
+        report.induced_reduction = _induced_matrices(
+            cut_top_level(report.kris, lower.kris), report, lower)
+    return report
+
+
+def _tor_basis(spec: RegularSequenceSpec, s: int) -> TorReport:
+    """The resolution of R/I^s, its tensored complex and blocks, and per
+    degree the boundary spans and the generators: a reduced-echelon kernel
+    basis modulo the span, block by block, merged in global free-column
+    order."""
     kris = build_k_ris(spec, s)
     t = tensor_mod_I(kris, spec)
     summands = direct_summands(t)
-    hr = _block_homology_ranks(t, summands)
-    ranks = tuple(r for r, _ in hr)
-    torsion = tuple(tor_ for _, tor_ in hr)
     fd = _coeff_field(t.domain)
     one = Polynomial.one(t.n_vars, t.domain)
     spans, generators = [], []
@@ -313,36 +336,18 @@ def tor(spec: RegularSequenceSpec, s: int, with_products: bool = True,
                                            for gi, c in zip(idx, v) if c}))
         spans.append(blocks)
         generators.append([g for _, g in sorted(picked, key=lambda p: p[0])])
-    routes = {"direct": ranks}
-    if cross_check:
-        routes["transfer-cokernel"] = coker_transfer_ranks(spec, s)
-        from .spectral import e2_page
-        page = e2_page(spec, s)
-        routes["page2"] = tuple(
-            sum(r for (p, q), r in page.cells.items() if q == n)
-            for n in range(t.max_degree + 1))
-    report = TorReport(s, spec.n_gens, ranks, generators, torsion, routes,
-                       t, spans)
-    if with_products:
-        report.products = tor_products(report, kris)
-    if with_reduction and s >= 2:
-        lower = tor(spec, s - 1, with_products=False, with_reduction=False,
-                    cross_check=False)
-        report.induced_reduction = _induced_matrices(
-            reduction_chain_map(spec, s), report, lower)
-    return report
+    return TorReport(generators, kris, t, summands, spans)
 
 
 def tensor_mod_I_complex(spec: RegularSequenceSpec, s: int) -> ChainComplex:
     return tensor_mod_I(build_k_ris(spec, s), spec)
 
 
-def tor_products(report: TorReport, kris: ChainComplex) -> ProductTable:
-    """Pairwise products in kris, the resolution the report was computed
-    from, of its positive-degree Tor generators, reduced modulo
-    boundaries, each within its own blocks.  All zero for s >= 2;
-    genuinely nonzero for s=1."""
-    t = report.t
+def tor_products(report: TorReport) -> ProductTable:
+    """Pairwise products in the report's resolution of its positive-degree
+    Tor generators, reduced modulo boundaries, each within its own blocks.
+    All zero for s >= 2; genuinely nonzero for s=1."""
+    t, kris = report.t, report.kris
     fd = _coeff_field(t.domain)
     fone = Polynomial.one(t.n_vars, fd)
     flat = [(n, i) for n in range(1, len(report.generators))
@@ -356,7 +361,6 @@ def tor_products(report: TorReport, kris: ChainComplex) -> ProductTable:
                                 report.generators[nb][ib])
             nd = na + nb
             if nd > top or not prod:
-                entries[(ai, bi)] = {}
                 continue
             blocks = report.spans[nd]
             if nd not in locators:
@@ -367,10 +371,11 @@ def tor_products(report: TorReport, kris: ChainComplex) -> ProductTable:
                 idx, span = blocks[k]
                 resid += [(gi, c) for gi, c in zip(idx, span.reduce(v))
                           if c != fd.zero()]
-            labels = t.module(nd).labels
-            entries[(ai, bi)] = {labels[gi]: fone.scale(c)
-                                 for gi, c in sorted(resid)}
-    return ProductTable(flat, entries, not any(entries.values()))
+            if resid:
+                labels = t.module(nd).labels
+                entries[(ai, bi)] = {labels[gi]: fone.scale(c)
+                                     for gi, c in sorted(resid)}
+    return ProductTable(flat, entries, not entries)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +437,8 @@ def induced_tor_map(f: ChainMap) -> dict[int, list[list]]:
     for c in (f.source, f.target):
         if not hasattr(c, "spec"):
             raise ValueError("induced map needs system-built complexes")
-    src_rep, tgt_rep = (tor(c.spec, c.s, with_products=False,
-                            with_reduction=False, cross_check=False)
-                        for c in (f.source, f.target))
-    return _induced_matrices(f, src_rep, tgt_rep)
+    return _induced_matrices(f, _tor_basis(f.source.spec, f.source.s),
+                             _tor_basis(f.target.spec, f.target.s))
 
 
 def _induced_matrices(f: ChainMap, src: TorReport,

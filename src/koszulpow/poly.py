@@ -529,23 +529,6 @@ class RegularSequenceSpec:
                                    self.kind, self.certified, self.powers)
 
 
-def regular_sequence_spec(source: str, n_vars: int = 0, domain: Domain = QQ,
-                          powers: tuple[int, ...] | None = None,
-                          polys: list[Polynomial] | None = None) -> RegularSequenceSpec:
-    """Build a RegularSequenceSpec from one of the three source shapes."""
-    if source == "variables":
-        return RegularSequenceSpec.variables(n_vars, domain)
-    if source == "powers":
-        if powers is None:
-            raise ValueError("powers source needs exponents")
-        return RegularSequenceSpec.variable_powers(powers, domain)
-    if source == "explicit":
-        if not polys:
-            raise ValueError("explicit source needs polynomials")
-        return RegularSequenceSpec.explicit(polys)
-    raise ValueError(f"unknown source {source!r}")
-
-
 def random_polynomial(rng, n_vars: int, domain: Domain, max_degree: int = 3,
                       n_terms: int = 4) -> Polynomial:
     """Small random polynomial for property tests (deterministic given rng)."""

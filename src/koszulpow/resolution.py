@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .poly import Polynomial, QQ, GF, RegularSequenceSpec
 from .ideals import PowerReducer, hilbert_function, tag_product
-from .chain import (Label, make_label, FreeModule, SparseMap, ChainComplex,
+from .chain import (make_label, FreeModule, SparseMap, ChainComplex,
                     ChainMap, graded_slice, slice_dim, Element, element_add)
 from .koszul import q_module, boundary_entries, transfer_entries
 
@@ -97,13 +97,8 @@ def default_internal_bound(spec: RegularSequenceSpec, s: int) -> int:
     return (s + spec.n_gens) * spec.max_degree + 2
 
 
-def homology_slice_dims(c: ChainComplex, max_d: int,
-                        workers: int | None = None) -> dict:
-    """(n, d) -> dim of degree-d slice homology, by rank-nullity.
-
-    The slices are ranked one after another; workers is accepted for
-    compatibility and ignored.
-    """
+def homology_slice_dims(c: ChainComplex, max_d: int) -> dict:
+    """(n, d) -> dim of degree-d slice homology, by rank-nullity."""
     top = c.max_degree
     ranks = {(n, d): graded_slice(c, n, d).rank()
              for n in range(1, top + 2) for d in range(max_d + 1)}
@@ -117,26 +112,42 @@ def homology_slice_dims(c: ChainComplex, max_d: int,
     return out
 
 
+def _coefficient_primes(spec: RegularSequenceSpec) -> set[int]:
+    """The primes that divide a coefficient of some generator."""
+    primes = set()
+    for c in {abs(int(c)) for u in spec.gens for c in u.terms.values()}:
+        d = 2
+        while c > 1:
+            if d * d > c:
+                d = c           # what is left is prime
+            while c % d == 0:
+                primes.add(d)
+                c //= d
+            d += 1
+    return primes
+
+
 def verify_exactness(spec: RegularSequenceSpec, s: int,
-                     max_internal: int | None = None,
-                     workers: int | None = None) -> ExactnessReport:
+                     max_internal: int | None = None) -> ExactnessReport:
     """Check the complex resolves R/I^s, slice by slice.
 
     Positive homological degrees must vanish in every internal degree up
     to the bound; the degree-0 cokernel dims must equal the independent
-    Hilbert function.  Over ZZ the check runs over QQ and the small prime
-    fields F_p.  Tensoring the integral resolution with F_p gives
+    Hilbert function.  Over ZZ the check runs over QQ and the prime fields
+    F_p for p = 2, 3, 5 and every prime dividing a coefficient of a
+    generator.  Tensoring the integral resolution with F_p gives
     H_n = Tor_n^Z(R/I^s, F_p) (universal coefficients): H_0 has the
     Hilbert function of the sequence mod p, H_1 is the p-torsion of R/I^s,
     of dimension HF_p(d) - HF_Q(d), and H_n = 0 for n >= 2.  For
     unit-coefficient sequences HF_p = HF_Q and every F_p run must be
-    exact like the QQ run.  workers is accepted for compatibility.
+    exact like the QQ run.
     """
     if max_internal is None:
         max_internal = default_internal_bound(spec, s)
     run_domains = [spec.domain]
     if not spec.domain.is_field:
-        run_domains = [QQ, GF(2), GF(3), GF(5)]
+        primes = sorted({2, 3, 5} | _coefficient_primes(spec))
+        run_domains = [QQ] + [GF(p) for p in primes]
     mismatches: list[str] = []
     homology: dict = {}
     hilbert: dict = {}
@@ -144,7 +155,7 @@ def verify_exactness(spec: RegularSequenceSpec, s: int,
     for dom in run_domains:
         rspec = spec if dom == spec.domain else spec.with_domain(dom)
         c = build_k_ris(rspec, s)
-        dims = homology_slice_dims(c, max_internal, workers)
+        dims = homology_slice_dims(c, max_internal)
         fields_checked.append(str(dom))
         hf = {d: hilbert_function(rspec, s, d)
               for d in range(max_internal + 1)}
@@ -215,8 +226,13 @@ def reduction_chain_map(spec: RegularSequenceSpec, s: int) -> ChainMap:
     """The projection covering R/I^s -> R/I^{s-1}: cut the top tag level."""
     if s < 2:
         raise ValueError("reduction needs s >= 2")
-    big = build_k_ris(spec, s)
-    small = build_k_ris(spec, s - 1)
+    return cut_top_level(build_k_ris(spec, s), build_k_ris(spec, s - 1))
+
+
+def cut_top_level(big: KRIsComplex, small: KRIsComplex) -> ChainMap:
+    """reduction_chain_map between resolutions already built: big of
+    R/I^s and small of R/I^{s-1}, for the same sequence."""
+    spec, s = big.spec, big.s
     one = Polynomial.one(spec.n_vars, spec.domain)
     comps = {}
     for n in range(big.max_degree + 1):

@@ -67,7 +67,7 @@ def test_criterion_01_first_power_ranks():
     with criterion(1, "first-power Tor ranks are the binomial coefficients"):
         t0 = perf_counter()
         for n in (1, 2, 3, 4):
-            rep = tor(variables(n), 1, with_products=False)
+            rep = tor(variables(n), 1)
             assert rep.ranks == tuple(comb(n, k) for k in range(n + 1))
             assert rep.routes_agree
         assert perf_counter() - t0 < 1.0
@@ -137,7 +137,7 @@ def test_criterion_04_oracle_equivalence():
     with criterion(4, "Tor ranks agree with the independent resolution "
                       "oracle"):
         for n, s in ((1, 2), (2, 2), (2, 3), (3, 2)):
-            got = tor(variables(n), s, with_products=False).ranks
+            got = tor(variables(n), s).ranks
             assert got == oracle_tor_ranks(n, s)
         assert oracle_tor_ranks(2, 2) == (1, 3, 2)
         assert oracle_tor_ranks(2, 3) == (1, 4, 3)
@@ -160,11 +160,11 @@ def test_criterion_06_trivial_products():
                       "powers, not for the first"):
         for n in (1, 2, 3):
             for s in (2, 3):
-                rep = tor(variables(n), s, cross_check=False)
+                rep = tor(variables(n), s)
                 assert rep.products is not None
                 assert rep.products.all_zero
         for n in (2, 3):
-            control = tor(variables(n), 1, cross_check=False)
+            control = tor(variables(n), 1)
             assert not control.products.all_zero
 
 
@@ -174,8 +174,7 @@ def test_criterion_07_reduction_is_trivial():
         for n in (1, 2, 3):
             for s in (2, 3, 4):
                 spec = variables(n)
-                rep = tor(spec, s, with_products=False, with_reduction=True,
-                          cross_check=False)
+                rep = tor(spec, s)
                 induced = rep.induced_reduction
                 assert induced is not None
                 zero, one = QQ.zero(), QQ.one()

@@ -125,7 +125,22 @@ class TestExitCodes:
         assert not doc["ok"]
         assert doc["report"]["exactness"]["mismatches"]
 
-    @pytest.mark.parametrize("seq", ['["2*x1", "x2"]', '["3*x1+x2", "x2"]'])
+    def test_coefficient_prime_above_five_is_one(self, tmp_path, capsys):
+        # 7*x2 kills x1 modulo 7*x1: not regular over Z, and only an F_7
+        # run sees the 7-torsion
+        f = tmp_path / "seq.json"
+        f.write_text('["7*x1", "7*x2"]')
+        code, doc = capture(capsys, ["verify", "--n", "2", "--s", "2",
+                                     "--field", "Z", "--sequence", f"file:{f}"])
+        exact = doc["report"]["exactness"]
+        assert code == 1
+        assert exact["fields_checked"] == ["QQ", "F2", "F3", "F5", "F7"]
+        assert "[F7] homology at n=1, d=3 has dim 6, expected 4" in \
+            exact["mismatches"]
+        assert all(m.startswith("[F7]") for m in exact["mismatches"])
+
+    @pytest.mark.parametrize("seq", ['["2*x1", "x2"]', '["3*x1+x2", "x2"]',
+                                     '["x1+3*x2", "x1-4*x2"]'])
     def test_integer_torsion_sequence_is_zero(self, seq, tmp_path, capsys):
         # regular over Z with torsion in R/I^2: the F_p runs see it as H_1
         f = tmp_path / "seq.json"

@@ -139,8 +139,7 @@ class TestTor:
 
     def test_unit_class_at_degree_zero(self):
         for s in (1, 2, 3):
-            rep = tor(SPEC2, s, with_products=False, with_reduction=False,
-                      cross_check=False)
+            rep = tor(SPEC2, s)
             assert rep.ranks[0] == 1
             assert rep.generator_strings()[0] == ["(1)*1"]
 
@@ -148,47 +147,44 @@ class TestTor:
         for n in (1, 2, 3):
             spec = RegularSequenceSpec.variables(n)
             for s in (1, 2, 3):
-                rep = tor(spec, s, with_products=False, with_reduction=False)
+                rep = tor(spec, s)
                 assert len(rep.routes) == 3
                 assert rep.routes_agree, (n, s, rep.routes)
 
     def test_exterior_ranks_are_binomials(self):
         for n in (1, 2, 3, 4):
             spec = RegularSequenceSpec.variables(n)
-            rep = tor(spec, 1, with_products=False, cross_check=False)
+            rep = tor(spec, 1)
             assert rep.ranks == tuple(binomial(n, k) for k in range(n + 1))
 
     def test_first_tor_rank_formula(self):
         for n in (1, 2, 3):
             spec = RegularSequenceSpec.variables(n)
             for s in (1, 2, 3):
-                rep = tor(spec, s, with_products=False, with_reduction=False,
-                          cross_check=False)
+                rep = tor(spec, s)
                 assert rep.ranks[1] == binomial(n + s - 1, s)
 
     def test_no_torsion_anywhere(self):
         for n in (1, 2, 3):
             spec = RegularSequenceSpec.variables(n)
             for s in (1, 2, 3):
-                rep = tor(spec, s, with_products=False, with_reduction=False,
-                          cross_check=False)
+                rep = tor(spec, s)
                 assert all(t == () for t in rep.torsion)
 
     def test_heterogeneous_degrees(self):
         spec = RegularSequenceSpec.variable_powers((2, 3))
-        rep = tor(spec, 2, with_products=False, with_reduction=False)
+        rep = tor(spec, 2)
         assert rep.ranks == (1, 3, 2)
         assert rep.routes_agree
 
     def test_integer_coefficients(self):
         spec = RegularSequenceSpec.variables(2, ZZ)
-        assert tor(spec, 2, with_products=False,
-                   with_reduction=False).ranks == (1, 3, 2)
+        assert tor(spec, 2).ranks == (1, 3, 2)
 
     def test_prime_fields(self):
         for p in (2, 5):
             spec = RegularSequenceSpec.variables(2, GF(p))
-            rep = tor(spec, 2, with_products=False, with_reduction=False)
+            rep = tor(spec, 2)
             assert rep.ranks == (1, 3, 2)
             assert rep.routes_agree
 
@@ -206,8 +202,7 @@ class TestCokerRoute:
         for n in (1, 2, 3):
             spec = RegularSequenceSpec.variables(n)
             for s in (2, 3, 4):
-                direct = tor(spec, s, with_products=False,
-                             with_reduction=False, cross_check=False).ranks
+                direct = tor(spec, s).ranks
                 assert coker_transfer_ranks(spec, s) == direct
 
 
@@ -219,10 +214,10 @@ class TestProducts:
         assert all(res == {} for res in table.entries.values())
 
     def test_all_zero_square_three_vars(self):
-        assert tor(SPEC3, 2, with_reduction=False).products.all_zero
+        assert tor(SPEC3, 2).products.all_zero
 
     def test_all_zero_cube_two_vars(self):
-        assert tor(SPEC2, 3, with_reduction=False).products.all_zero
+        assert tor(SPEC2, 3).products.all_zero
 
     def test_exterior_control_not_zero(self):
         table = tor(SPEC2, 1).products
@@ -343,8 +338,20 @@ class TestSharedPass:
         count("build_k_ris", resolution.build_k_ris, homology, resolution)
         rep = homology.tor(SPEC2, 2)
         assert rep.induced_reduction is not None and rep.products.all_zero
-        # the outer call plus one tor(SPEC2, 1) for the reduction map
-        assert calls == {"tor": 2, "tensor_mod_I": 2, "build_k_ris": 4}
+        # one resolution and tensored complex per power, s and s - 1; the
+        # reduction map is built from the two resolutions
+        assert calls == {"tor": 1, "tensor_mod_I": 2, "build_k_ris": 2}
+
+    def test_free_ranks_need_no_rank_pass(self, monkeypatch):
+        import koszulpow.homology as homology
+
+        def forbidden(*args):
+            raise AssertionError("tor() ranked a matrix")
+
+        monkeypatch.setattr(homology, "rank_dense", forbidden)
+        for dom in (QQ, ZZ, GF(5)):
+            rep = homology.tor(RegularSequenceSpec.variables(3, dom), 2)
+            assert rep.ranks == (1, 6, 8, 3)
 
     @pytest.mark.parametrize("dom", [QQ, ZZ, GF(5)], ids=str)
     @pytest.mark.parametrize("n,s", [(2, 2), (3, 3)])

@@ -5,8 +5,8 @@ import pytest
 
 from koszulpow.poly import (Domain, QQ, ZZ, GF, parse_domain, Polynomial,
                             parse_poly, ParseError, RegularSequenceSpec,
-                            regular_sequence_spec, monomials_of_degree,
-                            count_monomials, random_polynomial)
+                            monomials_of_degree, count_monomials,
+                            random_polynomial)
 
 
 def P(text, n=2, dom=QQ):
@@ -176,19 +176,19 @@ class TestParser:
 
 class TestRegularSequenceSpec:
     def test_variables(self):
-        s = regular_sequence_spec("variables", n_vars=3)
+        s = RegularSequenceSpec.variables(3)
         assert s.n_gens == 3 and s.certified and s.monomial_regime
         assert [str(u) for u in s.gens] == ["x1", "x2", "x3"]
         assert s.degrees == (1, 1, 1)
 
     def test_powers(self):
-        s = regular_sequence_spec("powers", powers=(2, 3))
+        s = RegularSequenceSpec.variable_powers((2, 3))
         assert s.degrees == (2, 3) and s.certified
         assert str(s.gens[1]) == "x2^3"
 
     def test_explicit(self):
         polys = [P("x1^2 + x2^2"), P("x1*x2")]
-        s = regular_sequence_spec("explicit", polys=polys)
+        s = RegularSequenceSpec.explicit(polys)
         assert s.degrees == (2, 2)
         assert not s.certified and not s.monomial_regime
 
@@ -206,11 +206,13 @@ class TestRegularSequenceSpec:
         with pytest.raises(ValueError):
             RegularSequenceSpec.variables(0)
         with pytest.raises(ValueError):
-            regular_sequence_spec("powers", powers=())
+            RegularSequenceSpec.variable_powers(())
         with pytest.raises(ValueError):
-            regular_sequence_spec("powers", powers=(0, 1))
+            RegularSequenceSpec.variable_powers((0, 1))
+        with pytest.raises(ValueError):
+            RegularSequenceSpec.explicit([])
 
     def test_with_domain(self):
-        s = regular_sequence_spec("variables", n_vars=2).with_domain(GF(3))
+        s = RegularSequenceSpec.variables(2).with_domain(GF(3))
         assert s.domain == GF(3)
         assert s.gens[0].domain == GF(3)

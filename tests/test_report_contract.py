@@ -1,0 +1,42 @@
+"""The report bytes are a contract: SHA-256 of the stdout of cli.run.
+
+Each digest pins one whole JSON report (and its exit code).  A change
+that alters any byte of these reports fails here; a deliberate change of
+the report format must update the digests and say so in CHANGES.md.
+File-based sequences are left out because their paths are echoed in the
+report's config.
+"""
+
+import hashlib
+
+import pytest
+
+from koszulpow.cli import run
+
+CONTRACT = [
+    (["tor", "--n", "2", "--s", "1"], 0,
+     "c2374c010d2519f3c422b0c53d08b971c4f6033d5e2645101e16471cd689ebb9"),
+    (["tor", "--n", "2", "--s", "2"], 0,
+     "84093b0122e99527ef8dbd0646f95b62bbde0fdeb6742e103e4c50c82ba097cd"),
+    (["tor", "--n", "3", "--s", "3", "--field", "Z"], 0,
+     "652ed27404aa796f71db88a8f25fe14f2791edf46c8d91b7d1c7db92d9e52f60"),
+    (["tor", "--n", "3", "--s", "2", "--field", "Fp:5"], 0,
+     "b8e86c3633a83eb4709942f226aa1d201eb32f7f0989a78a0fa253d6751d71d6"),
+    (["spectral", "--n", "3", "--s", "3", "--field", "Z"], 0,
+     "8e3d9f1ccd84d9a9c7acd5cf98da707aa7e88ca740acca4f8a647fd081dab51f"),
+    (["verify", "--n", "2", "--s", "2", "--field", "Z"], 0,
+     "ad9296f7a171d43a8ac9a0c1cccf982cba3050e3f47dbc101711e7f19c35632e"),
+    (["build", "--n", "3", "--s", "2"], 0,
+     "0cfd59b032288a5ef257d7926e3818277a8bcb0c4eb9adce78547477012360aa"),
+    (["splice", "--n", "2", "--s", "2"], 0,
+     "beb79ea61d892409597dfd135bf9110c4c411c700667f627e8886537e3bf811c"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", CONTRACT,
+                         ids=[" ".join(a) for a, _, _ in CONTRACT])
+def test_report_bytes(capsys, argv, code, digest):
+    got_code = run(argv)
+    out = capsys.readouterr().out
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

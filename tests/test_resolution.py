@@ -159,11 +159,6 @@ class TestExactness:
             rep.mismatches
         assert all(m.startswith("[F2] homology") for m in rep.mismatches)
 
-    def test_workers_deterministic(self):
-        a = verify_exactness(SPEC2, 2, max_internal=6, workers=1)
-        b = verify_exactness(SPEC2, 2, max_internal=6, workers=3)
-        assert a.homology == b.homology and a.ok == b.ok
-
     def test_default_bound(self):
         assert default_internal_bound(SPEC2, 2) == 6
         assert default_internal_bound(
