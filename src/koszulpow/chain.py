@@ -221,15 +221,6 @@ def element_add(a: Element, b: Element) -> Element:
     return out
 
 
-def element_scale(a: Element, c) -> Element:
-    out = {}
-    for g, p in a.items():
-        q = p.scale(c)
-        if not q.is_zero():
-            out[g] = q
-    return out
-
-
 def element_neg(a: Element) -> Element:
     return {g: -p for g, p in a.items()}
 
@@ -328,17 +319,6 @@ def verify_complex(c: ChainComplex) -> ComplexReport:
             return ComplexReport(False, n + 1, src,
                                  f"d∘d nonzero on {src} at degree {n + 1}")
     return ComplexReport(True)
-
-
-def suspend(c: ChainComplex, k: int) -> ChainComplex:
-    """Degree shift: result_n = C_{n-k}; differential negated for odd k."""
-    modules = {n + k: m for n, m in c.modules.items()}
-    if any(n < 0 for n in modules):
-        raise ValueError("suspension would push modules below degree 0")
-    diffs = {}
-    for n, f in c.diffs.items():
-        diffs[n + k] = f if k % 2 == 0 else -f
-    return ChainComplex(c.n_vars, c.domain, modules, diffs)
 
 
 def tensor_mod_I(c: ChainComplex, spec: RegularSequenceSpec) -> ChainComplex:

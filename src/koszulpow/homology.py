@@ -30,7 +30,8 @@ t = K (x) R/I and its blocks once, and per degree n and block one
 reduced-echelon span of the block's columns of d_{n+1} (the boundaries in
 degree n).  The TorReport carries them all; its generators are a basis of
 homology over the rank field, so their counts are the free ranks.  The
-reduction map needs one more basis-only report (_tor_basis), of R/I^{s-1}.
+other two routes read page 1 off the same t; the reduction map needs one
+more basis-only report (_tor_basis), of R/I^{s-1}.
 """
 
 from __future__ import annotations
@@ -39,13 +40,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .poly import Polynomial, QQ, GF, RegularSequenceSpec, binomial
+from .poly import Polynomial, QQ, GF, RegularSequenceSpec
 from .linalg import (smith_normal_form, SmithForm, kernel_basis, rank_dense,
                      sparse_rank, solve, merge_divisor_chains, Echelon)
 from .chain import (ChainComplex, ChainMap, Element, Label, constant_matrix,
                     constant_rows, element_str, element_add, map_slice,
                     tensor_mod_I)
-from .koszul import koszul_complex, del_map
+from .koszul import koszul_complex
 from .resolution import (KRIsComplex, build_k_ris, cut_top_level,
                          dga_multiply, homology_slice_dims,
                          default_internal_bound)
@@ -264,22 +265,22 @@ def _block_vectors(elt: Element, locate: dict, blocks: BlockSpans,
 
 
 def coker_transfer_ranks(spec: RegularSequenceSpec, s: int) -> tuple[int, ...]:
-    """Tor ranks via the cokernel of the last transfer map.
+    """Tor ranks via the cokernel of the last transfer map."""
+    from .spectral import e1_page
+    return _coker_ranks(e1_page(spec, s))
 
-    Positive-degree Tor at homological degree n is the cokernel of the
-    integer transfer matrix from (tag level s-2, exterior degree n+1) into
-    (tag level s-1, exterior degree n); degree 0 contributes the unit.
-    For s=1 the source is empty and the ranks are the binomials.
-    """
-    n_g = spec.n_gens
-    fd = _coeff_field(spec.domain)
+
+def _coker_ranks(page1) -> tuple[int, ...]:
+    """Tor at homological degree n > 0 is the cokernel of the transfer d1
+    from cell (s-2, n+1) into cell (s-1, n) of page 1 (none for s = 1);
+    degree 0 contributes the unit."""
+    s = page1.s
+    fd = _coeff_field(page1.tensored.domain)
     ranks = [1]
-    for n in range(1, n_g + 1):
-        target_dim = binomial(n_g, n) * binomial(n_g + s - 2, s - 1)
-        r = 0
-        if s >= 2 and n + 1 <= n_g:
-            r = sparse_rank(constant_rows(del_map(spec, s - 2)[n + 1]), fd)
-        ranks.append(target_dim - r)
+    for n in range(1, page1.n_gens + 1):
+        f = page1.d1.get((s - 2, n + 1))
+        r = sparse_rank(constant_rows(f), fd) if f is not None else 0
+        ranks.append(page1.rank(s - 1, n) - r)
     return tuple(ranks)
 
 
@@ -295,10 +296,11 @@ def tor(spec: RegularSequenceSpec, s: int) -> TorReport:
         raise ValueError("power must be >= 1")
     report = _tor_basis(spec, s)
     report.torsion = _torsion(report.t, report.summands)
-    from .spectral import e2_page
+    from .spectral import _page_one, e2_page
+    page1 = _page_one(report.t, spec, s)
     report.routes = {"direct": report.ranks,
-                     "transfer-cokernel": coker_transfer_ranks(spec, s),
-                     "page2": e2_page(spec, s).total_ranks()}
+                     "transfer-cokernel": _coker_ranks(page1),
+                     "page2": e2_page(spec, s, page1).total_ranks()}
     report.products = tor_products(report)
     if s >= 2:
         lower = _tor_basis(spec, s - 1)
@@ -437,16 +439,16 @@ def induced_tor_map(f: ChainMap) -> dict[int, list[list]]:
     for c in (f.source, f.target):
         if not hasattr(c, "spec"):
             raise ValueError("induced map needs system-built complexes")
+    chain_ok = f.verify()
+    if not chain_ok.ok:
+        raise ValueError(f"not a chain map: {chain_ok.detail}")
     return _induced_matrices(f, _tor_basis(f.source.spec, f.source.s),
                              _tor_basis(f.target.spec, f.target.s))
 
 
 def _induced_matrices(f: ChainMap, src: TorReport,
                       tgt: TorReport) -> dict[int, list[list]]:
-    """induced_tor_map, given the Tor reports of f's source and target."""
-    chain_ok = f.verify()
-    if not chain_ok.ok:
-        raise ValueError(f"not a chain map: {chain_ok.detail}")
+    """induced_tor_map of a chain map f, given the Tor reports of its ends."""
     fd = _coeff_field(tgt.t.domain)
     out = {}
     for n in range(max(len(src.ranks), len(tgt.ranks))):

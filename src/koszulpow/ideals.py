@@ -228,12 +228,6 @@ class SubquotientModule:
             out = out + b.scale(c)
         return out
 
-    def is_zero_class(self, poly: Polynomial, d: int) -> bool:
-        _, ech_b, _ = self._slice(d)
-        monos = monomials_of_degree(self.spec.n_vars, d)
-        v = [self.domain.coerce(poly.terms.get(m, 0)) for m in monos]
-        return all(x == self.domain.zero() for x in ech_b.reduce(v))
-
     def action(self, f: Polynomial, d: int) -> list[list]:
         """Matrix of multiplication by homogeneous f from degree d to
         degree d + deg f (columns = images of the degree-d basis)."""

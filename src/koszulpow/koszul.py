@@ -114,7 +114,7 @@ def verify_identities(spec: RegularSequenceSpec, s_max: int) -> IdentityReport:
     checked = 0
     n = spec.n_gens
     dels = {r: del_map(spec, r) for r in range(s_max + 1)}
-    bnds = {r: q_complex(spec, r) for r in range(s_max + 2)}
+    bnds = {r: q_complex(spec, r) for r in range(s_max + 1)}
 
     def del_at(r: int, p: int) -> SparseMap:
         f = dels.get(r, {}).get(p)

@@ -99,14 +99,6 @@ def solve(matrix: list[list], rhs: list, dom: Domain):
     return x
 
 
-def in_span(vectors: list[list], target: list, dom: Domain) -> bool:
-    """Is target a linear combination of the given vectors?"""
-    if not vectors:
-        return all(dom.coerce(t) == dom.zero() for t in target)
-    cols = list(zip(*vectors))  # matrix whose columns are the vectors
-    return solve([list(c) for c in cols], target, dom) is not None
-
-
 def mat_vec(matrix: list[list], v: list, dom: Domain) -> list:
     return [sum((dom.mul(a, b) for a, b in zip(row, v)),
                 start=dom.zero()) for row in matrix]

@@ -1,18 +1,18 @@
 """Tag-level double complex and its column-filtration spectral sequence.
 
-The glued resolution splits bigraded cells: cell (p, q) is the free module
-on generators with tag length p and exterior degree q.  The boundary is
-the vertical map (q drops), the transfer is the horizontal map (p rises,
-q drops); they anticommute, and summing the cells over p at fixed q
-recovers the glued complex exactly.
-
-After tensoring with R/I the vertical maps vanish (every entry lies in
-the ideal), so page 1 is the full cell grid with the integer transfer
-matrices as d1.  Page 2 is the homology of those transfer chains; it is
-supported only at the unit cell (0,0) and in the last column p = s-1, and
-the column sums at fixed q reproduce the Tor ranks, which is the collapse
-statement checked here by exact rank accounting.  No later differential
-can move between the surviving cells, so no page-2 differential is built.
+Cell (p, q) of the resolution of R/I^s is the free module on generators
+with tag length p and exterior degree q.  The boundary is the vertical
+map (q drops), the transfer is the horizontal map (p rises, q drops); they
+anticommute.  The double complex is a view of build_k_ris, its entries
+split by whether they keep or raise the tag length.  Page 1 is the
+tensored resolution K (x) R/I split the same way: the vertical maps
+vanish (every entry lies in the ideal), and d1 is the integer transfer.
+Page 2 is the homology of those transfer chains; it is supported only at
+the unit cell (0,0) and in the last column p = s-1, and the column sums at
+fixed q reproduce the Tor ranks of the same tensored complex, which is the
+collapse statement checked here by exact rank accounting.  No later
+differential can move between the surviving cells, so no page-2
+differential is built.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .poly import RegularSequenceSpec, binomial
 from .linalg import sparse_rank, smith_normal_form, merge_divisor_chains
 from .chain import (FreeModule, SparseMap, ChainComplex, Label, zero_map,
                     compose, constant_matrix, constant_rows, EMPTY_MODULE)
-from .koszul import q_module, boundary_entries, transfer_entries
+from .resolution import build_k_ris
 from .homology import homology_ranks, tensor_mod_I_complex, _coeff_field
 
 
@@ -58,27 +58,31 @@ class DoubleComplex:
 
 
 def build_double_complex(spec: RegularSequenceSpec, s: int) -> DoubleComplex:
-    if s < 1:
-        raise ValueError("power must be >= 1")
-    n = spec.n_gens
-    cells = {}
-    for p in range(s):
-        for q in range(n + 1):
-            m = q_module(spec, p, q)
-            if m.dim:
-                cells[(p, q)] = m
-    vertical = {}
-    horizontal = {}
-    for (p, q), src in cells.items():
-        if q >= 1:
-            vertical[(p, q)] = SparseMap(
-                src, cells[(p, q - 1)], boundary_entries(spec, src),
-                spec.n_vars, spec.domain)
-            if p + 1 <= s - 1:
-                horizontal[(p, q)] = SparseMap(
-                    src, cells[(p + 1, q - 1)], transfer_entries(spec, src),
-                    spec.n_vars, spec.domain)
-    return DoubleComplex(spec, s, cells, vertical, horizontal)
+    """The resolution of R/I^s split by tag length."""
+    return _split_by_tag_length(build_k_ris(spec, s), spec, s)
+
+
+def _split_by_tag_length(c: ChainComplex, spec: RegularSequenceSpec,
+                         s: int) -> DoubleComplex:
+    """Cells and maps of a complex on resolution labels: an entry that
+    keeps the tag length is vertical, one that raises it is horizontal.
+    Each cell keeps the order of its module; resolution modules, like
+    the q_module cells, are sorted by Label.sort_key."""
+    cells, parts = {}, {}
+    for q, m in c.modules.items():
+        for g in m:
+            cells.setdefault((len(g.tag), q), []).append(g)
+    cells = {k: FreeModule(tuple(v)) for k, v in cells.items()}
+    for q, f in c.diffs.items():
+        for (tgt, src), poly in f.entries.items():
+            key = (len(tgt.tag) - len(src.tag), len(src.tag), q)
+            parts.setdefault(key, {})[(tgt, src)] = poly
+    maps = ({}, {})                     # shift 0 vertical, 1 horizontal
+    for (shift, p, q), ent in parts.items():
+        maps[shift][(p, q)] = SparseMap(cells[(p, q)],
+                                        cells[(p + shift, q - 1)], ent,
+                                        spec.n_vars, spec.domain)
+    return DoubleComplex(spec, s, cells, *maps)
 
 
 @dataclass
@@ -148,15 +152,15 @@ class SpectralPage:
     """One page of the column-filtration spectral sequence.
 
     cells holds the rank at every (tag level p, exterior degree q) in
-    range, zeros included.  Page 1 also carries the cell modules and the
-    integer d1 (transfer) maps out of each cell.
+    range, zeros included.  Both carry the tensored resolution they are
+    read from, page 1 also the integer d1 (transfer) maps out of each cell.
     """
 
     r: int
     s: int
     n_gens: int
     cells: dict                          # (p, q) -> rank
-    modules: dict | None = None          # page 1: (p, q) -> FreeModule
+    tensored: ChainComplex | None = None  # K (x) R/I
     d1: dict | None = None               # page 1: (p, q) -> SparseMap
 
     def rank(self, p: int, q: int) -> int:
@@ -179,25 +183,23 @@ class SpectralPage:
 
 
 def e1_page(spec: RegularSequenceSpec, s: int) -> SpectralPage:
-    """Page 1: tensoring with R/I kills the vertical maps (checked), so the
-    page is the full cell grid and d1 is the transfer with +-1 entries."""
-    dc = build_double_complex(spec, s)
-    for (p, q), f in dc.vertical.items():
+    """Page 1 of the tensored resolution of R/I^s."""
+    return _page_one(tensor_mod_I_complex(spec, s), spec, s)
+
+
+def _page_one(t: ChainComplex, spec: RegularSequenceSpec,
+             s: int) -> SpectralPage:
+    """Page 1 read off t, the tensored resolution of R/I^s: tensoring with
+    R/I kills the vertical maps (checked), so the page is the full cell
+    grid and d1 is the transfer with +-1 entries."""
+    dc = _split_by_tag_length(t, spec, s)
+    for f in dc.vertical.values():
         for (tgt, src), poly in f.entries.items():
-            if poly.constant_value() != poly.domain.zero():
-                raise ValueError(
-                    f"vertical entry {tgt} <- {src} : {poly} survives mod I")
-    cells = {}
-    modules = {}
-    d1 = {}
-    for p in range(s):
-        for q in range(spec.n_gens + 1):
-            m = dc.cell(p, q)
-            cells[(p, q)] = m.dim
-            modules[(p, q)] = m
-            if (p, q) in dc.horizontal:
-                d1[(p, q)] = dc.horizontal[(p, q)]
-    return SpectralPage(1, s, spec.n_gens, cells, modules, d1)
+            raise ValueError(
+                f"vertical entry {tgt} <- {src} : {poly} survives mod I")
+    cells = {(p, q): dc.cell(p, q).dim
+             for p in range(s) for q in range(spec.n_gens + 1)}
+    return SpectralPage(1, s, spec.n_gens, cells, t, dc.horizontal)
 
 
 def e1_rank_formula(n_gens: int, p: int, q: int) -> int:
@@ -211,19 +213,15 @@ def e2_page(spec: RegularSequenceSpec, s: int,
     if page1 is None:
         page1 = e1_page(spec, s)
     fd = _coeff_field(spec.domain)
-
-    def d1_rank(p: int, q: int) -> int:
-        f = page1.d1.get((p, q)) if page1.d1 else None
-        if f is None or f.is_zero():
-            return 0
-        return sparse_rank(constant_rows(f), fd)
-
+    # each d1 map leaves one cell and enters another; rank it once
+    d1_rank = {k: sparse_rank(constant_rows(f), fd)
+               for k, f in page1.d1.items()}
     cells = {}
     for p in range(s):
         for q in range(spec.n_gens + 1):
-            dim = page1.rank(p, q)
-            cells[(p, q)] = dim - d1_rank(p, q) - d1_rank(p - 1, q + 1)
-    return SpectralPage(2, s, spec.n_gens, cells)
+            cells[(p, q)] = (page1.rank(p, q) - d1_rank.get((p, q), 0)
+                             - d1_rank.get((p - 1, q + 1), 0))
+    return SpectralPage(2, s, spec.n_gens, cells, page1.tensored)
 
 
 def off_support_cells(page: SpectralPage) -> list[tuple[int, int]]:
@@ -260,8 +258,7 @@ def collapse_check(spec: RegularSequenceSpec, s: int,
     predicted support.  Exact integer equality, no tolerance.  page2, if
     given, must be e2_page(spec, s); it is then not rebuilt."""
     page = e2_page(spec, s) if page2 is None else page2
-    tor_ranks = tuple(r for r, _ in
-                      homology_ranks(tensor_mod_I_complex(spec, s)))
+    tor_ranks = tuple(r for r, _ in homology_ranks(page.tensored))
     page_ranks = page.total_ranks()
     off = off_support_cells(page)
     ok = page_ranks == tor_ranks and not off

@@ -1,0 +1,30 @@
+import importlib
+import sys
+
+import pytest
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls("module.function", ...) wraps each named koszulpow
+    function in every koszulpow module that binds it, and returns the dict
+    name -> number of calls, updated as the test runs."""
+
+    def install(*names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            mod, fn = name.split(".")
+            orig = getattr(importlib.import_module(f"koszulpow.{mod}"), fn)
+
+            def wrapper(*args, _name=name, _orig=orig, **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+
+            for key, m in list(sys.modules.items()):
+                if key.startswith("koszulpow."):
+                    for attr, val in list(vars(m).items()):
+                        if val is orig:
+                            monkeypatch.setattr(m, attr, wrapper)
+        return calls
+
+    return install

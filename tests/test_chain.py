@@ -6,9 +6,9 @@ from koszulpow.poly import (QQ, ZZ, GF, Polynomial, parse_poly,
                             RegularSequenceSpec, mono_mul)
 from koszulpow.chain import (Label, make_label, FreeModule, SparseMap,
                              zero_map, compose, ChainComplex, verify_complex,
-                             suspend, tensor_mod_I, graded_slice, map_slice,
+                             tensor_mod_I, graded_slice, map_slice,
                              slice_basis, slice_dim, ChainMap, element_add,
-                             element_scale, element_str)
+                             element_str)
 from koszulpow.koszul import koszul_complex
 from koszulpow.linalg import rank_dense
 from koszulpow.resolution import build_k_ris
@@ -134,35 +134,6 @@ class TestVerifyComplex:
         assert not rep.ok
         assert rep.failing_degree == 2
         assert rep.witness == E12
-
-
-class TestSuspend:
-    def test_zero_shift(self):
-        c = koszul2()
-        assert suspend(c, 0).equal_maps(c)
-
-    def test_odd_shift_negates(self):
-        c = koszul2()
-        s = suspend(c, 1)
-        assert s.module(2).labels == c.module(1).labels
-        assert s.differential(2) == -c.differential(1)
-        assert verify_complex(s).ok
-
-    def test_double_shift(self):
-        c = koszul2()
-        assert suspend(suspend(c, 1), 1).equal_maps(suspend(c, 2))
-        assert suspend(c, 2).differential(3) == c.differential(1)
-
-    def test_dims_shift(self):
-        c = koszul2()
-        s = suspend(c, 2)
-        for n in range(3):
-            for d in range(4):
-                assert slice_dim(s, n + 2, d) == slice_dim(c, n, d)
-
-    def test_underflow_rejected(self):
-        with pytest.raises(ValueError):
-            suspend(koszul2(), -1)
 
 
 class TestTensorModI:
@@ -340,10 +311,6 @@ class TestElements:
         a = {E1: P("x1")}
         b = {E1: P("-x1"), E2: P("1", 2)}
         assert element_add(a, b) == {E2: P("1", 2)}
-
-    def test_scale(self):
-        assert element_scale({E1: P("x1")}, 0) == {}
-        assert element_scale({E1: P("x1")}, 2) == {E1: P("2*x1")}
 
     def test_str_sorted(self):
         s = element_str({E2: P("x1"), E1: P("1", 2)})

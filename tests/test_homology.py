@@ -1,12 +1,14 @@
 import pytest
 
+from oracles import betti_closed_form
 from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec, parse_poly, Polynomial, binomial
 from koszulpow.linalg import (Echelon, kernel_basis, rank_dense, solve,
                               smith_normal_form)
 from koszulpow.chain import (SparseMap, ChainMap, element_str, constant_rows,
                              tensor_mod_I)
 from koszulpow.koszul import koszul_complex
-from koszulpow.resolution import build_k_ris, reduction_chain_map, dga_multiply
+from koszulpow.resolution import (build_k_ris, reduction_chain_map,
+                                  dga_multiply, cut_top_level)
 from koszulpow.spectral import label_support
 from koszulpow.homology import (tensored_matrices, homology_ranks,
                                 tensor_mod_I_complex, tor, coker_transfer_ranks,
@@ -353,12 +355,59 @@ class TestSharedPass:
             rep = homology.tor(RegularSequenceSpec.variables(3, dom), 2)
             assert rep.ranks == (1, 6, 8, 3)
 
+    def test_one_resolution_per_power(self, count_calls):
+        calls = count_calls("resolution.build_k_ris", "chain.tensor_mod_I",
+                            "koszul.del_map", "spectral.build_double_complex",
+                            "koszul.q_module", "koszul.transfer_entries")
+        tor(RegularSequenceSpec.variables(4, GF(31991)), 3)
+        # pages 1 and 2 and the transfer cokernels are read off the
+        # tensored resolution of R/I^3; nothing rebuilds a piece of it
+        assert calls.pop("koszul.q_module") <= 25
+        assert calls.pop("koszul.transfer_entries") <= 8
+        assert calls == {"resolution.build_k_ris": 2, "chain.tensor_mod_I": 2,
+                         "koszul.del_map": 0,
+                         "spectral.build_double_complex": 0}
+
+    def test_internal_reduction_map_not_reverified(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("tor() re-verified its own chain map")
+
+        monkeypatch.setattr(ChainMap, "verify", forbidden)
+        assert tor(SPEC3, 3).induced_reduction is not None
+
     @pytest.mark.parametrize("dom", [QQ, ZZ, GF(5)], ids=str)
     @pytest.mark.parametrize("n,s", [(2, 2), (3, 3)])
     def test_reduction_matches_public_wrapper(self, n, s, dom):
         spec = RegularSequenceSpec.variables(n, dom)
         assert tor(spec, s).induced_reduction == \
             induced_tor_map(reduction_chain_map(spec, s))
+
+
+class TestCutTopLevel:
+    """The reduction map tor() builds is a chain map; tor() relies on it
+    without checking."""
+
+    @pytest.mark.parametrize("dom", [QQ, ZZ, GF(5)], ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_chain_map(self, n, s, dom):
+        spec = RegularSequenceSpec.variables(n, dom)
+        f = cut_top_level(build_k_ris(spec, s), build_k_ris(spec, s - 1))
+        assert f.verify().ok
+
+
+class TestClosedForm:
+    """Every route equals the closed-form Betti numbers, which read no
+    complex."""
+
+    @pytest.mark.parametrize("n,s", [(n, s) for n in (1, 2, 3, 4)
+                                     for s in (1, 2, 3, 4)] + [(5, 2)])
+    def test_variables(self, n, s):
+        rep = tor(RegularSequenceSpec.variables(n), s)
+        want = betti_closed_form(n, s)
+        assert rep.ranks == want
+        assert rep.routes == {"direct": want, "transfer-cokernel": want,
+                              "page2": want}
 
 
 class TestRegularityProbe:

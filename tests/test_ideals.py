@@ -189,11 +189,6 @@ class TestSubquotient:
         with pytest.raises(ValueError):
             m.project(P("1"), 0)
 
-    def test_zero_class(self):
-        m = SubquotientModule(vars_spec(2), 1, 2)
-        assert m.is_zero_class(P("x1^2"), 2)
-        assert not m.is_zero_class(P("x1"), 1)
-
     def test_action_matrix(self):
         m = SubquotientModule(vars_spec(2), 0, 2)
         # x1 * 1 = x1, written in the degree-1 basis {x1, x2}

@@ -133,6 +133,21 @@ class TestIdentities:
         spec = RegularSequenceSpec.explicit([P("x1+x2"), P("x1*x2")])
         assert verify_identities(spec, 2).ok
 
+    @pytest.mark.parametrize("s_max", [1, 2, 3])
+    def test_builds_only_the_levels_it_reads(self, monkeypatch, s_max):
+        import koszulpow.koszul as koszul
+        levels = []
+
+        def counting(spec, s, n_max=None):
+            levels.append(s)
+            return q_complex(spec, s, n_max)
+
+        monkeypatch.setattr(koszul, "q_complex", counting)
+        rep = verify_identities(SPEC2, s_max)
+        assert rep.ok and rep.checked == 4 * s_max
+        # the checks at tag levels r < s_max read the boundaries at r, r + 1
+        assert sorted(levels) == list(range(s_max + 1))
+
     def test_sign_corrupted_transfer_fails(self):
         # drop the alternating sign: every transfer entry becomes +1
         one = Polynomial.one(2, QQ)

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from koszulpow.poly import QQ, ZZ, GF
-from koszulpow.linalg import (rref, rank_dense, kernel_basis, solve, in_span,
+from koszulpow.linalg import (rref, rank_dense, kernel_basis, solve,
                               mat_vec, sparse_rank, smith_normal_form,
                               merge_divisor_chains, SmithForm)
 
@@ -84,13 +84,6 @@ class TestDense:
     def test_solve_fp(self):
         x = solve([[2]], [1], GF(5))
         assert x == [3]
-
-    def test_in_span(self):
-        assert in_span([[1, 0], [0, 1]], [5, 7], QQ)
-        assert not in_span([[1, 1]], [1, 0], QQ)
-        assert in_span([], [0, 0], QQ)
-        assert not in_span([], [1, 0], QQ)
-
 
 class TestSparseRank:
     def test_matches_dense_qq(self):

@@ -1,14 +1,15 @@
 import pytest
 
-from koszulpow.poly import QQ, GF, RegularSequenceSpec, parse_poly
+from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec, parse_poly
 from koszulpow.chain import SparseMap, constant_matrix, make_label
-from koszulpow.koszul import koszul_complex, del_map
+from koszulpow.koszul import (koszul_complex, del_map, q_module,
+                              boundary_entries, transfer_entries)
 from koszulpow.resolution import build_k_ris
 from koszulpow.spectral import (DoubleComplex, build_double_complex,
                                 verify_double_complex, total_complex,
                                 e1_page, e1_rank_formula, e2_page,
                                 off_support_cells, collapse_check,
-                                support_blocks, label_support)
+                                support_blocks, label_support, _page_one)
 
 
 def P(text, n=2):
@@ -62,7 +63,61 @@ class TestDoubleComplex:
         assert "anticommute" in rep.summary()
 
 
+def _per_cell_double_complex(spec, s):
+    """Reference: the double complex built cell by cell from the Koszul
+    pieces, as it was before it became a split of the resolution."""
+    n = spec.n_gens
+    cells = {(p, q): q_module(spec, p, q)
+             for p in range(s) for q in range(n + 1)}
+    vertical, horizontal = {}, {}
+    for (p, q), src in cells.items():
+        if q >= 1:
+            vertical[(p, q)] = SparseMap(
+                src, cells[(p, q - 1)], boundary_entries(spec, src),
+                spec.n_vars, spec.domain)
+            if p + 1 <= s - 1:
+                horizontal[(p, q)] = SparseMap(
+                    src, cells[(p + 1, q - 1)], transfer_entries(spec, src),
+                    spec.n_vars, spec.domain)
+    return DoubleComplex(spec, s, cells, vertical, horizontal)
+
+
+def _linear_forms(dom):
+    return RegularSequenceSpec.explicit(
+        [parse_poly(p, 3, dom) for p in ("x1+2*x2-x3", "x2-x3", "x3")])
+
+
+class TestSplitEquivalence:
+    """The split of the resolution is the per-cell construction."""
+
+    @staticmethod
+    def check(spec, s):
+        dc = build_double_complex(spec, s)
+        ref = _per_cell_double_complex(spec, s)
+        assert dc.cells == ref.cells
+        assert dc.vertical == ref.vertical
+        assert dc.horizontal == ref.horizontal
+        assert verify_double_complex(dc).ok
+
+    @pytest.mark.parametrize("dom", [QQ, ZZ, GF(5)], ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_variables_grid(self, n, s, dom):
+        self.check(RegularSequenceSpec.variables(n, dom), s)
+
+    @pytest.mark.parametrize("dom", [QQ, ZZ, GF(5)], ids=str)
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_powers_and_linear_forms(self, s, dom):
+        self.check(RegularSequenceSpec.variable_powers((1, 2, 2), dom), s)
+        self.check(_linear_forms(dom), s)
+
+
 class TestPageOne:
+    def test_vertical_entry_surviving_mod_I_rejected(self):
+        # the untensored resolution keeps its vertical (Koszul) entries
+        with pytest.raises(ValueError, match="survives mod I"):
+            _page_one(build_k_ris(SPEC2, 2), SPEC2, 2)
+
     def test_binomial_formula_grid(self):
         for n in (1, 2, 3):
             spec = RegularSequenceSpec.variables(n)
@@ -177,6 +232,18 @@ class TestCollapse:
             cli.make_parser().parse_args(["spectral", "--n", "3", "--s", "3"])))
         assert ok and payload["collapse"]["tor_ranks"] == [1, 10, 15, 6]
         assert calls == {"e1_page": 1, "e2_page": 1}
+
+    def test_spectral_command_builds_one_resolution(self, count_calls, capsys):
+        from koszulpow import cli
+        calls = count_calls("resolution.build_k_ris", "chain.tensor_mod_I",
+                            "spectral.build_double_complex")
+        assert cli.run(["spectral", "--n", "4", "--s", "3",
+                        "--field", "Fp:31991"]) == 0
+        assert '"ok": true' in capsys.readouterr().out
+        # pages 1 and 2 and the collapse check's direct ranks all read the
+        # one tensored resolution
+        assert calls == {"resolution.build_k_ris": 1, "chain.tensor_mod_I": 1,
+                         "spectral.build_double_complex": 0}
 
 
 class TestSupportBlocks:
