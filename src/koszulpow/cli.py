@@ -151,6 +151,23 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+def _check_config_type(attr: str, val) -> None:
+    """A config-file value must have its flag's type: an int (not a bool)
+    for the numeric keys, a string otherwise; the sequence may also be an
+    inline list of polynomial strings."""
+    if attr in ("n_vars", "s", "max_degree", "max_internal", "workers"):
+        ok, want = type(val) is int, "an integer"
+    elif attr == "sequence":
+        ok = isinstance(val, str) or (isinstance(val, list) and
+                                      all(isinstance(x, str) for x in val))
+        want = "a string or a list of strings"
+    else:
+        ok, want = isinstance(val, str), "a string"
+    if not ok:
+        raise ConfigError(f"config key {_CONFIG_KEYS[attr]!r} must be "
+                          f"{want}, got {val!r}")
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     file_vals: dict = {}
     if args.config:
@@ -160,6 +177,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 file_vals[attr] = raw[key]
             elif attr in raw:
                 file_vals[attr] = raw[attr]
+            if attr in file_vals:
+                _check_config_type(attr, file_vals[attr])
 
     def pick(attr, flag_val):
         if flag_val is not None:
@@ -173,13 +192,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         seq = "explicit:" + json.dumps(seq)
     cfg = RunConfig(
         command=args.command,
-        n_vars=int(pick("n_vars", args.n)),
-        field=str(pick("field", args.field)),
-        sequence=str(seq),
-        s=int(pick("s", args.s)),
+        n_vars=pick("n_vars", args.n),
+        field=pick("field", args.field),
+        sequence=seq,
+        s=pick("s", args.s),
         max_degree=pick("max_degree", args.max_degree),
         max_internal=pick("max_internal", args.max_internal),
-        workers=int(pick("workers", args.workers)),
+        workers=pick("workers", args.workers),
         out=pick("out", args.out),
     )
     if cfg.s < 1:

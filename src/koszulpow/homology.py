@@ -5,8 +5,9 @@ After applying R/I the differentials become integer matrices on the
 generator labels (every polynomial entry is a constant plus a combination
 of the sequence generators).  All Tor accounting happens on that integer
 skeleton: ranks and kernels over the rationals, torsion via Smith normal
-form, and base change to any coefficient field is legitimate exactly when
-the elementary divisors are units, which freeness_check certifies.
+form (diagonalization, then linalg.merge_divisor_chains), and base change
+to any coefficient field is legitimate exactly when the elementary
+divisors are units, which freeness_check certifies.
 
 The skeleton is block diagonal.  direct_summands splits a complex with
 constant entries into the connected components of the nonzero entries of
@@ -30,8 +31,8 @@ t = K (x) R/I and its blocks once, and per degree n and block one
 reduced-echelon span of the block's columns of d_{n+1} (the boundaries in
 degree n).  The TorReport carries them all; its generators are a basis of
 homology over the rank field, so their counts are the free ranks.  The
-other two routes read page 1 off the same t; the reduction map needs one
-more basis-only report (_tor_basis), of R/I^{s-1}.
+other two routes read one page 2 off the same t (transfer-cokernel: its
+last column); the reduction map needs _tor_basis of R/I^{s-1}.
 """
 
 from __future__ import annotations
@@ -266,41 +267,35 @@ def _block_vectors(elt: Element, locate: dict, blocks: BlockSpans,
 
 def coker_transfer_ranks(spec: RegularSequenceSpec, s: int) -> tuple[int, ...]:
     """Tor ranks via the cokernel of the last transfer map."""
-    from .spectral import e1_page
-    return _coker_ranks(e1_page(spec, s))
+    from .spectral import e2_page
+    return _coker_ranks(e2_page(spec, s))
 
 
-def _coker_ranks(page1) -> tuple[int, ...]:
-    """Tor at homological degree n > 0 is the cokernel of the transfer d1
-    from cell (s-2, n+1) into cell (s-1, n) of page 1 (none for s = 1);
-    degree 0 contributes the unit."""
-    s = page1.s
-    fd = _coeff_field(page1.tensored.domain)
-    ranks = [1]
-    for n in range(1, page1.n_gens + 1):
-        f = page1.d1.get((s - 2, n + 1))
-        r = sparse_rank(constant_rows(f), fd) if f is not None else 0
-        ranks.append(page1.rank(s - 1, n) - r)
-    return tuple(ranks)
+def _coker_ranks(page2) -> tuple[int, ...]:
+    """Tor in degree n > 0 is the cokernel of the transfer d1 from cell
+    (s-2, n+1) into (s-1, n); no d1 leaves the last column, so that is
+    page 2 at (s-1, n).  Degree 0 contributes the unit."""
+    return (1,) + tuple(page2.rank(page2.s - 1, n)
+                        for n in range(1, page2.n_gens + 1))
 
 
 def tor(spec: RegularSequenceSpec, s: int) -> TorReport:
     """Tor of (R/I, R/I^s): ranks, explicit generator cycles, torsion, the
     product table and, for s >= 2, the map induced by R/I^s -> R/I^{s-1}.
 
-    Ranks are cross-checked against two further routes: the cokernel
-    formula for the last transfer map and the rank-2 page of the column
-    filtration.
+    Ranks are cross-checked against two further routes, both read off
+    one page 2 of the column filtration: the cokernel of the last
+    transfer map (page 2's last column) and page 2's column sums.
     """
     if s < 1:
         raise ValueError("power must be >= 1")
     report = _tor_basis(spec, s)
     report.torsion = _torsion(report.t, report.summands)
     from .spectral import _page_one, e2_page
-    page1 = _page_one(report.t, spec, s)
+    page2 = e2_page(spec, s, _page_one(report.t, spec, s))
     report.routes = {"direct": report.ranks,
-                     "transfer-cokernel": _coker_ranks(page1),
-                     "page2": e2_page(spec, s, page1).total_ranks()}
+                     "transfer-cokernel": _coker_ranks(page2),
+                     "page2": page2.total_ranks()}
     report.products = tor_products(report)
     if s >= 2:
         lower = _tor_basis(spec, s - 1)

@@ -281,7 +281,8 @@ def _snf_pivot(m: list[list[int]], t: int, nr: int, nc: int):
 
 
 def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
-    """Standard SNF via Euclidean row/column reduction.
+    """Euclidean row/column diagonalization, smallest pivot first; the
+    divisors d1 | d2 | ... of the diagonal come from merge_divisor_chains.
 
     Returns the nonzero divisors only; rank equals their count.  Transform
     matrices are not tracked (nothing downstream needs them).
@@ -293,8 +294,7 @@ def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
         if len(row) != nc:
             raise ValueError("ragged matrix")
     diag: list[int] = []
-    t = 0
-    while t < min(nr, nc):
+    for t in range(min(nr, nc)):
         loc = _snf_pivot(m, t, nr, nc)
         if loc is None:
             break
@@ -327,25 +327,20 @@ def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
                         reduced = True
             if not reduced:
                 break
-        piv = abs(m[t][t])
-        # pivot must divide the rest of the submatrix; fold in a bad row
-        bad = next(((i, j) for i in range(t + 1, nr) for j in range(t + 1, nc)
-                    if m[i][j] % piv), None)
-        if bad is not None:
-            m[t] = [a + b for a, b in zip(m[t], m[bad[0]])]
-            continue
-        diag.append(piv)
-        t += 1
-    return SmithForm(tuple(diag), len(diag))
+        diag.append(abs(m[t][t]))
+    return SmithForm(merge_divisor_chains([diag]), len(diag))
 
 
 def merge_divisor_chains(chains: list[tuple[int, ...]]) -> tuple[int, ...]:
     """Divisor chain of a block-diagonal matrix from the chains of its blocks.
 
     diag(a) + diag(b) has the same cokernel as diag(gcd(a,b), lcm(a,b)), so
-    pairwise gcd/lcm exchanges converge to the merged chain.
+    pairwise gcd/lcm exchanges converge to the merged chain.  Units divide
+    everything, so they are set aside and put back in front.
     """
     ds = sorted(d for ch in chains for d in ch)
+    units = ds.count(1)
+    ds = ds[units:]
     changed = True
     while changed:
         changed = False
@@ -356,4 +351,4 @@ def merge_divisor_chains(chains: list[tuple[int, ...]]) -> tuple[int, ...]:
                     ds[i], ds[j] = g, ds[i] * ds[j] // g
                     changed = True
         ds.sort()
-    return tuple(ds)
+    return (1,) * units + tuple(ds)

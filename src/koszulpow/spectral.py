@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .poly import RegularSequenceSpec, binomial
 from .linalg import sparse_rank, smith_normal_form, merge_divisor_chains
 from .chain import (FreeModule, SparseMap, ChainComplex, Label, zero_map,
-                    compose, constant_matrix, constant_rows, EMPTY_MODULE)
+                    compose, constant_rows, EMPTY_MODULE)
 from .resolution import build_k_ris
 from .homology import homology_ranks, tensor_mod_I_complex, _coeff_field
 
@@ -304,27 +304,27 @@ def support_blocks(f: SparseMap) -> SupportBlockReport:
     crossing blocks raises).  The Smith normal forms of the blocks merge
     to the Smith normal form of the whole map, computed both ways.
     """
-    supports = sorted({label_support(g)
-                       for g in list(f.source) + list(f.target)})
-    by_sup = {}
-    for sup in supports:
-        rows = [g for g in f.target if label_support(g) == sup]
-        cols = [g for g in f.source if label_support(g) == sup]
-        by_sup[sup] = (rows, cols)
-    for (tgt, src) in f.entries:
-        if label_support(tgt) != label_support(src):
-            raise ValueError(f"entry {tgt} <- {src} crosses support blocks")
-    blocks = []
-    chains = []
-    for sup in supports:
-        rows, cols = by_sup[sup]
-        ridx = {g: i for i, g in enumerate(rows)}
-        cidx = {g: j for j, g in enumerate(cols)}
-        m = [[0] * len(cols) for _ in rows]
-        for (tgt, src), poly in f.entries.items():
-            if label_support(src) == sup:
-                m[ridx[tgt]][cidx[src]] = int(poly.constant_value())
-        blocks.append(SupportBlock(sup, rows, cols, m))
-        chains.append(smith_normal_form(m).diagonal if m else ())
-    global_div = smith_normal_form(constant_matrix(f)).diagonal
-    return SupportBlockReport(blocks, global_div, merge_divisor_chains(chains))
+    rows = constant_rows(f)
+    row_sup = [label_support(g) for g in f.target]
+    col_sup = [label_support(g) for g in f.source]
+    blocks = {sup: SupportBlock(sup, [], [], [])
+              for sup in sorted(set(row_sup) | set(col_sup))}
+    col_at = []                          # column position inside its block
+    for g, sup in zip(f.source, col_sup):
+        col_at.append(len(blocks[sup].col_labels))
+        blocks[sup].col_labels.append(g)
+    for g, sup, row in zip(f.target, row_sup, rows):
+        b = blocks[sup]
+        b.row_labels.append(g)
+        b.matrix.append([0] * len(b.col_labels))
+        for j, v in row.items():
+            if col_sup[j] != sup:
+                raise ValueError(f"entry {g} <- {f.source.labels[j]} "
+                                 f"crosses support blocks")
+            b.matrix[-1][col_at[j]] = v
+    chains = [smith_normal_form(b.matrix).diagonal if b.matrix else ()
+              for b in blocks.values()]
+    whole = [[row.get(j, 0) for j in range(f.source.dim)] for row in rows]
+    return SupportBlockReport(list(blocks.values()),
+                              smith_normal_form(whole).diagonal,
+                              merge_divisor_chains(chains))

@@ -97,6 +97,19 @@ class TestExitCodes:
         assert capture(capsys, ["tor", "--n", "2", "--field", "X"])[0] == 2
         assert capture(capsys, ["tor", "--n", "2", "--workers", "0"])[0] == 2
 
+    @pytest.mark.parametrize("body", [
+        '{"n": "x"}', '{"s": null}', '{"max_degree": "3"}', '{"out": 5}',
+        '{"max_internal": 2.5}', '{"n": 3.7}', '{"workers": true}',
+        '{"sequence": [1, 2]}'])
+    def test_config_value_of_wrong_type_is_two(self, body, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(body)
+        code = run(["build", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_negative_max_degree_is_two(self, capsys):
         code = run(["build", "--n", "2", "--s", "2", "--max-degree", "-3"])
         captured = capsys.readouterr()

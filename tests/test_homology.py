@@ -368,6 +368,16 @@ class TestSharedPass:
                          "koszul.del_map": 0,
                          "spectral.build_double_complex": 0}
 
+    def test_each_d1_map_ranked_once(self, count_calls):
+        from koszulpow.spectral import e1_page
+        spec = RegularSequenceSpec.variables(4, GF(31991))
+        n_maps = len(e1_page(spec, 3).d1)
+        calls = count_calls("linalg.sparse_rank")
+        tor(spec, 3)
+        # the transfer-cokernel and page2 routes read one page 2
+        assert n_maps == 8
+        assert calls == {"linalg.sparse_rank": n_maps}
+
     def test_internal_reduction_map_not_reverified(self, monkeypatch):
         def forbidden(self):
             raise AssertionError("tor() re-verified its own chain map")

@@ -193,6 +193,16 @@ class TestSmithNormalForm:
             m = rand_matrix(rng, 4, 5)
             assert smith_normal_form(m).rank == rank_dense(m, 5, QQ)
 
+    def test_sparse_unit_entries_against_minors_oracle(self):
+        # mostly 0 and +-1 entries, as in the tensored differentials, on
+        # rectangular shapes up to 5 x 6
+        rng = random.Random(24)
+        for _ in range(150):
+            nr, nc = rng.randint(1, 5), rng.randint(1, 6)
+            m = [[rng.choice((0, 0, 0, 1, -1)) for _ in range(nc)]
+                 for _ in range(nr)]
+            assert smith_normal_form(m).diagonal == snf_divisors_by_minors(m)
+
     def test_torsion_property(self):
         assert SmithForm((1, 1, 2, 6), 4).torsion == (2, 6)
 
@@ -215,3 +225,20 @@ class TestMergeDivisorChains:
             for i, d in enumerate(a + b):
                 block[i][i] = d
             assert merge_divisor_chains([a, b]) == smith_normal_form(block).diagonal
+
+    def test_units_set_aside(self):
+        # diag(1, 1, 2, 1, 3) has rank 5 and invariant factors (1,1,1,1,6)
+        assert merge_divisor_chains([(1, 1, 2), (1, 3)]) == (1, 1, 1, 1, 6)
+        assert merge_divisor_chains([(1,), (1,)]) == (1, 1)
+
+    def test_against_minors_of_block_diagonal(self):
+        # chains and the merged chain all from the minors oracle, so no
+        # Smith form of the package is involved
+        rng = random.Random(32)
+        for _ in range(60):
+            a = rand_matrix(rng, 3, 3, -4, 4)
+            b = rand_matrix(rng, 2, 3, -4, 4)
+            block = [row + [0] * 3 for row in a] + [[0] * 3 + row for row in b]
+            assert (merge_divisor_chains([snf_divisors_by_minors(a),
+                                          snf_divisors_by_minors(b)])
+                    == snf_divisors_by_minors(block))

@@ -24,8 +24,12 @@ CONTRACT = [
      "b8e86c3633a83eb4709942f226aa1d201eb32f7f0989a78a0fa253d6751d71d6"),
     (["spectral", "--n", "3", "--s", "3", "--field", "Z"], 0,
      "8e3d9f1ccd84d9a9c7acd5cf98da707aa7e88ca740acca4f8a647fd081dab51f"),
+    (["spectral", "--n", "4", "--s", "3", "--field", "Z"], 0,
+     "9db6c51145d829a157744249485012aed4c6f8316813fe7995deab71aacd9ab2"),
     (["verify", "--n", "2", "--s", "2", "--field", "Z"], 0,
      "ad9296f7a171d43a8ac9a0c1cccf982cba3050e3f47dbc101711e7f19c35632e"),
+    (["verify", "--n", "3", "--s", "3", "--field", "Z"], 0,
+     "6035bbce2715deff2e79414f4df3c9a8f0a1e6c240ecfab5cdad4f0f8658f764"),
     (["build", "--n", "3", "--s", "2"], 0,
      "0cfd59b032288a5ef257d7926e3818277a8bcb0c4eb9adce78547477012360aa"),
     (["splice", "--n", "2", "--s", "2"], 0,

@@ -267,6 +267,12 @@ class TestSupportBlocks:
                     for b in rep.blocks)
         assert total == len(f.entries)
 
+    def test_each_label_support_read_once(self, count_calls):
+        f = del_map(RegularSequenceSpec.variables(4), 1)[2]
+        calls = count_calls("spectral.label_support")
+        assert support_blocks(f).ok
+        assert calls["spectral.label_support"] <= f.source.dim + f.target.dim
+
     def test_label_support(self):
         g = make_label(SPEC3, (1, 3), (2, 3))
         assert label_support(g) == (1, 2, 3)
