@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import (Polynomial, Domain, QQ, monomials_of_degree, mono_mul,
+from .poly import (Polynomial, Domain, monomials_of_degree, mono_mul,
                    RegularSequenceSpec)
-from .linalg import sparse_rank
+from .linalg import sparse_rank, dense_row
 
 Element = dict  # Label -> nonzero Polynomial
 
@@ -331,7 +331,7 @@ def tensor_mod_I(c: ChainComplex, spec: RegularSequenceSpec) -> ChainComplex:
     from .linalg import solve
 
     dom = c.domain
-    fdom = dom if dom.is_field else QQ
+    fdom = dom.rank_field
     gens = [Polynomial(c.n_vars, dom, dict(u.terms)) for u in spec.gens]
 
     def reduce_entry(p: Polynomial) -> Polynomial:
@@ -388,11 +388,7 @@ def constant_rows(f: SparseMap) -> list[dict[int, int]]:
 
 def constant_matrix(f: SparseMap) -> list[list[int]]:
     """Dense form of constant_rows."""
-    out = [[0] * f.source.dim for _ in range(f.target.dim)]
-    for row, entries in zip(out, constant_rows(f)):
-        for j, v in entries.items():
-            row[j] = v
-    return out
+    return [dense_row(row, f.source.dim) for row in constant_rows(f)]
 
 
 # -- graded slices ----------------------------------------------------------
@@ -423,20 +419,13 @@ class GradedSlice:
     def rows(self) -> list[list]:
         """The dense matrix, built on each access."""
         zero = self.domain.zero()
-        out = []
-        for entries in self.entries:
-            row = [zero] * self.n_cols
-            for j, v in entries.items():
-                row[j] = v
-            out.append(row)
-        return out
+        return [dense_row(row, self.n_cols, zero) for row in self.entries]
 
     def sparse_rows(self) -> list[dict[int, object]]:
         return self.entries
 
     def rank(self) -> int:
-        dom = self.domain if self.domain.is_field else QQ
-        return sparse_rank(self.sparse_rows(), dom)
+        return sparse_rank(self.sparse_rows(), self.domain.rank_field)
 
 
 def slice_basis(mod: FreeModule, n_vars: int, d: int):

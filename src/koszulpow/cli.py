@@ -63,7 +63,7 @@ def _read_sequence_file(path: str) -> list[str]:
     try:
         with open(path) as fh:
             body = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read sequence file: {e}") from None
     body = body.strip()
     if body.startswith("["):
@@ -138,7 +138,7 @@ def _load_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
@@ -456,8 +456,12 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     text = render_report(cfg, payload, ok)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write report: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if ok else 1

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .poly import Polynomial, RegularSequenceSpec
 from .linalg import rank_dense, solve, mat_mul, mat_vec
-from .chain import (Label, FreeModule, SparseMap, ChainComplex, zero_map,
-                    compose, verify_complex, slice_basis)
+from .chain import (FreeModule, SparseMap, ChainComplex, zero_map, compose,
+                    verify_complex, slice_basis)
 from .ideals import SubquotientModule
 from .koszul import q_complex, q_module, transfer_entries, koszul_complex
 

@@ -38,12 +38,11 @@ last column); the reduction map needs _tor_basis of R/I^{s-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd, lcm
 
-from .poly import Polynomial, QQ, GF, RegularSequenceSpec
-from .linalg import (smith_normal_form, SmithForm, kernel_basis, rank_dense,
-                     sparse_rank, solve, merge_divisor_chains, Echelon)
+from .poly import Polynomial, GF, RegularSequenceSpec
+from .linalg import (smith_normal_form, kernel_basis, rank_dense, sparse_rank,
+                     merge_divisor_chains, Echelon, class_coordinates,
+                     _clear_row)
 from .chain import (ChainComplex, ChainMap, Element, Label, constant_matrix,
                     constant_rows, element_str, element_add, map_slice,
                     tensor_mod_I)
@@ -57,12 +56,6 @@ def tensored_matrices(t: ChainComplex) -> dict[int, list[list[int]]]:
     """Integer differential matrices of a tensored complex, per degree."""
     return {n: constant_matrix(t.differential(n))
             for n in range(1, t.max_degree + 1)}
-
-
-def _coeff_field(dom):
-    """Field used for rank work on the constant skeleton: the domain itself
-    for F_p coefficients (entries are residues), the rationals otherwise."""
-    return dom if dom.kind == "Fp" else QQ
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +134,7 @@ def homology_ranks(t: ChainComplex) -> list[tuple[int, tuple[int, ...]]]:
     torsion as in _torsion.
     """
     summands = direct_summands(t)
-    fd = _coeff_field(t.domain)
+    fd = t.domain.rank_field
     rank: dict[int, int] = {}
     for b in summands:
         for n, m in b.mats.items():
@@ -214,15 +207,6 @@ class TorReport:
 
     def generator_strings(self) -> list[list[str]]:
         return [[element_str(g) for g in gens] for gens in self.generators]
-
-
-def _primitive_int_vector(v: list[Fraction]) -> list[int]:
-    mult = lcm(*(x.denominator for x in v)) if v else 1
-    w = [int(x * mult) for x in v]
-    g = gcd(*w) if any(w) else 1
-    if g > 1:
-        w = [x // g for x in w]
-    return w
 
 
 def _column_span(matrix: list[list], n_cols: int, dom) -> Echelon:
@@ -312,7 +296,7 @@ def _tor_basis(spec: RegularSequenceSpec, s: int) -> TorReport:
     kris = build_k_ris(spec, s)
     t = tensor_mod_I(kris, spec)
     summands = direct_summands(t)
-    fd = _coeff_field(t.domain)
+    fd = t.domain.rank_field
     one = Polynomial.one(t.n_vars, t.domain)
     spans, generators = [], []
     for n in range(t.max_degree + 1):
@@ -325,12 +309,12 @@ def _tor_basis(spec: RegularSequenceSpec, s: int) -> TorReport:
             span = _column_span(b.mats.get(n + 1, []), b.dim(n + 1), fd)
             blocks.append((idx, span))
             for v in _homology_basis(b.mats.get(n, []), len(idx), span):
-                # a reduced-echelon kernel vector ends at its free column
-                free = max(j for j, x in enumerate(v) if x != fd.zero())
+                w = {j: c for j, c in enumerate(v) if c}
                 if fd.kind != "Fp":
-                    v = _primitive_int_vector(v)
-                picked.append((idx[free], {labels[gi]: one.scale(c)
-                                           for gi, c in zip(idx, v) if c}))
+                    w = _clear_row(w)
+                # a reduced-echelon kernel vector ends at its free column
+                picked.append((idx[max(w)], {labels[idx[j]]: one.scale(c)
+                                             for j, c in w.items()}))
         spans.append(blocks)
         generators.append([g for _, g in sorted(picked, key=lambda p: p[0])])
     return TorReport(generators, kris, t, summands, spans)
@@ -345,7 +329,7 @@ def tor_products(report: TorReport) -> ProductTable:
     Tor generators, reduced modulo boundaries, each within its own blocks.
     All zero for s >= 2; genuinely nonzero for s=1."""
     t, kris = report.t, report.kris
-    fd = _coeff_field(t.domain)
+    fd = t.domain.rank_field
     fone = Polynomial.one(t.n_vars, fd)
     flat = [(n, i) for n in range(1, len(report.generators))
             for i in range(len(report.generators[n]))]
@@ -399,11 +383,11 @@ def divisor_report(matrices: dict[int, list[list[int]]],
     for p in probe_primes:
         rank_by_field[f"F{p}"] = {}
     for n, m in sorted(matrices.items()):
-        snf = smith_normal_form(m) if m else SmithForm((), 0)
+        snf = smith_normal_form(m)
         divisors[n] = snf.diagonal
         for d in snf.torsion:
             offending.append(f"degree {n}: elementary divisor {d} != 1")
-        rows_q = [{j: v for j, v in enumerate(r) if v} for r in m] if m else []
+        rows_q = [{j: v for j, v in enumerate(r) if v} for r in m]
         rank_by_field["QQ"][n] = snf.rank
         for p in probe_primes:
             rp = sparse_rank(rows_q, GF(p))
@@ -444,16 +428,16 @@ def induced_tor_map(f: ChainMap) -> dict[int, list[list]]:
 def _induced_matrices(f: ChainMap, src: TorReport,
                       tgt: TorReport) -> dict[int, list[list]]:
     """induced_tor_map of a chain map f, given the Tor reports of its ends."""
-    fd = _coeff_field(tgt.t.domain)
+    fd = tgt.t.domain.rank_field
     out = {}
     for n in range(max(len(src.ranks), len(tgt.ranks))):
         src_gens = src.generators[n] if n < len(src.generators) else []
         tgt_gens = tgt.generators[n] if n < len(tgt.generators) else []
         blocks = tgt.spans[n] if n < len(tgt.spans) else []
         locate = _locator(tgt.t, n, blocks)
-        # each target generator lies in one block; per block, its
-        # generators then its boundaries: coordinates on the generators
-        # are unique because they are independent modulo the boundaries
+        # each target generator lies in one block; a class has unique
+        # coordinates on its block's generators, which are independent
+        # modulo the block's boundaries
         gens_in: dict[int, list[tuple[int, list]]] = {}
         for i, g in enumerate(tgt_gens):
             (k, v), = _block_vectors(g, locate, blocks, fd).items()
@@ -465,22 +449,15 @@ def _induced_matrices(f: ChainMap, src: TorReport,
             image = _block_vectors(comp.apply(g), locate, blocks, fd)
             for k, v in image.items():
                 gens = gens_in.get(k, [])
-                basis = [w for _, w in gens] + \
-                    [row for _, row in blocks[k][1].rows]
-                coords = _class_coordinates(basis, len(gens), v, fd)
+                coords = class_coordinates([w for _, w in gens],
+                                           blocks[k][1], v)
+                if coords is None:
+                    raise ValueError("cycle class not in generator span")
                 for (i, _), x in zip(gens, coords):
-                    col[i] = x
+                    col[i] = int(x) if x.denominator == 1 else x
             cols.append(col)
         out[n] = [[col[i] for col in cols] for i in range(len(tgt_gens))]
     return out
-
-
-def _class_coordinates(basis: list[list], k: int, vec: list, fd) -> list:
-    """Coordinates of a cycle's class on the first k basis vectors."""
-    sol = solve([list(c) for c in zip(*basis)], vec, fd)
-    if sol is None:
-        raise ValueError("cycle class not in generator span")
-    return [int(x) if x.denominator == 1 else x for x in sol[:k]]
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +486,7 @@ def koszul_regularity_probe(spec: RegularSequenceSpec,
     evidence (not proof); any failure certifies non-regularity."""
     if max_internal is None:
         max_internal = default_internal_bound(spec, 1)
-    rspec = spec if spec.domain.is_field else spec.with_domain(QQ)
+    rspec = spec.with_domain(spec.domain.rank_field)
     c = koszul_complex(rspec)
     dims = homology_slice_dims(c, max_internal)
     failures = [(n, d) for (n, d), h in sorted(dims.items())

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .poly import (Polynomial, Domain, QQ, RegularSequenceSpec,
+from .poly import (Polynomial, Domain, RegularSequenceSpec,
                    monomials_of_degree, count_monomials, mono_mul)
-from .linalg import Echelon, solve, sparse_rank
+from .linalg import Echelon, class_coordinates, dense_row, sparse_rank
 
 Tag = tuple[int, ...]
 
@@ -70,16 +70,10 @@ def power_span_columns(spec: RegularSequenceSpec, s: int, d: int):
                             for mon, c in um.terms.items()}
 
 
-def _dense(spec: RegularSequenceSpec, d: int, col: dict) -> list:
-    v = [spec.domain.zero()] * count_monomials(spec.n_vars, d)
-    for i, c in col.items():
-        v[i] = c
-    return v
-
-
 def power_span_vectors(spec: RegularSequenceSpec, s: int, d: int):
     """Dense form of power_span_columns: degree-d monomial coordinates."""
-    return [_dense(spec, d, col)
+    n, zero = count_monomials(spec.n_vars, d), spec.domain.zero()
+    return [dense_row(col, n, zero)
             for _, _, col in power_span_columns(spec, s, d)]
 
 
@@ -95,9 +89,9 @@ def hilbert_function(spec: RegularSequenceSpec, s: int, d: int) -> int:
     if spec.monomial_regime:
         return sum(1 for m in monomials_of_degree(spec.n_vars, d)
                    if not monomial_in_power(spec, m, s))
-    dom = spec.domain if spec.domain.is_field else QQ
     cols = [col for _, _, col in power_span_columns(spec, s, d)]
-    return count_monomials(spec.n_vars, d) - sparse_rank(cols, dom)
+    return (count_monomials(spec.n_vars, d)
+            - sparse_rank(cols, spec.domain.rank_field))
 
 
 class PowerReducer:
@@ -119,7 +113,8 @@ class PowerReducer:
         self.s = s
         self._ech: dict[int, Echelon] = {}
 
-    def _echelon(self, d: int) -> Echelon:
+    def echelon(self, d: int) -> Echelon:
+        """Reduced echelon basis of (I^s)_d, built once per degree."""
         if d not in self._ech:
             ech = Echelon(self.spec.domain)
             for v in power_span_vectors(self.spec, self.s, d):
@@ -137,7 +132,7 @@ class PowerReducer:
         for d in sorted({sum(m) for m in poly.terms}):
             monos = monomials_of_degree(spec.n_vars, d)
             v = [poly.terms.get(m, poly.domain.zero()) for m in monos]
-            r = self._echelon(d).reduce(v)
+            r = self.echelon(d).reduce(v)
             out = out + Polynomial(poly.n_vars, poly.domain,
                                    {m: c for m, c in zip(monos, r)})
         return out
@@ -160,9 +155,10 @@ class SubquotientModule:
     def __init__(self, spec: RegularSequenceSpec, a: int, b: int):
         if not 0 <= a < b:
             raise ValueError(f"need 0 <= a < b, got a={a}, b={b}")
-        self.spec = spec if spec.domain.is_field else spec.with_domain(QQ)
+        self.spec = spec.with_domain(spec.domain.rank_field)
         self.a = a
         self.b = b
+        self._power_b = PowerReducer(self.spec, b)
         self._cache: dict[int, tuple] = {}
 
     @property
@@ -174,13 +170,12 @@ class SubquotientModule:
         if d in self._cache:
             return self._cache[d]
         spec = self.spec
-        ech_b = Echelon(spec.domain)
-        for v in power_span_vectors(spec, self.b, d):
-            ech_b.insert(v)
+        ech_b = self._power_b.echelon(d)
+        n, zero = count_monomials(spec.n_vars, d), spec.domain.zero()
         basis, labels = [], []
         seen = ech_b.copy()
         for tag, mu, col in power_span_columns(spec, self.a, d):
-            v = _dense(spec, d, col)
+            v = dense_row(col, n, zero)
             if seen.insert(v):
                 basis.append(v)
                 labels.append((tag, mu))
@@ -209,14 +204,7 @@ class SubquotientModule:
         basis, ech_b, _ = self._slice(d)
         monos = monomials_of_degree(self.spec.n_vars, d)
         v = [self.domain.coerce(poly.terms.get(m, 0)) for m in monos]
-        r = ech_b.reduce(v)
-        reduced_basis = [ech_b.reduce(bv) for bv in basis]
-        if not basis:
-            if any(x != self.domain.zero() for x in r):
-                raise ValueError(f"{poly} does not lie in the subquotient slice")
-            return []
-        cols = [list(c) for c in zip(*reduced_basis)]
-        coords = solve(cols, r, self.domain)
+        coords = class_coordinates(basis, ech_b, v)
         if coords is None:
             raise ValueError(f"{poly} does not lie in the subquotient slice")
         return coords

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .poly import Polynomial, RegularSequenceSpec, binomial
 from .ideals import tags_of_length
-from .chain import (Label, make_label, FreeModule, SparseMap, ChainComplex,
+from .chain import (make_label, FreeModule, SparseMap, ChainComplex,
                     zero_map, compose, EMPTY_MODULE)
 
 

@@ -1,11 +1,15 @@
 """Exact linear algebra: dense field routines, sparse rank, Smith normal form.
 
 Two regimes.  Small matrices (kernels, solving, membership) use dense
-reduced row echelon over a field with Fraction or mod-p scalars.  Large
-graded slices and the spanning sets of ideal powers only need rank, so
-those go through a sparse row elimination that stays in integers
-(denominators cleared up front, rows renormalized by gcd) to avoid
-Fraction overhead.
+reduced row echelon over a field with Fraction or mod-p scalars, and
+Echelon is the one Gauss-Jordan: rref feeds it the rows, rank_dense,
+kernel_basis and solve read rref, and class_coordinates writes a vector
+on a basis modulo an Echelon's span.  Large graded slices and the
+spanning sets of ideal powers only need rank, so those go through a
+sparse row elimination that stays in integers (_clear_row clears
+denominators up front and gives the primitive integer row; rows are
+renormalized by gcd) to avoid Fraction overhead.  dense_row expands a
+sparse row.
 
 Matrices are lists of rows; a row is a list of scalars (dense) or a dict
 col->scalar with no stored zeros (sparse).
@@ -28,33 +32,22 @@ def _require_field(dom: Domain):
         raise ValueError(f"need a field, got {dom}")
 
 
+def dense_row(row: dict[int, object], n_cols: int, zero=0) -> list:
+    """Dense form of a sparse row (col -> scalar) of length n_cols."""
+    out = [zero] * n_cols
+    for j, v in row.items():
+        out[j] = v
+    return out
+
+
 def rref(matrix: list[list], n_cols: int, dom: Domain):
     """Reduced row echelon form. Returns (rows, pivot_cols), zero rows dropped."""
-    _require_field(dom)
-    zero, one = dom.zero(), dom.one()
-    rows = [[dom.coerce(x) for x in r] for r in matrix]
-    for r in rows:
+    ech = Echelon(dom)
+    for r in matrix:
         if len(r) != n_cols:
             raise ValueError("ragged matrix")
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != zero), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv != one:
-            rows[r] = [dom.div(x, pv) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != zero:
-                f = rows[i][c]
-                rows[i] = [dom.sub(x, dom.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+        ech.insert(r)
+    return [row for _, row in ech.rows], [pc for pc, _ in ech.rows]
 
 
 def rank_dense(matrix: list[list], n_cols: int, dom: Domain) -> int:
@@ -153,8 +146,12 @@ class Echelon:
         if pc is None:
             return False
         pv = r[pc]
-        r = [dom.div(x, pv) for x in r]
-        self.rows = [(p, [dom.sub(x, dom.mul(row[pc], y)) for x, y in zip(row, r)])
+        if pv != dom.one():
+            r = [dom.div(x, pv) for x in r]
+        # only rows with an entry in the new pivot column change
+        self.rows = [(p, row) if row[pc] == zero else
+                     (p, [dom.sub(x, dom.mul(row[pc], y))
+                          for x, y in zip(row, r)])
                      for p, row in self.rows]
         self.rows.append((pc, r))
         self.rows.sort(key=lambda t: t[0])
@@ -163,6 +160,14 @@ class Echelon:
     def contains(self, v: list) -> bool:
         zero = self.dom.zero()
         return all(x == zero for x in self.reduce(v))
+
+
+def class_coordinates(basis: list[list], span: Echelon, vec: list):
+    """Coordinates of vec modulo span on basis, or None if vec does not lie
+    in the sum of their spans.  basis must be independent modulo span, so
+    the coordinates are unique."""
+    cols = [span.reduce(b) for b in basis]
+    return solve([list(r) for r in zip(*cols)], span.reduce(vec), span.dom)
 
 
 # ---------------------------------------------------------------------------

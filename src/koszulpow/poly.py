@@ -49,6 +49,12 @@ class Domain:
     def is_field(self) -> bool:
         return self.kind in ("Q", "Fp")
 
+    @property
+    def rank_field(self) -> Domain:
+        """The field ranks are taken over: the domain itself if it is a
+        field, the rationals over Z."""
+        return self if self.is_field else QQ
+
     def coerce(self, value):
         """Bring an int/Fraction into this domain's canonical form."""
         if self.kind == "Q":
@@ -523,7 +529,10 @@ class RegularSequenceSpec:
         return cls(n_vars, domain, tuple(polys), tuple(degrees), "explicit", False)
 
     def with_domain(self, domain: Domain) -> RegularSequenceSpec:
-        """The same sequence with coefficients coerced into another domain."""
+        """The same sequence with coefficients coerced into another domain
+        (itself if the domain is unchanged)."""
+        if domain == self.domain:
+            return self
         gens = tuple(Polynomial(u.n_vars, domain, dict(u.terms)) for u in self.gens)
         return RegularSequenceSpec(self.n_vars, domain, gens, self.degrees,
                                    self.kind, self.certified, self.powers)

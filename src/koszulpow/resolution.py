@@ -153,7 +153,7 @@ def verify_exactness(spec: RegularSequenceSpec, s: int,
     hilbert: dict = {}
     fields_checked = []
     for dom in run_domains:
-        rspec = spec if dom == spec.domain else spec.with_domain(dom)
+        rspec = spec.with_domain(dom)
         c = build_k_ris(rspec, s)
         dims = homology_slice_dims(c, max_internal)
         fields_checked.append(str(dom))

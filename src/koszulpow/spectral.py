@@ -20,11 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poly import RegularSequenceSpec, binomial
-from .linalg import sparse_rank, smith_normal_form, merge_divisor_chains
+from .linalg import (sparse_rank, smith_normal_form, merge_divisor_chains,
+                     dense_row)
 from .chain import (FreeModule, SparseMap, ChainComplex, Label, zero_map,
                     compose, constant_rows, EMPTY_MODULE)
 from .resolution import build_k_ris
-from .homology import homology_ranks, tensor_mod_I_complex, _coeff_field
+from .homology import homology_ranks, tensor_mod_I_complex
 
 
 @dataclass
@@ -212,7 +213,7 @@ def e2_page(spec: RegularSequenceSpec, s: int,
     page1, if given, must be e1_page(spec, s); it is then not rebuilt."""
     if page1 is None:
         page1 = e1_page(spec, s)
-    fd = _coeff_field(spec.domain)
+    fd = spec.domain.rank_field
     # each d1 map leaves one cell and enters another; rank it once
     d1_rank = {k: sparse_rank(constant_rows(f), fd)
                for k, f in page1.d1.items()}
@@ -322,9 +323,8 @@ def support_blocks(f: SparseMap) -> SupportBlockReport:
                 raise ValueError(f"entry {g} <- {f.source.labels[j]} "
                                  f"crosses support blocks")
             b.matrix[-1][col_at[j]] = v
-    chains = [smith_normal_form(b.matrix).diagonal if b.matrix else ()
-              for b in blocks.values()]
-    whole = [[row.get(j, 0) for j in range(f.source.dim)] for row in rows]
+    chains = [smith_normal_form(b.matrix).diagonal for b in blocks.values()]
+    whole = [dense_row(row, f.source.dim) for row in rows]
     return SupportBlockReport(list(blocks.values()),
                               smith_normal_form(whole).diagonal,
                               merge_divisor_chains(chains))

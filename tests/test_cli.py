@@ -126,6 +126,37 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @staticmethod
+    def assert_config_error(argv, capsys):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
+    def test_unwritable_out_is_two(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "x.json"
+        self.assert_config_error(["tor", "--n", "2", "--s", "1",
+                                  "--out", str(out)], capsys)
+
+    def test_unwritable_out_from_config_is_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "missing" / "x")}))
+        self.assert_config_error(["tor", "--n", "2", "--s", "1",
+                                  "--config", str(cfg)], capsys)
+
+    def test_non_utf8_sequence_file_is_two(self, tmp_path, capsys):
+        f = tmp_path / "seq.json"
+        f.write_bytes(b"\xff\xfe\x00bad")
+        self.assert_config_error(["tor", "--n", "2", "--s", "1",
+                                  "--sequence", f"file:{f}"], capsys)
+
+    def test_non_utf8_config_file_is_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(b"\xff\xfe\x00bad")
+        self.assert_config_error(["tor", "--config", str(cfg)], capsys)
+
     def test_math_failure_is_one(self, tmp_path, capsys):
         # honest red: a repeated generator is not regular, so the built
         # complex cannot be exact and the verify grid must catch it

@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
-from koszulpow.poly import QQ, ZZ, GF
+from koszulpow.poly import Domain, QQ, ZZ, GF
 from koszulpow.linalg import (rref, rank_dense, kernel_basis, solve,
                               mat_vec, sparse_rank, smith_normal_form,
-                              merge_divisor_chains, SmithForm)
+                              merge_divisor_chains, SmithForm, Echelon,
+                              class_coordinates, dense_row, _clear_row)
 
 
 def _det(m):
@@ -242,3 +243,156 @@ class TestMergeDivisorChains:
             assert (merge_divisor_chains([snf_divisors_by_minors(a),
                                           snf_divisors_by_minors(b)])
                     == snf_divisors_by_minors(block))
+
+
+# ---------------------------------------------------------------------------
+# Routines that rref, Echelon, class_coordinates and _clear_row replaced,
+# kept as references.
+
+def reference_rref(matrix, n_cols, dom):
+    """The former stand-alone Gauss-Jordan loop of rref."""
+    zero, one = dom.zero(), dom.one()
+    rows = [[dom.coerce(x) for x in r] for r in matrix]
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != zero), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        if pv != one:
+            rows[r] = [dom.div(x, pv) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != zero:
+                f = rows[i][c]
+                rows[i] = [dom.sub(x, dom.mul(f, y))
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def reference_primitive_int_vector(v):
+    """The former homology._primitive_int_vector, on a list of Fractions."""
+    mult = lcm(*(x.denominator for x in v)) if v else 1
+    w = [int(x * mult) for x in v]
+    g = gcd(*w) if any(w) else 1
+    if g > 1:
+        w = [x // g for x in w]
+    return w
+
+
+def reference_class_coordinates(basis, span_rows, vec, dom):
+    """Coordinates on basis from one solve on the columns [basis | span]."""
+    sol = solve([list(c) for c in zip(*(basis + span_rows))], vec, dom)
+    return None if sol is None else sol[:len(basis)]
+
+
+FIELDS = [QQ, GF(5), GF(7)]
+
+
+def random_dense(rng):
+    """Wide or tall, with a zero row, a duplicate row and a scaled copy;
+    entries give both unit and non-unit pivots."""
+    nr, nc = rng.randint(0, 7), rng.randint(1, 8)
+    entries = (0, 0, 0, 1, -1, 2, 3, -4, Fraction(1, 2))
+    m = [[rng.choice(entries) for _ in range(nc)] for _ in range(nr)]
+    m.append([0] * nc)
+    if nr:
+        m.append(list(rng.choice(m)))
+        m.append([3 * x for x in rng.choice(m)])
+    rng.shuffle(m)
+    return m, nc
+
+
+def _coerced(m, dom):
+    # over F_p the Fraction 1/2 becomes a residue, as in dom.coerce
+    return [[dom.coerce(x) for x in row] for row in m]
+
+
+class TestEchelonIsTheGaussJordan:
+    @pytest.mark.parametrize("dom", FIELDS, ids=str)
+    def test_rref_matches_reference_loop(self, dom):
+        rng = random.Random(41)
+        for _ in range(300):
+            m, nc = random_dense(rng)
+            assert rref(m, nc, dom) == reference_rref(m, nc, dom)
+
+    def test_rref_keeps_ragged_error(self):
+        with pytest.raises(ValueError, match="ragged"):
+            rref([[1, 2], [3]], 2, QQ)
+
+    def test_clear_row_matches_primitive_int_vector(self):
+        rng = random.Random(42)
+        for _ in range(300):
+            v = [Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+                 for _ in range(rng.randint(0, 6))]
+            want = {j: x for j, x in
+                    enumerate(reference_primitive_int_vector(v)) if x}
+            assert _clear_row(dict(enumerate(v))) == want
+
+    @pytest.mark.parametrize("dom", FIELDS, ids=str)
+    def test_class_coordinates_match_reference_solve(self, dom):
+        rng = random.Random(43)
+        for _ in range(200):
+            m, nc = random_dense(rng)
+            m = _coerced(m, dom)
+            cut = rng.randint(0, len(m))
+            span = Echelon(dom)
+            for row in m[:cut]:
+                span.insert(row)
+            seen, basis = span.copy(), []
+            for row in m[cut:]:
+                if seen.insert(row):
+                    basis.append(row)
+            span_rows = [row for _, row in span.rows]
+            coeffs = [dom.coerce(rng.randint(-3, 3))
+                      for _ in basis + span_rows]
+            vec = [dom.zero()] * nc
+            for c, row in zip(coeffs, basis + span_rows):
+                vec = [dom.add(x, dom.mul(c, y)) for x, y in zip(vec, row)]
+            if rng.random() < 0.3:
+                j = rng.randrange(nc)
+                vec[j] = dom.add(vec[j], dom.one())
+            got = class_coordinates(basis, span, vec)
+            assert got == reference_class_coordinates(basis, span_rows,
+                                                      vec, dom)
+            assert (got is None) == (not seen.contains(vec))
+
+    def test_dense_row(self):
+        assert dense_row({2: 5, 0: 1}, 4) == [1, 0, 5, 0]
+        assert dense_row({}, 2, Fraction(0)) == [Fraction(0)] * 2
+
+
+class _CountingQQ(Domain):
+    """The rationals, recording every division."""
+
+    divisions: list = []
+
+    def div(self, a, b):
+        _CountingQQ.divisions.append((a, b))
+        return super().div(a, b)
+
+
+class TestEchelonInsert:
+    def test_insert_leaves_other_rows_and_unit_pivots_alone(self):
+        dom = _CountingQQ("Q")
+        _CountingQQ.divisions.clear()
+        ech = Echelon(dom)
+        ech.insert([1, 0, 2, 0])
+        ech.insert([0, 1, 0, 3])
+        first, second = [row for _, row in ech.rows]
+        ech.insert([0, 0, 1, 1])            # pivot 1 in column 2
+        rows = dict(ech.rows)
+        # only the row with an entry in column 2 is rebuilt
+        assert rows[1] is second
+        assert rows[0] is not first and rows[0] == [1, 0, 0, -2]
+        # a unit pivot row is not divided
+        assert _CountingQQ.divisions == []
+        ech.insert([0, 0, 0, 5])            # a non-unit pivot is
+        assert len(_CountingQQ.divisions) == 4
+        assert [row for _, row in ech.rows] == [[1, 0, 0, 0], [0, 1, 0, 0],
+                                                [0, 0, 1, 0], [0, 0, 0, 1]]

@@ -17,6 +17,10 @@ class TestDomain:
     def test_kinds(self):
         assert QQ.is_field and not ZZ.is_field and GF(5).is_field
 
+    def test_rank_field(self):
+        assert QQ.rank_field == QQ and ZZ.rank_field == QQ
+        assert GF(5).rank_field == GF(5)
+
     def test_bad_domains(self):
         with pytest.raises(ValueError):
             Domain("R")
@@ -216,3 +220,7 @@ class TestRegularSequenceSpec:
         s = RegularSequenceSpec.variables(2).with_domain(GF(3))
         assert s.domain == GF(3)
         assert s.gens[0].domain == GF(3)
+
+    def test_with_same_domain_is_itself(self):
+        s = RegularSequenceSpec.variables(2, ZZ)
+        assert s.with_domain(ZZ) is s
