@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, asdict
 
@@ -211,7 +212,19 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("max-internal must be >= 1")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
+    if cfg.out is not None:
+        _check_out(cfg.out)
     return cfg
+
+
+def _check_out(path: str) -> None:
+    """Reject an --out path the report could not be written to (a
+    directory, or a file in a missing directory) before any computation."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write report: {path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write report: no directory {parent!r}")
 
 
 def _resolve_spec(cfg: RunConfig) -> RegularSequenceSpec:

@@ -5,20 +5,19 @@ After applying R/I the differentials become integer matrices on the
 generator labels (every polynomial entry is a constant plus a combination
 of the sequence generators).  All Tor accounting happens on that integer
 skeleton: ranks and kernels over the rationals, torsion via Smith normal
-form (diagonalization, then linalg.merge_divisor_chains), and base change
-to any coefficient field is legitimate exactly when the elementary
-divisors are units, which freeness_check certifies.
+form, and base change to any coefficient field is legitimate exactly when
+the elementary divisors are units, which freeness_check certifies.
 
 The skeleton is block diagonal.  direct_summands splits a complex with
 constant entries into the connected components of the nonzero entries of
-all its differentials, and every elimination runs on those small dense
-blocks.  (For the tensored resolution each component lies inside one
-support set ext u tag of spectral.support_blocks, and they are finer:
-192 components on 16 support sets for 4 generators at s = 4.  Nothing
-here relies on that.)  Block by block:
+all its differentials, and every elimination, freeness included, runs on
+those small dense blocks.  (For the tensored resolution each component
+lies inside one support set ext u tag of spectral.support_blocks, and
+they are finer: 192 components on 16 support sets for 4 generators at
+s = 4.  Nothing here relies on that.)  Block by block:
 
-- ranks add up over the blocks and Smith divisor chains merge
-  (linalg.merge_divisor_chains);
+- ranks add up over the blocks and Smith forms merge
+  (linalg.block_smith_form);
 - pivot columns, the reduced-echelon kernel basis, the greedy choice of
   generators modulo the boundaries and canonical residues all split over
   a block-diagonal matrix, so generators chosen block by block and merged
@@ -29,10 +28,11 @@ here relies on that.)  Block by block:
 One tor(spec, s) run builds the resolution K, its tensored complex
 t = K (x) R/I and its blocks once, and per degree n and block one
 reduced-echelon span of the block's columns of d_{n+1} (the boundaries in
-degree n).  The TorReport carries them all; its generators are a basis of
-homology over the rank field, so their counts are the free ranks.  The
-other two routes read one page 2 off the same t (transfer-cokernel: its
-last column); the reduction map needs _tor_basis of R/I^{s-1}.
+degree n), kept on the block.  The TorReport carries them all and one map
+from each label to its block; its generators are a basis of homology
+over the rank field, so their counts are the free ranks.  The other two
+routes read one page 2 off the same t (transfer-cokernel: its last
+column); the reduction map needs _tor_basis of R/I^{s-1}.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .poly import Polynomial, GF, RegularSequenceSpec
-from .linalg import (smith_normal_form, kernel_basis, rank_dense, sparse_rank,
-                     merge_divisor_chains, Echelon, class_coordinates,
-                     _clear_row)
+from .linalg import (block_smith_form, kernel_basis, rank_dense, sparse_rank,
+                     Echelon, class_coordinates, _clear_row)
 from .chain import (ChainComplex, ChainMap, Element, Label, constant_matrix,
                     constant_rows, element_str, element_add, map_slice,
                     tensor_mod_I)
@@ -61,18 +60,20 @@ def tensored_matrices(t: ChainComplex) -> dict[int, list[list[int]]]:
 # ---------------------------------------------------------------------------
 # Direct-summand blocks.
 
-@dataclass
+@dataclass(eq=False)
 class Summand:
     """One direct summand of a complex with constant integer entries.
 
     index[n] lists the global indices of its degree-n generators in
     increasing order (degrees without any are absent); mats[n] is its dense
     block of d_n, rows index[n-1] and columns index[n], present when both
-    are.
+    are; _tor_basis sets spans[n] to the span over the rank field of its
+    boundaries in degree n (the columns of mats[n+1]).  Compared by identity.
     """
 
     index: dict[int, list[int]]
     mats: dict[int, list[list[int]]]
+    spans: dict[int, Echelon] = field(default_factory=dict)
 
     def dim(self, n: int) -> int:
         return len(self.index.get(n, ()))
@@ -146,16 +147,12 @@ def homology_ranks(t: ChainComplex) -> list[tuple[int, tuple[int, ...]]]:
 
 def _torsion(t: ChainComplex,
              summands: list[Summand]) -> tuple[tuple[int, ...], ...]:
-    """Per degree n, the torsion divisors > 1 of H_n: the merged Smith chains
-    of the blocks of d_{n+1} (none over F_p, where every divisor is a unit)."""
-    chains: dict[int, list[tuple[int, ...]]] = {}
-    if t.domain.kind != "Fp":
-        for b in summands:
-            for n, m in b.mats.items():
-                chains.setdefault(n, []).append(smith_normal_form(m).torsion)
-    # dropped units never change a merged chain; gcds can create new ones
-    return tuple(tuple(d for d in merge_divisor_chains(chains.get(n + 1, []))
-                       if d > 1)
+    """Per degree n, the torsion divisors > 1 of H_n: those of the Smith
+    form of d_{n+1} (none over F_p, where every divisor is a unit)."""
+    if t.domain.kind == "Fp":
+        return ((),) * (t.max_degree + 1)
+    return tuple(block_smith_form([b.mats[n + 1] for b in summands
+                                   if n + 1 in b.mats]).torsion
                  for n in range(t.max_degree + 1))
 
 
@@ -178,19 +175,15 @@ class ProductTable:
         return out
 
 
-# per degree, one (global indices, span of the boundaries) pair per block
-BlockSpans = list[tuple[list[int], Echelon]]
-
-
 @dataclass
 class TorReport:
-    """Tor of (R/I, R/I^s); _tor_basis fills it up to spans, tor() the rest."""
+    """Tor of (R/I, R/I^s); _tor_basis fills it up to where, tor() the rest."""
 
     generators: list[list[Element]]      # per homological degree
     kris: KRIsComplex                    # the resolution of R/I^s
     t: ChainComplex                      # its tensored complex
-    summands: list[Summand]              # the blocks of t
-    spans: list[BlockSpans]              # degree n -> columns of d_{n+1}
+    summands: list[Summand]              # the blocks of t, with their spans
+    where: dict[Label, tuple[Summand, int]]  # label -> block, index in it
     torsion: tuple[tuple[int, ...], ...] = ()
     routes: dict[str, tuple[int, ...]] = field(default_factory=dict)
     products: ProductTable | None = None
@@ -226,26 +219,18 @@ def _homology_basis(m_out: list[list], n_cols: int,
     return [v for v in kernel_basis(m_out, n_cols, span.dom) if ech.insert(v)]
 
 
-def _locator(t: ChainComplex, n: int,
-             blocks: BlockSpans) -> dict[Label, tuple[int, int]]:
-    """Degree-n label -> (block position, index within the block)."""
-    labels = t.module(n).labels
-    return {labels[gi]: (k, j) for k, (idx, _) in enumerate(blocks)
-            for j, gi in enumerate(idx)}
-
-
-def _block_vectors(elt: Element, locate: dict, blocks: BlockSpans,
-                   fd) -> dict[int, list]:
-    """Coordinates of a tensored element, split by block: block position ->
-    vector on that block's indices, for the blocks the element meets."""
-    vecs: dict[int, list] = {}
+def _block_vectors(elt: Element, n: int, where: dict,
+                   fd) -> dict[Summand, list]:
+    """Coordinates of a degree-n tensored element, split by block: summand
+    -> vector on its degree-n indices, for the summands the element meets."""
+    vecs: dict[Summand, list] = {}
     for g, p in elt.items():
         if not p.is_constant():
             raise ValueError(f"non-constant coefficient {p} in tensored element")
-        k, j = locate[g]
-        if k not in vecs:
-            vecs[k] = [fd.zero()] * len(blocks[k][0])
-        vecs[k][j] = fd.coerce(p.constant_value())
+        b, j = where[g]
+        if b not in vecs:
+            vecs[b] = [fd.zero()] * b.dim(n)
+        vecs[b][j] = fd.coerce(p.constant_value())
     return vecs
 
 
@@ -289,25 +274,26 @@ def tor(spec: RegularSequenceSpec, s: int) -> TorReport:
 
 
 def _tor_basis(spec: RegularSequenceSpec, s: int) -> TorReport:
-    """The resolution of R/I^s, its tensored complex and blocks, and per
-    degree the boundary spans and the generators: a reduced-echelon kernel
-    basis modulo the span, block by block, merged in global free-column
-    order."""
+    """The resolution of R/I^s, its tensored complex and blocks with their
+    boundary spans, the label map, and per degree the generators: a
+    reduced-echelon kernel basis modulo the span, block by block, merged in
+    global free-column order."""
     kris = build_k_ris(spec, s)
     t = tensor_mod_I(kris, spec)
     summands = direct_summands(t)
     fd = t.domain.rank_field
     one = Polynomial.one(t.n_vars, t.domain)
-    spans, generators = [], []
+    where, generators = {}, []
     for n in range(t.max_degree + 1):
         labels = t.module(n).labels
-        blocks, picked = [], []
+        picked = []
         for b in summands:
             idx = b.index.get(n)
             if idx is None:
                 continue
-            span = _column_span(b.mats.get(n + 1, []), b.dim(n + 1), fd)
-            blocks.append((idx, span))
+            span = b.spans[n] = _column_span(b.mats.get(n + 1, []),
+                                             b.dim(n + 1), fd)
+            where.update((labels[gi], (b, j)) for j, gi in enumerate(idx))
             for v in _homology_basis(b.mats.get(n, []), len(idx), span):
                 w = {j: c for j, c in enumerate(v) if c}
                 if fd.kind != "Fp":
@@ -315,9 +301,8 @@ def _tor_basis(spec: RegularSequenceSpec, s: int) -> TorReport:
                 # a reduced-echelon kernel vector ends at its free column
                 picked.append((idx[max(w)], {labels[idx[j]]: one.scale(c)
                                              for j, c in w.items()}))
-        spans.append(blocks)
         generators.append([g for _, g in sorted(picked, key=lambda p: p[0])])
-    return TorReport(generators, kris, t, summands, spans)
+    return TorReport(generators, kris, t, summands, where)
 
 
 def tensor_mod_I_complex(spec: RegularSequenceSpec, s: int) -> ChainComplex:
@@ -334,7 +319,6 @@ def tor_products(report: TorReport) -> ProductTable:
     flat = [(n, i) for n in range(1, len(report.generators))
             for i in range(len(report.generators[n]))]
     entries = {}
-    locators: dict[int, dict] = {}
     top = t.max_degree
     for ai, (na, ia) in enumerate(flat):
         for bi, (nb, ib) in enumerate(flat):
@@ -343,14 +327,10 @@ def tor_products(report: TorReport) -> ProductTable:
             nd = na + nb
             if nd > top or not prod:
                 continue
-            blocks = report.spans[nd]
-            if nd not in locators:
-                locators[nd] = _locator(t, nd, blocks)
             resid = []
-            for k, v in _block_vectors(prod, locators[nd], blocks,
-                                       fd).items():
-                idx, span = blocks[k]
-                resid += [(gi, c) for gi, c in zip(idx, span.reduce(v))
+            for b, v in _block_vectors(prod, nd, report.where, fd).items():
+                resid += [(gi, c) for gi, c in
+                          zip(b.index[nd], b.spans[nd].reduce(v))
                           if c != fd.zero()]
             if resid:
                 labels = t.module(nd).labels
@@ -377,20 +357,30 @@ class FreenessReport:
 
 def divisor_report(matrices: dict[int, list[list[int]]],
                    probe_primes=(2, 3, 5)) -> FreenessReport:
+    """Divisor certificate of integer matrices, one per degree."""
+    return _block_divisor_report({n: [m] for n, m in matrices.items()},
+                                 probe_primes)
+
+
+def _block_divisor_report(blocks: dict[int, list[list[list[int]]]],
+                          probe_primes=(2, 3, 5)) -> FreenessReport:
+    """divisor_report of the block-diagonal matrices with these diagonal
+    blocks, one list per degree."""
     divisors = {}
     rank_by_field: dict = {"QQ": {}}
     offending = []
     for p in probe_primes:
         rank_by_field[f"F{p}"] = {}
-    for n, m in sorted(matrices.items()):
-        snf = smith_normal_form(m)
+    for n, ms in sorted(blocks.items()):
+        snf = block_smith_form(ms)
         divisors[n] = snf.diagonal
         for d in snf.torsion:
             offending.append(f"degree {n}: elementary divisor {d} != 1")
-        rows_q = [{j: v for j, v in enumerate(r) if v} for r in m]
+        rows_q = [[{j: v for j, v in enumerate(r) if v} for r in m]
+                  for m in ms]
         rank_by_field["QQ"][n] = snf.rank
         for p in probe_primes:
-            rp = sparse_rank(rows_q, GF(p))
+            rp = sum(sparse_rank(rows, GF(p)) for rows in rows_q)
             rank_by_field[f"F{p}"][n] = rp
             if rp != snf.rank:
                 offending.append(
@@ -401,11 +391,15 @@ def divisor_report(matrices: dict[int, list[list[int]]],
 def freeness_check(spec: RegularSequenceSpec, s: int) -> FreenessReport:
     """Certify Tor is a free R/I-module: every elementary divisor of every
     tensored differential is 1, so images are direct summands and ranks
-    survive base change to any field."""
+    survive base change to any field.  Read block by block off the direct
+    summands of the tensored resolution."""
     if spec.domain.kind == "Fp":
         raise ValueError("freeness certificate needs a characteristic-0 domain")
     t = tensor_mod_I_complex(spec, s)
-    return divisor_report(tensored_matrices(t))
+    summands = direct_summands(t)
+    return _block_divisor_report({n: [b.mats[n] for b in summands
+                                      if n in b.mats]
+                                  for n in range(1, t.max_degree + 1)})
 
 
 def induced_tor_map(f: ChainMap) -> dict[int, list[list]]:
@@ -433,24 +427,22 @@ def _induced_matrices(f: ChainMap, src: TorReport,
     for n in range(max(len(src.ranks), len(tgt.ranks))):
         src_gens = src.generators[n] if n < len(src.generators) else []
         tgt_gens = tgt.generators[n] if n < len(tgt.generators) else []
-        blocks = tgt.spans[n] if n < len(tgt.spans) else []
-        locate = _locator(tgt.t, n, blocks)
         # each target generator lies in one block; a class has unique
         # coordinates on its block's generators, which are independent
         # modulo the block's boundaries
-        gens_in: dict[int, list[tuple[int, list]]] = {}
+        gens_in: dict[Summand, list[tuple[int, list]]] = {}
         for i, g in enumerate(tgt_gens):
-            (k, v), = _block_vectors(g, locate, blocks, fd).items()
-            gens_in.setdefault(k, []).append((i, v))
+            (b, v), = _block_vectors(g, n, tgt.where, fd).items()
+            gens_in.setdefault(b, []).append((i, v))
         comp = f.component(n)
         cols = []
         for g in src_gens:
             col = [0] * len(tgt_gens)
-            image = _block_vectors(comp.apply(g), locate, blocks, fd)
-            for k, v in image.items():
-                gens = gens_in.get(k, [])
+            image = _block_vectors(comp.apply(g), n, tgt.where, fd)
+            for b, v in image.items():
+                gens = gens_in.get(b, [])
                 coords = class_coordinates([w for _, w in gens],
-                                           blocks[k][1], v)
+                                           b.spans[n], v)
                 if coords is None:
                     raise ValueError("cycle class not in generator span")
                 for (i, _), x in zip(gens, coords):

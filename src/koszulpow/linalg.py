@@ -357,3 +357,11 @@ def merge_divisor_chains(chains: list[tuple[int, ...]]) -> tuple[int, ...]:
                     changed = True
         ds.sort()
     return (1,) * units + tuple(ds)
+
+
+def block_smith_form(blocks: list[list[list[int]]]) -> SmithForm:
+    """Smith normal form of a block-diagonal matrix from its diagonal
+    blocks: their divisor chains merged, their ranks added."""
+    forms = [smith_normal_form(b) for b in blocks]
+    return SmithForm(merge_divisor_chains([f.diagonal for f in forms]),
+                     sum(f.rank for f in forms))

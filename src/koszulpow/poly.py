@@ -18,14 +18,25 @@ from operator import add
 Exponents = tuple[int, ...]
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin; ValueError from _MR_BOUND up."""
+    if p >= _MR_BOUND:
+        raise ValueError(f"cannot certify a modulus >= {_MR_BOUND} as prime")
+    if p < 2 or any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        xs = [pow(a, d << i, p) for i in range(r)]   # a^d, a^2d, ...
+        if xs[0] != 1 and p - 1 not in xs:
             return False
-        d += 1
     return True
 
 

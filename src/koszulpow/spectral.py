@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poly import RegularSequenceSpec, binomial
-from .linalg import (sparse_rank, smith_normal_form, merge_divisor_chains,
-                     dense_row)
+from .linalg import sparse_rank, smith_normal_form, block_smith_form, dense_row
 from .chain import (FreeModule, SparseMap, ChainComplex, Label, zero_map,
                     compose, constant_rows, EMPTY_MODULE)
 from .resolution import build_k_ris
@@ -323,8 +322,7 @@ def support_blocks(f: SparseMap) -> SupportBlockReport:
                 raise ValueError(f"entry {g} <- {f.source.labels[j]} "
                                  f"crosses support blocks")
             b.matrix[-1][col_at[j]] = v
-    chains = [smith_normal_form(b.matrix).diagonal for b in blocks.values()]
     whole = [dense_row(row, f.source.dim) for row in rows]
-    return SupportBlockReport(list(blocks.values()),
-                              smith_normal_form(whole).diagonal,
-                              merge_divisor_chains(chains))
+    return SupportBlockReport(
+        list(blocks.values()), smith_normal_form(whole).diagonal,
+        block_smith_form([b.matrix for b in blocks.values()]).diagonal)

@@ -7,8 +7,13 @@ from pathlib import Path
 import pytest
 
 from koszulpow.poly import QQ, ZZ
+import koszulpow.cli as cli
 from koszulpow.cli import (ConfigError, parse_field, parse_sequence,
                            explicit_spec, run)
+
+
+def _never_run(cfg):
+    raise AssertionError("the command ran despite a bad --out")
 
 
 def capture(capsys, argv):
@@ -146,6 +151,24 @@ class TestExitCodes:
         self.assert_config_error(["tor", "--n", "2", "--s", "1",
                                   "--config", str(cfg)], capsys)
 
+    @pytest.mark.parametrize("out", ["missing/x.json", "."])
+    def test_bad_out_is_two_before_any_computation(self, out, tmp_path,
+                                                   capsys, monkeypatch):
+        monkeypatch.setitem(cli._COMMANDS, "tor", _never_run)
+        self.assert_config_error(["tor", "--n", "2", "--s", "1",
+                                  "--out", str(tmp_path / out)], capsys)
+
+    def test_bad_out_from_config_is_two_before_any_computation(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(cli._COMMANDS, "tor", _never_run)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path)}))
+        self.assert_config_error(["tor", "--config", str(cfg)], capsys)
+
+    def test_composite_modulus_is_two(self, capsys):
+        self.assert_config_error(["tor", "--n", "2", "--s", "1",
+                                  "--field", "Fp:561"], capsys)
+
     def test_non_utf8_sequence_file_is_two(self, tmp_path, capsys):
         f = tmp_path / "seq.json"
         f.write_bytes(b"\xff\xfe\x00bad")
@@ -215,6 +238,19 @@ class TestStartup:
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(src)})
         assert out.stdout.strip() == "False"
+
+
+class TestLargePrimeModulus:
+    def test_eighteen_digit_prime_runs_promptly(self):
+        # 10^18 + 3 is prime; a trial-division primality test never ends
+        src = Path(__file__).resolve().parent.parent / "src"
+        res = subprocess.run(
+            [sys.executable, "-m", "koszulpow.cli", "tor", "--n", "2",
+             "--s", "1", "--field", "Fp:1000000000000000003"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["report"]["ranks"] == [1, 2, 1]
 
 
 class TestReports:

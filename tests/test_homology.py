@@ -271,6 +271,54 @@ class TestFreeness:
             freeness_check(RegularSequenceSpec.variables(2, GF(3)), 2)
 
 
+def _freeness_cases():
+    cases = [(RegularSequenceSpec.variables(n, dom), s)
+             for dom in (QQ, ZZ) for n in (1, 2, 3, 4) for s in (1, 2, 3)]
+    cases += [(RegularSequenceSpec.variable_powers((1, 2, 2), ZZ), s)
+              for s in (1, 2, 3)]
+    cases += [(RegularSequenceSpec.explicit(
+        [parse_poly(p, 3, dom) for p in ("x1+2*x2-x3", "x2-x3", "x3")]), 2)
+        for dom in (QQ, ZZ)]
+    return cases
+
+
+class TestFreenessFromBlocks:
+    """freeness_check reads the direct summands; the dense whole-matrix
+    divisor_report of the same tensored complex is the reference."""
+
+    @pytest.mark.parametrize("spec,s", _freeness_cases(),
+                             ids=lambda x: str(x) if isinstance(x, int)
+                             else None)
+    def test_matches_dense_divisor_report(self, spec, s):
+        got = freeness_check(spec, s)
+        ref = divisor_report(tensored_matrices(tensor_mod_I_complex(spec, s)))
+        assert got.ok == ref.ok
+        assert got.divisors == ref.divisors
+        assert got.rank_by_field == ref.rank_by_field
+        assert got.offending == ref.offending
+        assert got.summary() == ref.summary()
+
+    def test_smith_form_sees_only_blocks(self, monkeypatch):
+        import sys
+        orig = smith_normal_form
+        heights = []
+
+        def wrapper(matrix):
+            heights.append(len(matrix))
+            return orig(matrix)
+
+        for key, m in list(sys.modules.items()):
+            if key.startswith("koszulpow."):
+                for attr, val in list(vars(m).items()):
+                    if val is orig:
+                        monkeypatch.setattr(m, attr, wrapper)
+        spec = RegularSequenceSpec.variables(4)
+        largest = max(b.dim(n) for b in direct_summands(
+            tensor_mod_I_complex(spec, 3)) for n in b.index)
+        freeness_check(spec, 3)
+        assert heights and max(heights) <= largest
+
+
 def identity_chain_map(c):
     one = Polynomial.one(c.n_vars, c.domain)
     comps = {}

@@ -8,7 +8,8 @@ import pytest
 from koszulpow.poly import Domain, QQ, ZZ, GF
 from koszulpow.linalg import (rref, rank_dense, kernel_basis, solve,
                               mat_vec, sparse_rank, smith_normal_form,
-                              merge_divisor_chains, SmithForm, Echelon,
+                              merge_divisor_chains, block_smith_form,
+                              SmithForm, Echelon,
                               class_coordinates, dense_row, _clear_row)
 
 
@@ -243,6 +244,49 @@ class TestMergeDivisorChains:
             assert (merge_divisor_chains([snf_divisors_by_minors(a),
                                           snf_divisors_by_minors(b)])
                     == snf_divisors_by_minors(block))
+
+
+
+def block_diagonal(blocks):
+    """The block-diagonal matrix with these blocks, in order."""
+    n_cols = sum(len(b[0]) if b else 0 for b in blocks)
+    out, col = [], 0
+    for b in blocks:
+        width = len(b[0]) if b else 0
+        out += [[0] * col + row + [0] * (n_cols - col - width) for row in b]
+        col += width
+    return out
+
+
+class TestBlockSmithForm:
+    def test_empty_list(self):
+        assert block_smith_form([]) == SmithForm((), 0)
+
+    def test_all_zero_blocks(self):
+        zero = [[[0, 0], [0, 0]], [[0], [0], [0]], [[0, 0, 0]]]
+        assert block_smith_form(zero) == SmithForm((), 0)
+        assert block_smith_form(zero) == smith_normal_form(
+            block_diagonal(zero))
+
+    def test_against_assembled_matrix(self):
+        rng = random.Random(33)
+        for _ in range(80):
+            blocks = []
+            for _ in range(rng.randint(1, 4)):
+                nr, nc = rng.randint(1, 3), rng.randint(1, 3)
+                if rng.random() < 0.2:
+                    blocks.append([[0] * nc for _ in range(nr)])
+                else:
+                    blocks.append(rand_matrix(rng, nr, nc, -4, 4))
+            assert block_smith_form(blocks) == smith_normal_form(
+                block_diagonal(blocks))
+
+    def test_blocks_with_an_empty_side(self):
+        # a block of rows without columns adds neither rank nor divisors
+        blocks = [[[2]], [[], []], [[3, 0], [0, 4]]]
+        assert block_smith_form(blocks) == smith_normal_form(
+            block_diagonal(blocks))
+        assert block_smith_form(blocks) == SmithForm((1, 2, 12), 3)
 
 
 # ---------------------------------------------------------------------------

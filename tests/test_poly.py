@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from koszulpow.poly import (Domain, QQ, ZZ, GF, parse_domain, Polynomial,
+                            _is_prime,
                             parse_poly, ParseError, RegularSequenceSpec,
                             monomials_of_degree, count_monomials,
                             random_polynomial)
@@ -59,6 +60,34 @@ class TestDomain:
             parse_domain("GF9")
         with pytest.raises(ValueError):
             parse_domain("Fp:6")
+
+
+def trial_division_is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+class TestIsPrime:
+    def test_matches_trial_division_below_ten_thousand(self):
+        assert [n for n in range(10 ** 4) if _is_prime(n)] == \
+            [n for n in range(10 ** 4) if trial_division_is_prime(n)]
+
+    @pytest.mark.parametrize("n", [561, 1105, 1729, 2047])
+    def test_carmichael_and_base_two_pseudoprimes(self, n):
+        # 561, 1105, 1729 are Carmichael numbers; 2047 = 23 * 89 is a
+        # strong pseudoprime to base 2
+        assert not _is_prime(n)
+
+    def test_large_primes_and_composites(self):
+        assert _is_prime(1000000000000000003)
+        assert _is_prime(2 ** 61 - 1)
+        assert not _is_prime(1000000007 * 998244353)
+        assert not _is_prime(3215031751)     # strong pseudoprime to 2, 3, 5, 7
+
+    def test_modulus_beyond_the_certified_bound_rejected(self):
+        with pytest.raises(ValueError):
+            _is_prime(3317044064679887385961981)
+        with pytest.raises(ValueError):
+            GF(2 ** 89 - 1)
 
 
 class TestMonomials:

@@ -30,6 +30,10 @@ CONTRACT = [
      "ad9296f7a171d43a8ac9a0c1cccf982cba3050e3f47dbc101711e7f19c35632e"),
     (["verify", "--n", "3", "--s", "3", "--field", "Z"], 0,
      "6035bbce2715deff2e79414f4df3c9a8f0a1e6c240ecfab5cdad4f0f8658f764"),
+    (["verify", "--n", "4", "--s", "3"], 0,
+     "8f562bd35ced9728a2291c1b9aa3f6cb238ab57d81d6ff5715c77ccd0d251c6a"),
+    (["tor", "--n", "4", "--s", "3", "--field", "Z"], 0,
+     "8b7d9ebe51c0060ef864471c8154b3e0d4f1861ea3efce2f3bd8c9d8bf0e9622"),
     (["build", "--n", "3", "--s", "2"], 0,
      "0cfd59b032288a5ef257d7926e3818277a8bcb0c4eb9adce78547477012360aa"),
     (["splice", "--n", "2", "--s", "2"], 0,
