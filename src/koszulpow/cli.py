@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, asdict
 
 from .poly import Domain, RegularSequenceSpec, parse_domain, parse_poly
@@ -34,23 +35,46 @@ class ConfigError(Exception):
     pass
 
 
+# One row per run setting: its RunConfig attribute; its flag without the
+# "--" and with "_" for "-", which is also its config-file key (so is the
+# attribute); its type; default; least allowed value; help text.
+Setting = namedtuple("Setting", "attr flag type default least help")
+
+SETTINGS = (
+    Setting("n_vars", "n", int, 2, 1, "number of variables"),
+    Setting("s", "s", int, 1, 1, "power of the ideal"),
+    Setting("field", "field", str, "Q", None,
+            "coefficient domain: Q, Z, or Fp:p"),
+    Setting("sequence", "sequence", str, "vars", None,
+            "vars | powers:a1,a2,.. | file:PATH"),
+    Setting("max_degree", "max_degree", int, None, 0,
+            "cap reported homological degrees"),
+    Setting("max_internal", "max_internal", int, None, 1,
+            "internal-degree bound for slice checks"),
+    Setting("workers", "workers", int, 1, 1,
+            "accepted for compatibility (must be >= 1); "
+            "slices are ranked sequentially"),
+    Setting("out", "out", str, None, None,
+            "write the report here, not stdout"),
+)
+
+
 @dataclass
 class RunConfig:
+    """A subcommand and its value of each setting in SETTINGS."""
     command: str
     n_vars: int
-    field: str                           # "Q" | "Z" | "Fp:p"
-    sequence: str                        # "vars" | "powers:a1,.." | "file:PATH"
     s: int
-    max_degree: int | None               # cap on reported homological degrees
-    max_internal: int | None             # internal-degree bound D
+    field: str
+    sequence: str
+    max_degree: int | None
+    max_internal: int | None
     workers: int
     out: str | None
 
-    def domain(self) -> Domain:
-        return parse_field(self.field)
-
     def spec(self) -> RegularSequenceSpec:
-        return parse_sequence(self.sequence, self.n_vars, self.domain())
+        return parse_sequence(self.sequence, self.n_vars,
+                              parse_field(self.field))
 
 
 def parse_field(text: str) -> Domain:
@@ -60,27 +84,33 @@ def parse_field(text: str) -> Domain:
         raise ConfigError(f"bad field {text!r}: {e}") from None
 
 
+def _string_list(text: str, what: str) -> list[str]:
+    """The JSON list of polynomial strings in text."""
+    try:
+        items = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"bad {what}: {e}") from None
+    if not isinstance(items, list) or \
+            not all(isinstance(x, str) for x in items):
+        raise ConfigError(f"{what} must hold a list of polynomial strings")
+    return items
+
+
 def _read_sequence_file(path: str) -> list[str]:
     try:
         with open(path) as fh:
-            body = fh.read()
+            body = fh.read().strip()
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read sequence file: {e}") from None
-    body = body.strip()
     if body.startswith("["):
-        try:
-            items = json.loads(body)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"bad sequence file {path}: {e}") from None
-        if not isinstance(items, list) or \
-                not all(isinstance(x, str) for x in items):
-            raise ConfigError(f"sequence file {path} must hold a list of "
-                              f"polynomial strings")
-        return items
+        return _string_list(body, f"sequence file {path}")
     return [ln for ln in body.splitlines() if ln.strip()]
 
 
 def parse_sequence(text: str, n_vars: int, domain: Domain) -> RegularSequenceSpec:
+    """The sequence text names: "vars", "powers:a1,a2,..", "file:PATH" (a
+    JSON list of polynomial strings, or one per line) or
+    "explicit:<JSON list>", which a config file's inline list becomes."""
     if text == "vars":
         if n_vars < 1:
             raise ConfigError("--sequence vars needs --n >= 1")
@@ -99,8 +129,11 @@ def parse_sequence(text: str, n_vars: int, domain: Domain) -> RegularSequenceSpe
             raise ConfigError(str(e)) from None
     if text.startswith("file:"):
         strings = _read_sequence_file(text[len("file:"):])
-        return explicit_spec(strings, n_vars, domain)
-    raise ConfigError(f"unknown sequence source {text!r}")
+    elif text.startswith("explicit:"):
+        strings = _string_list(text[len("explicit:"):], "explicit sequence")
+    else:
+        raise ConfigError(f"unknown sequence source {text!r}")
+    return explicit_spec(strings, n_vars, domain)
 
 
 def explicit_spec(strings: list[str], n_vars: int,
@@ -112,10 +145,9 @@ def explicit_spec(strings: list[str], n_vars: int,
     polys = []
     for text in strings:
         try:
-            p = parse_poly(text, n_vars, domain)
+            polys.append(parse_poly(text, n_vars, domain))
         except ValueError as e:
             raise ConfigError(f"cannot parse {text!r}: {e}") from None
-        polys.append(p)
     try:
         return RegularSequenceSpec.explicit(polys)
     except ValueError as e:
@@ -124,16 +156,6 @@ def explicit_spec(strings: list[str], n_vars: int,
 
 # ---------------------------------------------------------------------------
 # Configuration assembly.
-
-_DEFAULTS = {"n_vars": 2, "field": "Q", "sequence": "vars", "s": 1,
-             "max_degree": None, "max_internal": None, "workers": 1,
-             "out": None}
-
-_CONFIG_KEYS = {"n_vars": "n", "field": "field", "sequence": "sequence",
-                "s": "s", "max_degree": "max_degree",
-                "max_internal": "max_internal", "workers": "workers",
-                "out": "out"}
-
 
 def _load_config_file(path: str) -> dict:
     try:
@@ -145,76 +167,45 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    known = set(_CONFIG_KEYS) | set(_CONFIG_KEYS.values())
+    known = {s.flag for s in SETTINGS} | {s.attr for s in SETTINGS}
     for k in data:
         if k not in known:
             raise ConfigError(f"unknown config key {k!r}")
     return data
 
 
-def _check_config_type(attr: str, val) -> None:
-    """A config-file value must have its flag's type: an int (not a bool)
-    for the numeric keys, a string otherwise; the sequence may also be an
-    inline list of polynomial strings."""
-    if attr in ("n_vars", "s", "max_degree", "max_internal", "workers"):
-        ok, want = type(val) is int, "an integer"
-    elif attr == "sequence":
-        ok = isinstance(val, str) or (isinstance(val, list) and
-                                      all(isinstance(x, str) for x in val))
-        want = "a string or a list of strings"
-    else:
-        ok, want = isinstance(val, str), "a string"
-    if not ok:
-        raise ConfigError(f"config key {_CONFIG_KEYS[attr]!r} must be "
-                          f"{want}, got {val!r}")
+def _config_value(s: Setting, val):
+    """A config-file value of the setting's type (an int is not a bool);
+    the sequence may also be an inline list of polynomial strings."""
+    if s.attr == "sequence" and isinstance(val, list) and \
+            all(isinstance(x, str) for x in val):
+        return "explicit:" + json.dumps(val)
+    if type(val) is not s.type:
+        want = "an integer" if s.type is int else "a string"
+        if s.attr == "sequence":
+            want += " or a list of strings"
+        raise ConfigError(f"config key {s.flag!r} must be {want}, "
+                          f"got {val!r}")
+    return val
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    file_vals: dict = {}
-    if args.config:
-        raw = _load_config_file(args.config)
-        for attr, key in _CONFIG_KEYS.items():
-            if key in raw:
-                file_vals[attr] = raw[key]
-            elif attr in raw:
-                file_vals[attr] = raw[attr]
-            if attr in file_vals:
-                _check_config_type(attr, file_vals[attr])
-
-    def pick(attr, flag_val):
-        if flag_val is not None:
-            return flag_val
-        if attr in file_vals:
-            return file_vals[attr]
-        return _DEFAULTS[attr]
-
-    seq = pick("sequence", args.sequence)
-    if isinstance(seq, list):             # config may inline the polynomials
-        seq = "explicit:" + json.dumps(seq)
-    cfg = RunConfig(
-        command=args.command,
-        n_vars=pick("n_vars", args.n),
-        field=pick("field", args.field),
-        sequence=seq,
-        s=pick("s", args.s),
-        max_degree=pick("max_degree", args.max_degree),
-        max_internal=pick("max_internal", args.max_internal),
-        workers=pick("workers", args.workers),
-        out=pick("out", args.out),
-    )
-    if cfg.s < 1:
-        raise ConfigError("s must be >= 1")
-    if cfg.n_vars < 1:
-        raise ConfigError("n must be >= 1")
-    if cfg.max_degree is not None and cfg.max_degree < 0:
-        raise ConfigError("max-degree must be >= 0")
-    if cfg.max_internal is not None and cfg.max_internal < 1:
-        raise ConfigError("max-internal must be >= 1")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
-    if cfg.out is not None:
-        _check_out(cfg.out)
-    return cfg
+    """Each setting from its flag, else the config file, else its default."""
+    raw = _load_config_file(args.config) if args.config else {}
+    values = {}
+    for s in SETTINGS:
+        key = s.flag if s.flag in raw else s.attr
+        val = _config_value(s, raw[key]) if key in raw else s.default
+        flag_val = getattr(args, s.flag)
+        values[s.attr] = val if flag_val is None else flag_val
+    for s in SETTINGS:
+        val = values[s.attr]
+        if s.least is not None and val is not None and val < s.least:
+            raise ConfigError(f"{s.flag.replace('_', '-')} must be "
+                              f">= {s.least}")
+    if values["out"] is not None:
+        _check_out(values["out"])
+    return RunConfig(command=args.command, **values)
 
 
 def _check_out(path: str) -> None:
@@ -225,13 +216,6 @@ def _check_out(path: str) -> None:
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise ConfigError(f"cannot write report: no directory {parent!r}")
-
-
-def _resolve_spec(cfg: RunConfig) -> RegularSequenceSpec:
-    if cfg.sequence.startswith("explicit:"):
-        strings = json.loads(cfg.sequence[len("explicit:"):])
-        return explicit_spec(strings, cfg.n_vars, cfg.domain())
-    return cfg.spec()
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +229,12 @@ def _int_keys(d: dict) -> dict:
     return {str(k): v for k, v in sorted(d.items())}
 
 
-def _str_matrix(m: list[list]) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m]
-
-
 # ---------------------------------------------------------------------------
-# Subcommands.  Each returns (payload, ok).
+# Subcommands.  Each returns (payload, ok); its docstring is its help.
 
 def cmd_build(cfg: RunConfig):
-    spec = _resolve_spec(cfg)
+    """construct the resolution and check its identities"""
+    spec = cfg.spec()
     c = build_k_ris(spec, cfg.s)
     squared = verify_complex(c)
     ids = verify_identities(spec, cfg.s)
@@ -274,8 +255,12 @@ def cmd_build(cfg: RunConfig):
 
 
 def cmd_verify(cfg: RunConfig):
-    spec = _resolve_spec(cfg)
-    exact = verify_exactness(spec, cfg.s, cfg.max_internal)
+    """exactness grid, Hilbert comparison, divisor certificate"""
+    spec = cfg.spec()
+    try:
+        exact = verify_exactness(spec, cfg.s, cfg.max_internal)
+    except ValueError as e:              # a coefficient it cannot factor
+        raise ConfigError(str(e)) from None
     ids = verify_identities(spec, cfg.s)
     payload = {
         "exactness": {
@@ -309,7 +294,8 @@ def cmd_verify(cfg: RunConfig):
 
 
 def cmd_tor(cfg: RunConfig):
-    spec = _resolve_spec(cfg)
+    """Tor ranks, generators, product table, reduction map"""
+    spec = cfg.spec()
     rep = tor(spec, cfg.s)
     payload = {
         "ranks": list(rep.ranks),
@@ -324,19 +310,14 @@ def cmd_tor(cfg: RunConfig):
     if cfg.s >= 2:
         ok = ok and rep.products.all_zero
     if rep.induced_reduction is not None:
-        dom = spec.domain
-        zero, one = dom.zero(), dom.one()
-        red_ok = True
-        for n, m in rep.induced_reduction.items():
-            if n == 0:
-                red_ok &= all(m[i][j] == (one if i == j else zero)
-                              for i in range(len(m))
-                              for j in range(len(m[i])))
-            else:
-                red_ok &= all(x == zero for row in m for x in row)
+        zero, one = spec.domain.zero(), spec.domain.one()
+        # the identity in degree 0, zero in every positive degree
+        red_ok = all(x == (one if n == 0 and i == j else zero)
+                     for n, m in rep.induced_reduction.items()
+                     for i, row in enumerate(m) for j, x in enumerate(row))
         payload["induced_reduction"] = {
             "zero_in_positive_degrees": red_ok,
-            "matrices": {str(n): _str_matrix(m)
+            "matrices": {str(n): [[str(x) for x in row] for row in m]
                          for n, m in sorted(rep.induced_reduction.items())},
         }
         ok = ok and red_ok
@@ -344,7 +325,8 @@ def cmd_tor(cfg: RunConfig):
 
 
 def cmd_spectral(cfg: RunConfig):
-    spec = _resolve_spec(cfg)
+    """page grids, collapse verdict, block decomposition"""
+    spec = cfg.spec()
     p1 = e1_page(spec, cfg.s)
     p2 = e2_page(spec, cfg.s, p1)
     collapse = collapse_check(spec, cfg.s, p2)
@@ -380,7 +362,8 @@ def cmd_spectral(cfg: RunConfig):
 
 
 def cmd_splice(cfg: RunConfig):
-    spec = _resolve_spec(cfg)
+    """iterated splice reconstruction and extension class"""
+    spec = cfg.spec()
     rebuilt = iterated_splice(spec, cfg.s)
     direct = build_k_ris(spec, cfg.s)
     identical = rebuilt.same_shape_as(direct) and rebuilt.equal_maps(direct)
@@ -394,16 +377,12 @@ def cmd_splice(cfg: RunConfig):
         th = theta_representative(koszul_complex(spec), power_ses(spec, 2))
         th_split = theta_representative(koszul_complex(spec),
                                         split_power_ses(spec, 2))
-        payload["theta"] = {
-            "verdict": "trivial" if th.trivial else "nontrivial",
-            "cocycle_ok": th.cocycle_ok,
-            "lines": th.lines(),
-        }
-        payload["theta_split_control"] = {
-            "verdict": "trivial" if th_split.trivial else "nontrivial",
-            "cocycle_ok": th_split.cocycle_ok,
-            "lines": th_split.lines(),
-        }
+        for key, t in (("theta", th), ("theta_split_control", th_split)):
+            payload[key] = {
+                "verdict": "trivial" if t.trivial else "nontrivial",
+                "cocycle_ok": t.cocycle_ok,
+                "lines": t.lines(),
+            }
         ok = ok and th.cocycle_ok and th_split.cocycle_ok and th_split.trivial
     return payload, ok
 
@@ -418,32 +397,15 @@ _COMMANDS = {"build": cmd_build, "verify": cmd_verify, "tor": cmd_tor,
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override")
-    common.add_argument("--n", type=int, help="number of variables")
-    common.add_argument("--s", type=int, help="power of the ideal")
-    common.add_argument("--field", help="coefficient domain: Q, Z, or Fp:p")
-    common.add_argument("--sequence",
-                        help="vars | powers:a1,a2,.. | file:PATH")
-    common.add_argument("--max-degree", type=int, dest="max_degree",
-                        help="cap reported homological degrees")
-    common.add_argument("--max-internal", type=int, dest="max_internal",
-                        help="internal-degree bound for slice checks")
-    common.add_argument("--workers", type=int,
-                        help="accepted for compatibility (must be >= 1); "
-                             "slices are ranked sequentially")
-    common.add_argument("--out", help="write the report here, not stdout")
+    for s in SETTINGS:
+        common.add_argument("--" + s.flag.replace("_", "-"), type=s.type,
+                            help=s.help)
     parser = argparse.ArgumentParser(
         prog="koszulpow",
         description="Build and machine-verify resolutions of ideal powers.")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "build": "construct the resolution and check its identities",
-        "verify": "exactness grid, Hilbert comparison, divisor certificate",
-        "tor": "Tor ranks, generators, product table, reduction map",
-        "spectral": "page grids, collapse verdict, block decomposition",
-        "splice": "iterated splice reconstruction and extension class",
-    }
-    for name, txt in helps.items():
-        sub.add_parser(name, parents=[common], help=txt)
+    for name, cmd in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=cmd.__doc__)
     return parser
 
 
@@ -459,8 +421,7 @@ def render_report(cfg: RunConfig, payload: dict, ok: bool) -> str:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         cfg = build_config(args)
         payload, ok = _COMMANDS[cfg.command](cfg)

@@ -355,21 +355,23 @@ class FreenessReport:
         return "; ".join(self.offending)
 
 
-def divisor_report(matrices: dict[int, list[list[int]]],
-                   probe_primes=(2, 3, 5)) -> FreenessReport:
+# the primes at which a divisor certificate re-ranks every matrix
+_PROBE_PRIMES = (2, 3, 5)
+
+
+def divisor_report(matrices: dict[int, list[list[int]]]) -> FreenessReport:
     """Divisor certificate of integer matrices, one per degree."""
-    return _block_divisor_report({n: [m] for n, m in matrices.items()},
-                                 probe_primes)
+    return _block_divisor_report({n: [m] for n, m in matrices.items()})
 
 
-def _block_divisor_report(blocks: dict[int, list[list[list[int]]]],
-                          probe_primes=(2, 3, 5)) -> FreenessReport:
+def _block_divisor_report(
+        blocks: dict[int, list[list[list[int]]]]) -> FreenessReport:
     """divisor_report of the block-diagonal matrices with these diagonal
     blocks, one list per degree."""
     divisors = {}
     rank_by_field: dict = {"QQ": {}}
     offending = []
-    for p in probe_primes:
+    for p in _PROBE_PRIMES:
         rank_by_field[f"F{p}"] = {}
     for n, ms in sorted(blocks.items()):
         snf = block_smith_form(ms)
@@ -379,7 +381,7 @@ def _block_divisor_report(blocks: dict[int, list[list[list[int]]]],
         rows_q = [[{j: v for j, v in enumerate(r) if v} for r in m]
                   for m in ms]
         rank_by_field["QQ"][n] = snf.rank
-        for p in probe_primes:
+        for p in _PROBE_PRIMES:
             rp = sum(sparse_rank(rows, GF(p)) for rows in rows_q)
             rank_by_field[f"F{p}"][n] = rp
             if rp != snf.rank:

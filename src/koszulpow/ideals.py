@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement
 
 from .poly import (Polynomial, Domain, RegularSequenceSpec,
                    monomials_of_degree, count_monomials, mono_mul)
-from .linalg import Echelon, class_coordinates, dense_row, sparse_rank
+from .linalg import Echelon, dense_row, solve, sparse_rank
 
 Tag = tuple[int, ...]
 
@@ -166,20 +166,20 @@ class SubquotientModule:
         return self.spec.domain
 
     def _slice(self, d: int):
-        """(basis vectors, echelon of (I^b)_d, labels) for degree d."""
+        """(basis vectors, the same reduced modulo (I^b)_d, echelon of
+        (I^b)_d) for degree d."""
         if d in self._cache:
             return self._cache[d]
         spec = self.spec
         ech_b = self._power_b.echelon(d)
         n, zero = count_monomials(spec.n_vars, d), spec.domain.zero()
-        basis, labels = [], []
+        basis = []
         seen = ech_b.copy()
-        for tag, mu, col in power_span_columns(spec, self.a, d):
+        for _, _, col in power_span_columns(spec, self.a, d):
             v = dense_row(col, n, zero)
             if seen.insert(v):
                 basis.append(v)
-                labels.append((tag, mu))
-        self._cache[d] = (basis, ech_b, labels)
+        self._cache[d] = (basis, [ech_b.reduce(v) for v in basis], ech_b)
         return self._cache[d]
 
     def dim(self, d: int) -> int:
@@ -188,7 +188,7 @@ class SubquotientModule:
         return len(self._slice(d)[0])
 
     def basis_polynomials(self, d: int) -> list[Polynomial]:
-        basis, _, _ = self._slice(d)
+        basis = self._slice(d)[0]
         monos = monomials_of_degree(self.spec.n_vars, d)
         return [Polynomial(self.spec.n_vars, self.domain,
                            {m: c for m, c in zip(monos, v)}) for v in basis]
@@ -201,10 +201,10 @@ class SubquotientModule:
         """
         if not poly.is_zero() and poly.homogeneous_degree() != d:
             raise ValueError(f"expected homogeneous of degree {d}, got {poly}")
-        basis, ech_b, _ = self._slice(d)
+        _, reduced, ech_b = self._slice(d)
         monos = monomials_of_degree(self.spec.n_vars, d)
-        v = [self.domain.coerce(poly.terms.get(m, 0)) for m in monos]
-        coords = class_coordinates(basis, ech_b, v)
+        v = ech_b.reduce([poly.terms.get(m, 0) for m in monos])
+        coords = solve([list(r) for r in zip(*reduced)], v, self.domain)
         if coords is None:
             raise ValueError(f"{poly} does not lie in the subquotient slice")
         return coords

@@ -13,8 +13,11 @@ with the differential vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
+from math import gcd
 
-from .poly import Polynomial, QQ, GF, RegularSequenceSpec
+from .poly import (Polynomial, QQ, GF, RegularSequenceSpec, _MR_BASES,
+                   _MR_BOUND, _is_prime)
 from .ideals import PowerReducer, hilbert_function, tag_product
 from .chain import (make_label, FreeModule, SparseMap, ChainComplex,
                     ChainMap, graded_slice, slice_dim, Element, element_add)
@@ -113,18 +116,45 @@ def homology_slice_dims(c: ChainComplex, max_d: int) -> dict:
 
 
 def _coefficient_primes(spec: RegularSequenceSpec) -> set[int]:
-    """The primes that divide a coefficient of some generator."""
+    """The primes that divide a coefficient of some generator.
+
+    The primes below 43 are divided out; Pollard's rho splits what is left
+    until Miller-Rabin certifies every part prime.  A part from
+    poly._MR_BOUND up has no certificate either way: ValueError."""
     primes = set()
-    for c in {abs(int(c)) for u in spec.gens for c in u.terms.values()}:
-        d = 2
-        while c > 1:
-            if d * d > c:
-                d = c           # what is left is prime
-            while c % d == 0:
-                primes.add(d)
-                c //= d
-            d += 1
+    for coeff in {abs(int(c)) for u in spec.gens for c in u.terms.values()}:
+        rest = coeff
+        for p in _MR_BASES:
+            while rest % p == 0:
+                primes.add(p)
+                rest //= p
+        parts = [rest] if rest > 1 else []
+        while parts:
+            m = parts.pop()
+            if m >= _MR_BOUND:
+                raise ValueError(f"cannot factor the coefficient {coeff}: "
+                                 f"its factor {m} is too large to certify")
+            if _is_prime(m):
+                primes.add(m)
+            else:
+                d = _rho_factor(m)
+                parts += [d, m // d]
     return primes
+
+
+def _rho_factor(m: int) -> int:
+    """A proper factor of a composite m with no prime factor below 43
+    (Pollard's rho, Floyd's cycle finding, one new constant per failure)."""
+    for c in count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % m
+            y = (y * y + c) % m
+            y = (y * y + c) % m
+            d = gcd(x - y, m)
+        if d != m:
+            return d
 
 
 def verify_exactness(spec: RegularSequenceSpec, s: int,
@@ -140,7 +170,8 @@ def verify_exactness(spec: RegularSequenceSpec, s: int,
     Hilbert function of the sequence mod p, H_1 is the p-torsion of R/I^s,
     of dimension HF_p(d) - HF_Q(d), and H_n = 0 for n >= 2.  For
     unit-coefficient sequences HF_p = HF_Q and every F_p run must be
-    exact like the QQ run.
+    exact like the QQ run.  ValueError if a coefficient has a prime factor
+    too large to certify.
     """
     if max_internal is None:
         max_internal = default_internal_bound(spec, s)

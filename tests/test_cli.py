@@ -175,6 +175,16 @@ class TestExitCodes:
         self.assert_config_error(["tor", "--n", "2", "--s", "1",
                                   "--sequence", f"file:{f}"], capsys)
 
+    @pytest.mark.parametrize("seq", ["explicit:nope", 'explicit:"x1"',
+                                     "explicit:[1, 2]"],
+                             ids=["bad-json", "non-list", "non-string"])
+    def test_malformed_explicit_sequence_is_two(self, seq, tmp_path, capsys):
+        self.assert_config_error(["tor", "--n", "2", "--s", "1",
+                                  "--sequence", seq], capsys)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 2, "sequence": seq}))
+        self.assert_config_error(["tor", "--config", str(cfg)], capsys)
+
     def test_non_utf8_config_file_is_two(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_bytes(b"\xff\xfe\x00bad")
@@ -251,6 +261,34 @@ class TestLargePrimeModulus:
             env={**os.environ, "PYTHONPATH": str(src)})
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["report"]["ranks"] == [1, 2, 1]
+
+
+class TestLargeCoefficients:
+    @staticmethod
+    def verify_file(tmp_path, gens):
+        f = tmp_path / "seq.json"
+        f.write_text(json.dumps(gens))
+        src = Path(__file__).resolve().parent.parent / "src"
+        return subprocess.run(
+            [sys.executable, "-m", "koszulpow.cli", "verify", "--n", "2",
+             "--s", "1", "--field", "Z", "--sequence", f"file:{f}"],
+            capture_output=True, text=True, timeout=5,
+            env={**os.environ, "PYTHONPATH": str(src)})
+
+    def test_eighteen_digit_prime_coefficient_is_factored(self, tmp_path):
+        # 10^18 + 3 is prime; trial division up to its root never ends
+        res = self.verify_file(tmp_path, ["1000000000000000003*x1", "x2"])
+        assert res.returncode == 0, res.stderr
+        assert "F1000000000000000003" in \
+            json.loads(res.stdout)["report"]["exactness"]["fields_checked"]
+
+    def test_uncertifiable_prime_factor_is_two(self, tmp_path):
+        # 2^89 - 1 is prime but above the Miller-Rabin certificate's range
+        res = self.verify_file(tmp_path, [f"{2 ** 89 - 1}*x1", "x2"])
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.stderr
 
 
 class TestReports:

@@ -11,7 +11,8 @@ import io
 import json
 import traceback
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, \
+    strategies as st
 
 from koszulpow.cli import run
 
@@ -33,6 +34,10 @@ def _sequence(kind: str, n: int, tmp) -> str:
         return "powers:0" + ",1" * (n - 1)
     if kind == "missing-file":
         return f"file:{tmp / 'missing.json'}"
+    if kind == "explicit-bad":                       # not JSON
+        return "explicit:[x1"
+    if kind == "explicit-nonstring":                 # a list of numbers
+        return "explicit:" + json.dumps(list(range(1, n + 1)))
     path = tmp / f"{kind}.json"
     path.write_text(json.dumps(SEQUENCE_FILES[kind][:n]))
     return f"file:{path}"
@@ -62,9 +67,14 @@ OPTIONAL_INT = st.one_of(st.none(), st.integers(-1, 4))
        n=st.integers(1, 3), s=st.integers(1, 3),
        field=st.sampled_from(["Q", "Z", "Fp:2", "Fp:5", "Fp:4"]),
        kind=st.sampled_from(["vars", "powers", "bad-powers", "missing-file",
+                             "explicit-bad", "explicit-nonstring",
                              *SEQUENCE_FILES]),
        max_internal=OPTIONAL_INT, max_degree=OPTIONAL_INT,
        workers=st.one_of(st.none(), st.integers(0, 3)))
+@example(command="tor", n=2, s=1, field="Q", kind="explicit-bad",
+         max_internal=None, max_degree=None, workers=None)
+@example(command="tor", n=2, s=1, field="Q", kind="explicit-nonstring",
+         max_internal=None, max_degree=None, workers=None)
 def test_exit_code_contract(tmp_path, command, n, s, field, kind,
                             max_internal, max_degree, workers):
     argv = [command, "--n", str(n), "--s", str(s), "--field", field,

@@ -189,6 +189,28 @@ class TestSubquotient:
         with pytest.raises(ValueError):
             m.project(P("1"), 0)
 
+    def test_project_reduces_only_its_argument(self, monkeypatch):
+        # a built slice keeps its basis reduced modulo (I^b)_d, so one
+        # projection reduces one vector, whatever the slice's dimension
+        spec = RegularSequenceSpec.explicit(
+            [P(t, 3) for t in ("x1^2+x2*x3", "x2^2-2*x1*x3")])
+        m = SubquotientModule(spec, 0, 1)
+        basis = m.basis_polynomials(2)
+        assert len(basis) == 4
+        ech_b = PowerReducer(m.spec, 1).echelon(2)
+        assert ech_b.rank == 2
+        calls = []
+        real = Echelon.reduce
+
+        def reduce(ech, v):
+            if ech.rows == ech_b.rows:          # a reduction modulo I_2
+                calls.append(v)
+            return real(ech, v)
+        monkeypatch.setattr(Echelon, "reduce", reduce)
+        for i, b in enumerate(basis):
+            assert m.project(b, 2) == [int(j == i) for j in range(4)]
+        assert len(calls) == len(basis)
+
     def test_action_matrix(self):
         m = SubquotientModule(vars_spec(2), 0, 2)
         # x1 * 1 = x1, written in the degree-1 basis {x1, x2}

@@ -1,18 +1,23 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, or anything
+outside the standard library and the package itself.
 
 There is no linter among the dependencies, so this walks each module's
 syntax tree with ``ast``: every name bound by an import must appear as a
-name somewhere else in the module.  ``__init__.py`` is left out because
-its imports are the package's re-exports.
+name somewhere else in the module.  ``__init__.py`` is left out of that
+check because its imports are the package's re-exports.  The runtime has
+no dependencies, so every absolute import must name a module of
+``sys.stdlib_module_names`` or the package.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "koszulpow"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALLOWED = sys.stdlib_module_names | {PACKAGE.name}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +43,32 @@ def test_checker_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Absolute imports of modules neither in the standard library nor in
+    the package; relative imports are the package's own."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        out += [f"line {node.lineno}: {name}" for name in names
+                if name.split(".")[0] not in ALLOWED]
+    return out
+
+
+def test_checker_flags_a_foreign_module():
+    src = ("from __future__ import annotations\nimport os.path, numpy\n"
+           "from . import poly\nfrom koszulpow.chain import compose\n"
+           "from sympy.core import Symbol\n")
+    assert foreign_imports(src) == ["line 2: numpy", "line 5: sympy.core"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_standard_library_only(path):
+    assert foreign_imports(path.read_text()) == []

@@ -4,10 +4,13 @@ Each digest pins one whole JSON report (and its exit code).  A change
 that alters any byte of these reports fails here; a deliberate change of
 the report format must update the digests and say so in CHANGES.md.
 File-based sequences are left out because their paths are echoed in the
-report's config.
+report's config; a ``--config`` file's path is not echoed, so config-file
+runs are pinned too.  The ``--help`` texts are pinned verbatim at a fixed
+terminal width.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -48,3 +51,81 @@ def test_report_bytes(capsys, argv, code, digest):
     out = capsys.readouterr().out
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+CONFIG_CONTRACT = [
+    # an inline list of polynomials as the sequence
+    ({"n": 2, "s": 2, "field": "Z", "sequence": ["x1+2*x2", "x2"]},
+     ["tor"], 0,
+     "0de88c9b24b0143c74ecc45787927d76d971bb5e39a7beb2834a08859b6d84af"),
+    # flags override the file
+    ({"n": 3, "s": 3, "field": "Z"}, ["spectral", "--s", "2", "--field", "Q"],
+     0, "1a5d69ec648665f6d51eddd75500e9099cd71e89fb756e0ef304914ee5fab86a"),
+    # keys spelled by attribute name
+    ({"n_vars": 3, "s": 2, "max_degree": 1}, ["build"], 0,
+     "d59108068d70ea30f66055bc800245d00d7a06e28b9488f5a505ec29056c7b2b"),
+]
+
+
+@pytest.mark.parametrize("body,argv,code,digest", CONFIG_CONTRACT,
+                         ids=[" ".join(a) + " " + json.dumps(b)
+                              for b, a, _, _ in CONFIG_CONTRACT])
+def test_config_file_report_bytes(tmp_path, capsys, body, argv, code, digest):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(body))
+    got_code = run([*argv, "--config", str(cfg)])
+    out = capsys.readouterr().out
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+MAIN_HELP = """\
+usage: koszulpow [-h] {build,verify,tor,spectral,splice} ...
+
+Build and machine-verify resolutions of ideal powers.
+
+positional arguments:
+  {build,verify,tor,spectral,splice}
+    build               construct the resolution and check its identities
+    verify              exactness grid, Hilbert comparison, divisor
+                        certificate
+    tor                 Tor ranks, generators, product table, reduction map
+    spectral            page grids, collapse verdict, block decomposition
+    splice              iterated splice reconstruction and extension class
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+TOR_HELP = """\
+usage: koszulpow tor [-h] [--config CONFIG] [--n N] [--s S] [--field FIELD]
+                     [--sequence SEQUENCE] [--max-degree MAX_DEGREE]
+                     [--max-internal MAX_INTERNAL] [--workers WORKERS]
+                     [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON config file; flags override
+  --n N                 number of variables
+  --s S                 power of the ideal
+  --field FIELD         coefficient domain: Q, Z, or Fp:p
+  --sequence SEQUENCE   vars | powers:a1,a2,.. | file:PATH
+  --max-degree MAX_DEGREE
+                        cap reported homological degrees
+  --max-internal MAX_INTERNAL
+                        internal-degree bound for slice checks
+  --workers WORKERS     accepted for compatibility (must be >= 1); slices are
+                        ranked sequentially
+  --out OUT             write the report here, not stdout
+"""
+
+
+@pytest.mark.parametrize("argv,text", [(["--help"], MAIN_HELP),
+                                       (["tor", "--help"], TOR_HELP)],
+                         ids=["main", "tor"])
+def test_help_text(monkeypatch, capsys, argv, text):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        run(argv)
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == text
