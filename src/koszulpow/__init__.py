@@ -16,12 +16,12 @@ from .chain import (Label, FreeModule, SparseMap, ChainComplex, ChainMap,
                     make_label, verify_complex, tensor_mod_I, element_str)
 from .koszul import (koszul_complex, q_complex, q_module, del_map,
                      verify_identities)
-from .resolution import (build_k_ris, augment, verify_exactness,
-                         dga_multiply, dga_differential, reduction_chain_map,
-                         homology_slice_dims)
+from .resolution import (build_k_ris, tensor_mod_I_complex, augment,
+                         verify_exactness, dga_multiply, dga_differential,
+                         reduction_chain_map, homology_slice_dims)
 from .homology import (tor, TorReport, tor_products, homology_ranks,
                        freeness_check, divisor_report, induced_tor_map,
-                       koszul_regularity_probe, tensor_mod_I_complex)
+                       koszul_regularity_probe)
 from .spectral import (build_double_complex, verify_double_complex,
                        total_complex, e1_page, e2_page, collapse_check,
                        support_blocks)

@@ -182,9 +182,10 @@ class SparseMap:
                 and self.entries == other.entries)
 
     def entry_lines(self) -> list[str]:
+        col_of = {g: j for j, g in enumerate(self.source.labels)}
+        row_of = {g: i for i, g in enumerate(self.target.labels)}
         items = sorted(self.entries.items(),
-                       key=lambda kv: (self.source.index_of(kv[0][1]),
-                                       self.target.index_of(kv[0][0])))
+                       key=lambda kv: (col_of[kv[0][1]], row_of[kv[0][0]]))
         return [f"{tgt} <- {src} : {p}" for (tgt, src), p in items]
 
 
@@ -322,46 +323,27 @@ def verify_complex(c: ChainComplex) -> ComplexReport:
 
 
 def tensor_mod_I(c: ChainComplex, spec: RegularSequenceSpec) -> ChainComplex:
-    """Apply R/I tensor: entries c0 + sum c_i u_i collapse to the constant c0.
-
-    Every system-built differential entry is an integer combination of 1
-    and the generators u_i; anything else raises.  The output has constant
-    polynomial entries on the same labels.
+    """Apply R/I tensor to a complex on tagged labels, by the role of each
+    entry: one that keeps the tag length must be +-u_i (a boundary) and is
+    dropped; one that raises it by one must be a constant (a transfer) and
+    is kept; anything else raises.  The output has constant entries on the
+    same labels.  resolution.tensor_mod_I_complex writes the tensored
+    resolution down directly; this is its reference.
     """
-    from .linalg import solve
-
     dom = c.domain
-    fdom = dom.rank_field
     gens = [Polynomial(c.n_vars, dom, dict(u.terms)) for u in spec.gens]
-
-    def reduce_entry(p: Polynomial) -> Polynomial:
-        const = p.constant_value()
-        rest = p - Polynomial.constant(c.n_vars, dom, const)
-        if rest.is_zero():
-            return Polynomial.constant(c.n_vars, dom, const)
-        # rest must be a domain-linear combination of the u_i
-        monos = sorted({m for u in gens for m in u.terms} | set(rest.terms))
-        cols = [[fdom.coerce(u.terms.get(m, 0)) for m in monos] for u in gens]
-        rhs = [fdom.coerce(rest.terms.get(m, 0)) for m in monos]
-        sol = solve([list(r) for r in zip(*cols)], rhs, fdom)
-        if sol is None:
-            raise ValueError(f"entry {p} is not 'constant + combination of "
-                             f"the sequence generators'")
-        if dom.kind != "Fp" and any(x.denominator != 1 for x in sol):
-            raise ValueError(f"entry {p} needs fractional generator "
-                             f"coefficients; not an integer combination")
-        return Polynomial.constant(c.n_vars, dom, const)
-
-    # entries repeat across the whole complex: solve once per distinct one
-    reduced: dict[Polynomial, Polynomial] = {}
+    boundaries = set(gens) | {-u for u in gens}
     diffs = {}
     for n, f in c.diffs.items():
         ent = {}
-        for k, p in f.entries.items():
-            q = reduced.get(p)
-            if q is None:
-                q = reduced[p] = reduce_entry(p)
-            ent[k] = q
+        for (tgt, src), p in f.entries.items():
+            rise = len(tgt.tag) - len(src.tag)
+            if rise == 0 and p in boundaries:
+                continue
+            if rise != 1 or not p.is_constant():
+                raise ValueError(f"entry {tgt} <- {src} : {p} is neither +-u_i"
+                                 f" nor a constant raising the tag length")
+            ent[(tgt, src)] = p
         diffs[n] = SparseMap(f.source, f.target, ent, c.n_vars, dom)
     return ChainComplex(c.n_vars, dom, dict(c.modules), diffs)
 

@@ -1,12 +1,12 @@
 """Homology of the tensored resolution: Tor with explicit generators,
 torsion certificates, product triviality, freeness, and induced maps.
 
-After applying R/I the differentials become integer matrices on the
-generator labels (every polynomial entry is a constant plus a combination
-of the sequence generators).  All Tor accounting happens on that integer
-skeleton: ranks and kernels over the rationals, torsion via Smith normal
-form, and base change to any coefficient field is legitimate exactly when
-the elementary divisors are units, which freeness_check certifies.
+The tensored resolution (resolution.tensor_mod_I_complex) has the +-1
+transfer matrices on the generator labels as its differentials.  All Tor
+accounting happens on that integer skeleton: ranks and kernels over the
+rationals, torsion via Smith normal form, and base change to any
+coefficient field is legitimate exactly when the elementary divisors are
+units, which freeness_check certifies.
 
 The skeleton is block diagonal.  direct_summands splits a complex with
 constant entries into the connected components of the nonzero entries of
@@ -25,14 +25,15 @@ s = 4.  Nothing here relies on that.)  Block by block:
   picks, and product residues and class coordinates are solved within
   the block of the vector alone.
 
-One tor(spec, s) run builds the resolution K, its tensored complex
-t = K (x) R/I and its blocks once, and per degree n and block one
-reduced-echelon span of the block's columns of d_{n+1} (the boundaries in
-degree n), kept on the block.  The TorReport carries them all and one map
+One tor(spec, s) run builds the tensored complex t = K (x) R/I and its
+blocks once, and no polynomial resolution K; per degree n and block it
+keeps one reduced-echelon span of the block's columns of d_{n+1} (the
+boundaries in degree n).  The TorReport carries them all and one map
 from each label to its block; its generators are a basis of homology
 over the rank field, so their counts are the free ranks.  The other two
 routes read one page 2 off the same t (transfer-cokernel: its last
-column); the reduction map needs _tor_basis of R/I^{s-1}.
+column).  Products and the reduction map read labels only, so they run
+on t and on the t of R/I^{s-1}.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ from .poly import Polynomial, GF, RegularSequenceSpec
 from .linalg import (block_smith_form, kernel_basis, rank_dense, sparse_rank,
                      Echelon, class_coordinates, _clear_row)
 from .chain import (ChainComplex, ChainMap, Element, Label, constant_matrix,
-                    constant_rows, element_str, element_add, map_slice,
-                    tensor_mod_I)
+                    constant_rows, element_str, element_add, map_slice)
 from .koszul import koszul_complex
-from .resolution import (KRIsComplex, build_k_ris, cut_top_level,
-                         dga_multiply, homology_slice_dims,
-                         default_internal_bound)
+from .resolution import (KRIsComplex, cut_top_level, dga_multiply,
+                         homology_slice_dims, default_internal_bound,
+                         tensor_mod_I_complex)
 
 
 def tensored_matrices(t: ChainComplex) -> dict[int, list[list[int]]]:
@@ -180,8 +180,7 @@ class TorReport:
     """Tor of (R/I, R/I^s); _tor_basis fills it up to where, tor() the rest."""
 
     generators: list[list[Element]]      # per homological degree
-    kris: KRIsComplex                    # the resolution of R/I^s
-    t: ChainComplex                      # its tensored complex
+    t: KRIsComplex                       # K (x) R/I, K resolving R/I^s
     summands: list[Summand]              # the blocks of t, with their spans
     where: dict[Label, tuple[Summand, int]]  # label -> block, index in it
     torsion: tuple[tuple[int, ...], ...] = ()
@@ -269,17 +268,16 @@ def tor(spec: RegularSequenceSpec, s: int) -> TorReport:
     if s >= 2:
         lower = _tor_basis(spec, s - 1)
         report.induced_reduction = _induced_matrices(
-            cut_top_level(report.kris, lower.kris), report, lower)
+            cut_top_level(report.t, lower.t), report, lower)
     return report
 
 
 def _tor_basis(spec: RegularSequenceSpec, s: int) -> TorReport:
-    """The resolution of R/I^s, its tensored complex and blocks with their
-    boundary spans, the label map, and per degree the generators: a
-    reduced-echelon kernel basis modulo the span, block by block, merged in
-    global free-column order."""
-    kris = build_k_ris(spec, s)
-    t = tensor_mod_I(kris, spec)
+    """The tensored resolution of R/I^s and its blocks with their boundary
+    spans, the label map, and per degree the generators: a reduced-echelon
+    kernel basis modulo the span, block by block, merged in global
+    free-column order."""
+    t = tensor_mod_I_complex(spec, s)
     summands = direct_summands(t)
     fd = t.domain.rank_field
     one = Polynomial.one(t.n_vars, t.domain)
@@ -302,18 +300,15 @@ def _tor_basis(spec: RegularSequenceSpec, s: int) -> TorReport:
                 picked.append((idx[max(w)], {labels[idx[j]]: one.scale(c)
                                              for j, c in w.items()}))
         generators.append([g for _, g in sorted(picked, key=lambda p: p[0])])
-    return TorReport(generators, kris, t, summands, where)
-
-
-def tensor_mod_I_complex(spec: RegularSequenceSpec, s: int) -> ChainComplex:
-    return tensor_mod_I(build_k_ris(spec, s), spec)
+    return TorReport(generators, t, summands, where)
 
 
 def tor_products(report: TorReport) -> ProductTable:
-    """Pairwise products in the report's resolution of its positive-degree
-    Tor generators, reduced modulo boundaries, each within its own blocks.
-    All zero for s >= 2; genuinely nonzero for s=1."""
-    t, kris = report.t, report.kris
+    """Pairwise products of the report's positive-degree Tor generators,
+    multiplied on the labels of its tensored complex and reduced modulo
+    boundaries, each within its own blocks.  All zero for s >= 2;
+    genuinely nonzero for s=1."""
+    t = report.t
     fd = t.domain.rank_field
     fone = Polynomial.one(t.n_vars, fd)
     flat = [(n, i) for n in range(1, len(report.generators))
@@ -322,7 +317,7 @@ def tor_products(report: TorReport) -> ProductTable:
     top = t.max_degree
     for ai, (na, ia) in enumerate(flat):
         for bi, (nb, ib) in enumerate(flat):
-            prod = dga_multiply(kris, report.generators[na][ia],
+            prod = dga_multiply(t, report.generators[na][ia],
                                 report.generators[nb][ib])
             nd = na + nb
             if nd > top or not prod:

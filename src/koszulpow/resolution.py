@@ -42,19 +42,38 @@ def resolution_module(spec: RegularSequenceSpec, s: int, n: int) -> FreeModule:
     return FreeModule(tuple(labels))
 
 
-def build_k_ris(spec: RegularSequenceSpec, s: int) -> KRIsComplex:
+def _on_labels(spec: RegularSequenceSpec, s: int, entries) -> KRIsComplex:
+    """The complex on the labels of the resolution of R/I^s whose
+    differential out of each module m has the entries entries(m, inner),
+    inner the labels of m below tag length s - 1 (those with a transfer)."""
     if s < 1:
         raise ValueError("power must be >= 1")
-    n = spec.n_gens
-    modules = {q: resolution_module(spec, s, q) for q in range(n + 1)}
+    modules = {q: resolution_module(spec, s, q)
+               for q in range(spec.n_gens + 1)}
     diffs = {}
-    for q in range(1, n + 1):
-        ent = dict(boundary_entries(spec, modules[q]))
+    for q in range(1, spec.n_gens + 1):
         inner = FreeModule(tuple(g for g in modules[q] if len(g.tag) < s - 1))
-        ent.update(transfer_entries(spec, inner))
-        diffs[q] = SparseMap(modules[q], modules[q - 1], ent,
+        diffs[q] = SparseMap(modules[q], modules[q - 1],
+                             entries(modules[q], inner),
                              spec.n_vars, spec.domain)
     return KRIsComplex(spec, s, modules, diffs)
+
+
+def build_k_ris(spec: RegularSequenceSpec, s: int) -> KRIsComplex:
+    return _on_labels(spec, s, lambda m, inner: {
+        **boundary_entries(spec, m), **transfer_entries(spec, inner)})
+
+
+def tensor_mod_I_complex(spec: RegularSequenceSpec, s: int) -> KRIsComplex:
+    """K (x) R/I for K = build_k_ris(spec, s), written from its labels: R/I
+    kills every boundary entry +-u_i, so it is the +-1 transfer part alone.
+
+    It depends on (n_gens, s, degrees, domain) only.  K is the generic
+    resolution of Z[y]/(y)^s base-changed along y_i -> u_i, so it is exact
+    when u is regular (README, "Why only regularity depends on the
+    sequence"): regularity is the only check that depends on the input.
+    """
+    return _on_labels(spec, s, lambda m, inner: transfer_entries(spec, inner))
 
 
 def augment(spec: RegularSequenceSpec, s: int, elt: Element,
@@ -261,8 +280,8 @@ def reduction_chain_map(spec: RegularSequenceSpec, s: int) -> ChainMap:
 
 
 def cut_top_level(big: KRIsComplex, small: KRIsComplex) -> ChainMap:
-    """reduction_chain_map between resolutions already built: big of
-    R/I^s and small of R/I^{s-1}, for the same sequence."""
+    """reduction_chain_map between complexes built on the labels (two
+    resolutions, or two tensored complexes) of R/I^s and R/I^{s-1}."""
     spec, s = big.spec, big.s
     one = Polynomial.one(spec.n_vars, spec.domain)
     comps = {}

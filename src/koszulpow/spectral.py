@@ -5,14 +5,14 @@ with tag length p and exterior degree q.  The boundary is the vertical
 map (q drops), the transfer is the horizontal map (p rises, q drops); they
 anticommute.  The double complex is a view of build_k_ris, its entries
 split by whether they keep or raise the tag length.  Page 1 is the
-tensored resolution K (x) R/I split the same way: the vertical maps
-vanish (every entry lies in the ideal), and d1 is the integer transfer.
-Page 2 is the homology of those transfer chains; it is supported only at
-the unit cell (0,0) and in the last column p = s-1, and the column sums at
-fixed q reproduce the Tor ranks of the same tensored complex, which is the
-collapse statement checked here by exact rank accounting.  No later
-differential can move between the surviving cells, so no page-2
-differential is built.
+tensored resolution K (x) R/I split the same way: every vertical entry is
++-u_i, which R/I kills, so the vertical maps vanish, and d1 is the +-1
+transfer.  Page 2 is the homology of those transfer chains; it is
+supported only at the unit cell (0,0) and in the last column p = s-1, and
+the column sums at fixed q reproduce the Tor ranks of the same tensored
+complex, which is the collapse statement checked here by exact rank
+accounting.  No later differential can move between the surviving cells,
+so no page-2 differential is built.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .poly import RegularSequenceSpec, binomial
 from .linalg import sparse_rank, smith_normal_form, block_smith_form, dense_row
 from .chain import (FreeModule, SparseMap, ChainComplex, Label, zero_map,
                     compose, constant_rows, EMPTY_MODULE)
-from .resolution import build_k_ris
-from .homology import homology_ranks, tensor_mod_I_complex
+from .resolution import build_k_ris, tensor_mod_I_complex
+from .homology import homology_ranks
 
 
 @dataclass

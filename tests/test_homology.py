@@ -371,26 +371,26 @@ class TestInducedMap:
 class TestSharedPass:
     """tor() builds one tensored complex per power and shares it."""
 
-    def test_call_counts(self, monkeypatch):
+    def test_call_counts(self, count_calls):
         import koszulpow.homology as homology
-        import koszulpow.resolution as resolution
-        calls = {}
-
-        def count(name, orig, *modules):
-            def wrapper(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return orig(*args, **kwargs)
-            for mod in modules:
-                monkeypatch.setattr(mod, name, wrapper)
-
-        count("tor", homology.tor, homology)
-        count("tensor_mod_I", homology.tensor_mod_I, homology)
-        count("build_k_ris", resolution.build_k_ris, homology, resolution)
+        calls = count_calls("homology.tor", "resolution.build_k_ris",
+                            "chain.tensor_mod_I")
         rep = homology.tor(SPEC2, 2)
         assert rep.induced_reduction is not None and rep.products.all_zero
-        # one resolution and tensored complex per power, s and s - 1; the
-        # reduction map is built from the two resolutions
-        assert calls == {"tor": 1, "tensor_mod_I": 2, "build_k_ris": 2}
+        # the tensored complexes of R/I^2 and R/I are written from their
+        # labels, and the reduction map is read on them: no polynomial
+        # resolution is built and nothing is tensored
+        assert calls == {"homology.tor": 1, "resolution.build_k_ris": 0,
+                         "chain.tensor_mod_I": 0}
+
+    def test_tor_command_and_freeness_build_no_resolution(self, count_calls,
+                                                          capsys):
+        from koszulpow import cli
+        calls = count_calls("resolution.build_k_ris", "chain.tensor_mod_I")
+        assert cli.run(["tor", "--n", "3", "--s", "3", "--field", "Z"]) == 0
+        assert '"ok": true' in capsys.readouterr().out
+        assert freeness_check(RegularSequenceSpec.variables(3, ZZ), 3).ok
+        assert calls == {"resolution.build_k_ris": 0, "chain.tensor_mod_I": 0}
 
     def test_free_ranks_need_no_rank_pass(self, monkeypatch):
         import koszulpow.homology as homology
@@ -412,7 +412,7 @@ class TestSharedPass:
         # tensored resolution of R/I^3; nothing rebuilds a piece of it
         assert calls.pop("koszul.q_module") <= 25
         assert calls.pop("koszul.transfer_entries") <= 8
-        assert calls == {"resolution.build_k_ris": 2, "chain.tensor_mod_I": 2,
+        assert calls == {"resolution.build_k_ris": 0, "chain.tensor_mod_I": 0,
                          "koszul.del_map": 0,
                          "spectral.build_double_complex": 0}
 

@@ -64,6 +64,13 @@ CONFIG_CONTRACT = [
     # keys spelled by attribute name
     ({"n_vars": 3, "s": 2, "max_degree": 1}, ["build"], 0,
      "d59108068d70ea30f66055bc800245d00d7a06e28b9488f5a505ec29056c7b2b"),
+    # a sequence that is no monomial: boundary entries are linear forms
+    ({"n": 3, "s": 2, "field": "Z",
+      "sequence": ["x1+2*x2-x3", "x2-x3", "x3"]}, ["spectral"], 0,
+     "524281bb14d56568d367d50a2c7aa8dfc565403755bed689b33e6b5901204a37"),
+    ({"n": 3, "s": 2, "field": "Z",
+      "sequence": ["x1+2*x2-x3", "x2-x3", "x3"]}, ["verify"], 0,
+     "394875255e154d9e08aa5c04dd510ddaa580303245858475605a926d61119726"),
 ]
 
 

@@ -5,12 +5,13 @@ import pytest
 from koszulpow.poly import (QQ, ZZ, GF, RegularSequenceSpec, parse_poly,
                             Polynomial, random_polynomial)
 from koszulpow.ideals import PowerReducer
-from koszulpow.chain import make_label, verify_complex, element_add, element_neg
+from koszulpow.chain import (make_label, verify_complex, element_add,
+                             element_neg, tensor_mod_I)
 from koszulpow.koszul import koszul_complex
 from koszulpow.resolution import (build_k_ris, augment, verify_exactness,
                                   dga_multiply, dga_differential,
                                   reduction_chain_map, default_internal_bound,
-                                  homology_slice_dims)
+                                  homology_slice_dims, tensor_mod_I_complex)
 
 
 def P(text, n=2):
@@ -67,6 +68,41 @@ class TestBuild:
     def test_heterogeneous_degrees(self):
         spec = RegularSequenceSpec.variable_powers((2, 3))
         assert verify_complex(build_k_ris(spec, 3)).ok
+
+
+def _explicit(texts, n, dom):
+    return RegularSequenceSpec.explicit([parse_poly(t, n, dom) for t in texts])
+
+
+TENSOR_SPECS = {
+    **{f"vars:{n}": (lambda dom, n=n: RegularSequenceSpec.variables(n, dom))
+       for n in (1, 2, 3, 4)},
+    "powers:1,2,2": lambda dom: RegularSequenceSpec.variable_powers((1, 2, 2),
+                                                                    dom),
+    "linear forms": lambda dom: _explicit(["x1+2*x2-x3", "x2-x3", "x3"], 3,
+                                          dom),
+    # not regular: the tensored complex does not look at the u_i
+    "x1*x2 twice": lambda dom: _explicit(["x1*x2", "x1*x2"], 2, dom),
+    "three quadrics": lambda dom: _explicit(["x1^2", "x1*x2", "x2^2"], 2, dom),
+}
+
+
+class TestTensoredFromLabels:
+    """tensor_mod_I_complex, written from the labels, is the reference
+    tensor_mod_I of the polynomial resolution, label for label."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dom", [QQ, ZZ, GF(5)], ids=str)
+    @pytest.mark.parametrize("kind", list(TENSOR_SPECS))
+    def test_matches_reference(self, kind, dom, s):
+        spec = TENSOR_SPECS[kind](dom)
+        t = tensor_mod_I_complex(spec, s)
+        assert (t.spec, t.s) == (spec, s)
+        assert t.equal_maps(tensor_mod_I(build_k_ris(spec, s), spec))
+
+    def test_s0_rejected(self):
+        with pytest.raises(ValueError):
+            tensor_mod_I_complex(SPEC2, 0)
 
 
 class TestAugment:

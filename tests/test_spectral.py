@@ -241,8 +241,8 @@ class TestCollapse:
                         "--field", "Fp:31991"]) == 0
         assert '"ok": true' in capsys.readouterr().out
         # pages 1 and 2 and the collapse check's direct ranks all read the
-        # one tensored resolution
-        assert calls == {"resolution.build_k_ris": 1, "chain.tensor_mod_I": 1,
+        # one tensored resolution, written from its labels
+        assert calls == {"resolution.build_k_ris": 0, "chain.tensor_mod_I": 0,
                          "spectral.build_double_complex": 0}
 
 
