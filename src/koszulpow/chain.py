@@ -9,6 +9,12 @@ stored on the label.  Maps are sparse associations (target, source) ->
 polynomial, kept homogeneous.  A GradedSlice expands one internal degree
 of a map over monomial bases into a sparse scalar matrix (one dict per
 row); its dense form is built only on request.
+
+One routine, _nonzero_source, decides whether a sum of signed composites
+f after g vanishes and names the least source label where it does not.
+verify_complex, ChainMap.verify, koszul.verify_identities,
+spectral.verify_double_complex and extensions.verify_connecting all read
+their witnesses from it; compose builds its map from the same sum.
 """
 
 from __future__ import annotations
@@ -157,20 +163,6 @@ class SparseMap:
                     out[tgt] = q
         return out
 
-    def __add__(self, other: SparseMap) -> SparseMap:
-        if (self.source, self.target) != (other.source, other.target):
-            raise ValueError("shape mismatch in map sum")
-        ent = dict(self.entries)
-        for k, p in other.entries.items():
-            q = ent.get(k)
-            ent[k] = p if q is None else q + p
-        return SparseMap(self.source, self.target, ent, self.n_vars, self.domain)
-
-    def __neg__(self) -> SparseMap:
-        return SparseMap(self.source, self.target,
-                         {k: -p for k, p in self.entries.items()},
-                         self.n_vars, self.domain)
-
     def scale(self, c) -> SparseMap:
         return SparseMap(self.source, self.target,
                          {k: p.scale(c) for k, p in self.entries.items()},
@@ -194,18 +186,38 @@ def zero_map(source: FreeModule, target: FreeModule, n_vars: int,
     return SparseMap(source, target, {}, n_vars, domain)
 
 
+def _composite_sum(terms) -> dict:
+    """(target, source) -> the sum of sign * f[target, mid] * g[mid, source]
+    over the terms (f, g) or (f, g, sign).  A map given as None counts as
+    zero.  Entries that cancel stay in the dict as zero polynomials."""
+    ent: dict = {}
+    for f, g, *sign in terms:
+        if f is None or g is None:
+            continue
+        if g.target != f.source:
+            raise ValueError("compose shape mismatch: target(g) != source(f)")
+        f_cols = f.columns()
+        for (mid, src), p in g.entries.items():
+            for tgt, q in f_cols[mid]:
+                r = q * p if not sign else (q * p).scale(sign[0])
+                key = (tgt, src)
+                old = ent.get(key)
+                ent[key] = r if old is None else old + r
+    return ent
+
+
+def _nonzero_source(*terms) -> Label | None:
+    """The least source label on which the sum of sign * (f after g) over
+    the terms (f, g) or (f, g, sign) is nonzero, or None if the sum
+    vanishes.  Every symbolic check reads its witness here."""
+    return min((src for (_, src), p in _composite_sum(terms).items()
+                if not p.is_zero()), default=None)
+
+
 def compose(f: SparseMap, g: SparseMap) -> SparseMap:
     """f after g."""
-    if g.target != f.source:
-        raise ValueError("compose shape mismatch: target(g) != source(f)")
-    ent: dict = {}
-    f_cols = f.columns()
-    for (mid, src), p in g.entries.items():
-        for tgt, q in f_cols[mid]:
-            key = (tgt, src)
-            r = ent.get(key)
-            ent[key] = q * p if r is None else r + q * p
-    return SparseMap(g.source, f.target, ent, f.n_vars, f.domain)
+    return SparseMap(g.source, f.target, _composite_sum([(f, g)]),
+                     f.n_vars, f.domain)
 
 
 # -- elements ---------------------------------------------------------------
@@ -311,12 +323,8 @@ class ComplexReport:
 def verify_complex(c: ChainComplex) -> ComplexReport:
     """Check d_n composed with d_{n+1} vanishes, symbolically."""
     for n in sorted(c.modules):
-        f, g = c.differential(n), c.differential(n + 1)
-        if f.is_zero() or g.is_zero():
-            continue
-        h = compose(f, g)
-        if not h.is_zero():
-            src = min(s for (_, s) in h.entries)
+        src = _nonzero_source((c.differential(n), c.differential(n + 1)))
+        if src is not None:
             return ComplexReport(False, n + 1, src,
                                  f"d∘d nonzero on {src} at degree {n + 1}")
     return ComplexReport(True)
@@ -472,11 +480,10 @@ class ChainMap:
         """Chain property: d_target after f equals f after d_source."""
         top = max(self.source.max_degree, self.target.max_degree)
         for n in range(1, top + 1):
-            lhs = compose(self.target.differential(n), self.component(n))
-            rhs = compose(self.component(n - 1), self.source.differential(n))
-            diff = lhs + (-rhs)
-            if not diff.is_zero():
-                src = min(s for (_, s) in diff.entries)
+            src = _nonzero_source(
+                (self.target.differential(n), self.components.get(n)),
+                (self.components.get(n - 1), self.source.differential(n), -1))
+            if src is not None:
                 return ComplexReport(False, n, src,
                                      f"chain property fails on {src} at degree {n}")
         return ComplexReport(True)

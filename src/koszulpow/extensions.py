@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .poly import Polynomial, RegularSequenceSpec
 from .linalg import rank_dense, solve, mat_mul, mat_vec
-from .chain import (FreeModule, SparseMap, ChainComplex, zero_map, compose,
-                    verify_complex, slice_basis)
+from .chain import (FreeModule, SparseMap, ChainComplex, zero_map,
+                    verify_complex, slice_basis, _nonzero_source)
 from .ideals import SubquotientModule
 from .koszul import q_complex, q_module, transfer_entries, koszul_complex
 
@@ -208,13 +208,10 @@ def verify_connecting(P: ChainComplex, Q: ChainComplex,
     checked = 0
     top = max(P.max_degree, Q.max_degree + 1)
     for n in range(1, top + 1):
-        lhs = compose(Q.differential(n - 1), delta.component(n))
-        rhs = compose(delta.component(n - 1), P.differential(n))
-        acc = lhs + rhs
         checked += 1
-        if not acc.is_zero():
-            w = min((src for (_, src) in acc.entries),
-                    key=lambda g: g.sort_key)
+        w = _nonzero_source((Q.differential(n - 1), delta.maps.get(n)),
+                            (delta.maps.get(n - 1), P.differential(n)))
+        if w is not None:
             failures.append((n, w))
     return ConnectingReport(not failures, checked, failures)
 

@@ -17,7 +17,7 @@ from itertools import combinations
 from .poly import Polynomial, RegularSequenceSpec, binomial
 from .ideals import tags_of_length
 from .chain import (make_label, FreeModule, SparseMap, ChainComplex,
-                    zero_map, compose, EMPTY_MODULE)
+                    EMPTY_MODULE, _nonzero_source)
 
 
 def exterior_subsets(n: int, p: int) -> list[tuple[int, ...]]:
@@ -60,24 +60,21 @@ def transfer_entries(spec: RegularSequenceSpec, source: FreeModule) -> dict:
     return ent
 
 
-def q_complex(spec: RegularSequenceSpec, s: int,
-              n_max: int | None = None) -> ChainComplex:
+def q_complex(spec: RegularSequenceSpec, s: int) -> ChainComplex:
     """The tag-twisted complex: boundary acts on e only.  s=0 is the plain
     exterior-algebra complex."""
     n = spec.n_gens
-    top = n if n_max is None else min(n_max, n)
-    modules = {p: q_module(spec, s, p) for p in range(top + 1)}
+    modules = {p: q_module(spec, s, p) for p in range(n + 1)}
     diffs = {}
-    for p in range(1, top + 1):
+    for p in range(1, n + 1):
         ent = boundary_entries(spec, modules[p])
         diffs[p] = SparseMap(modules[p], modules[p - 1], ent,
                              spec.n_vars, spec.domain)
     return ChainComplex(spec.n_vars, spec.domain, modules, diffs)
 
 
-def koszul_complex(spec: RegularSequenceSpec,
-                   n_max: int | None = None) -> ChainComplex:
-    return q_complex(spec, 0, n_max)
+def koszul_complex(spec: RegularSequenceSpec) -> ChainComplex:
+    return q_complex(spec, 0)
 
 
 def del_map(spec: RegularSequenceSpec, s: int) -> dict[int, SparseMap]:
@@ -115,29 +112,19 @@ def verify_identities(spec: RegularSequenceSpec, s_max: int) -> IdentityReport:
     n = spec.n_gens
     dels = {r: del_map(spec, r) for r in range(s_max + 1)}
     bnds = {r: q_complex(spec, r) for r in range(s_max + 1)}
-
-    def del_at(r: int, p: int) -> SparseMap:
-        f = dels.get(r, {}).get(p)
-        if f is not None:
-            return f
-        return zero_map(q_module(spec, r, p), q_module(spec, r + 1, p - 1),
-                        spec.n_vars, spec.domain)
-
     for r in range(s_max):
         for p in range(1, n + 1):
             # boundary after transfer + transfer after boundary = 0
-            lhs = compose(bnds[r + 1].differential(p - 1), del_at(r, p))
-            rhs = compose(del_at(r, p - 1), bnds[r].differential(p))
-            acc = lhs + rhs
             checked += 1
-            if not acc.is_zero():
-                witness = min(s for (_, s) in acc.entries)
+            witness = _nonzero_source(
+                (bnds[r + 1].differential(p - 1), dels[r][p]),
+                (dels[r].get(p - 1), bnds[r].differential(p)))
+            if witness is not None:
                 failures.append(("anticommute", r, p, witness))
             # transfer composed with transfer = 0  (source at tag level r)
-            sq = compose(del_at(r + 1, p - 1), del_at(r, p))
             checked += 1
-            if not sq.is_zero():
-                witness = min(s for (_, s) in sq.entries)
+            witness = _nonzero_source((dels[r + 1].get(p - 1), dels[r][p]))
+            if witness is not None:
                 failures.append(("square-zero", r, p, witness))
     return IdentityReport(not failures, checked, failures)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .poly import RegularSequenceSpec, binomial
 from .linalg import sparse_rank, smith_normal_form, block_smith_form, dense_row
 from .chain import (FreeModule, SparseMap, ChainComplex, Label, zero_map,
-                    compose, constant_rows, EMPTY_MODULE)
+                    constant_rows, EMPTY_MODULE, _nonzero_source)
 from .resolution import build_k_ris, tensor_mod_I_complex
 from .homology import homology_ranks
 
@@ -103,22 +103,21 @@ def verify_double_complex(dc: DoubleComplex) -> SquareReport:
     failures = []
     checked = 0
 
-    def record(name, key, f):
-        nonlocal checked
-        checked += 1
-        if not f.is_zero():
-            failures.append((name, key, min(src for (_, src) in f.entries)))
-
     for (p, q) in sorted(dc.cells):
         if q < 1:
             continue
-        record("vertical square", (p, q),
-               compose(dc.v_map(p, q - 1), dc.v_map(p, q)))
-        record("horizontal square", (p, q),
-               compose(dc.h_map(p + 1, q - 1), dc.h_map(p, q)))
-        record("anticommute", (p, q),
-               compose(dc.v_map(p + 1, q - 1), dc.h_map(p, q))
-               + compose(dc.h_map(p, q - 1), dc.v_map(p, q)))
+        for name, terms in (
+                ("vertical square",
+                 [(dc.v_map(p, q - 1), dc.v_map(p, q))]),
+                ("horizontal square",
+                 [(dc.h_map(p + 1, q - 1), dc.h_map(p, q))]),
+                ("anticommute",
+                 [(dc.v_map(p + 1, q - 1), dc.h_map(p, q)),
+                  (dc.h_map(p, q - 1), dc.v_map(p, q))])):
+            checked += 1
+            witness = _nonzero_source(*terms)
+            if witness is not None:
+                failures.append((name, (p, q), witness))
     return SquareReport(not failures, checked, failures)
 
 

@@ -118,6 +118,17 @@ class TestCompose:
         with pytest.raises(ValueError):
             compose(c.differential(2), c.differential(1))
 
+    def test_checks_build_no_composed_map(self, count_calls, capsys):
+        from koszulpow.cli import run
+        calls = count_calls("chain.compose")
+        for argv in (["build", "--n", "3", "--s", "3"],
+                     ["verify", "--n", "2", "--s", "2"],
+                     ["splice", "--n", "3", "--s", "3"]):
+            assert run(argv) == 0
+        capsys.readouterr()
+        # every symbolic check sums its composites through _nonzero_source
+        assert calls == {"chain.compose": 0}
+
 
 class TestVerifyComplex:
     def test_koszul_ok(self):

@@ -1,7 +1,8 @@
 import pytest
 
 from koszulpow.poly import QQ, RegularSequenceSpec, parse_poly, Polynomial
-from koszulpow.chain import make_label, verify_complex, compose, SparseMap
+from koszulpow.chain import (make_label, verify_complex, compose, SparseMap,
+                             _nonzero_source)
 from koszulpow.koszul import (exterior_subsets, q_module, q_complex,
                               koszul_complex, del_map, verify_identities,
                               q_dims_formula, transfer_entries)
@@ -40,10 +41,6 @@ class TestKoszulComplex:
         for n in (1, 2, 3, 4):
             assert verify_complex(koszul_complex(
                 RegularSequenceSpec.variables(n))).ok
-
-    def test_cutoff(self):
-        c = koszul_complex(RegularSequenceSpec.variables(3), n_max=1)
-        assert c.dims() == (1, 3)
 
     def test_explicit_sequence(self):
         spec = RegularSequenceSpec.explicit([P("x1+x2"), P("x1*x2")])
@@ -138,9 +135,9 @@ class TestIdentities:
         import koszulpow.koszul as koszul
         levels = []
 
-        def counting(spec, s, n_max=None):
+        def counting(spec, s):
             levels.append(s)
-            return q_complex(spec, s, n_max)
+            return q_complex(spec, s)
 
         monkeypatch.setattr(koszul, "q_complex", counting)
         rep = verify_identities(SPEC2, s_max)
@@ -157,9 +154,24 @@ class TestIdentities:
                          {k: one for k in transfer_entries(SPEC2, src)}, 2, QQ)
         good1 = del_map(SPEC2, 0)[1]
         q0, q1 = q_complex(SPEC2, 0), q_complex(SPEC2, 1)
-        acc = compose(q1.differential(1), bad2) + compose(good1, q0.differential(2))
-        assert not acc.is_zero()
-        assert min(s for (_, s) in acc.entries) == E12
+        assert _nonzero_source((q1.differential(1), bad2),
+                               (good1, q0.differential(2))) == E12
+
+    def test_unsigned_transfer_reported(self, monkeypatch):
+        import koszulpow.koszul as koszul
+        one = Polynomial.one(2, QQ)
+        monkeypatch.setattr(
+            koszul, "transfer_entries",
+            lambda spec, src: {k: one for k in transfer_entries(spec, src)})
+        rep = verify_identities(SPEC2, 2)
+        e12t1 = make_label(SPEC2, (1, 2), (1,))
+        assert not rep.ok and rep.checked == 8
+        assert rep.failures == [("anticommute", 0, 2, E12),
+                                ("square-zero", 0, 2, E12),
+                                ("anticommute", 1, 2, e12t1),
+                                ("square-zero", 1, 2, e12t1)]
+        assert rep.summary() == \
+            "anticommute fails at tag level 0, degree 2, witness e{1,2}"
 
 
 class TestModuleOrdering:

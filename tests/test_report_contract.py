@@ -41,6 +41,12 @@ CONTRACT = [
      "0cfd59b032288a5ef257d7926e3818277a8bcb0c4eb9adce78547477012360aa"),
     (["splice", "--n", "2", "--s", "2"], 0,
      "beb79ea61d892409597dfd135bf9110c4c411c700667f627e8886537e3bf811c"),
+    (["build", "--n", "4", "--s", "3", "--field", "Z"], 0,
+     "50f4af21d54a1a5d4bc74203d3874205f379a2faaeb5f815a4e6759b0ff56854"),
+    (["splice", "--n", "3", "--s", "3"], 0,
+     "83adc5e921443d19a38a1f8f19574c8c83977ba7c58ae5ea737d4dec28a168a8"),
+    (["splice", "--n", "3", "--s", "2", "--field", "Z"], 0,
+     "062f646d072042762420e8501d2ec97209c70b20378a0180eb0a9ca1bf190c6d"),
 ]
 
 
