@@ -414,8 +414,8 @@ class GradedSlice:
     def sparse_rows(self) -> list[dict[int, object]]:
         return self.entries
 
-    def rank(self) -> int:
-        return sparse_rank(self.sparse_rows(), self.domain.rank_field)
+    def rank(self, field: Domain | None = None) -> int:
+        return sparse_rank(self.sparse_rows(), field or self.domain.rank_field)
 
 
 def slice_basis(mod: FreeModule, n_vars: int, d: int):

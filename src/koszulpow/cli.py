@@ -366,7 +366,7 @@ def cmd_splice(cfg: RunConfig):
     spec = cfg.spec()
     rebuilt = iterated_splice(spec, cfg.s)
     direct = build_k_ris(spec, cfg.s)
-    identical = rebuilt.same_shape_as(direct) and rebuilt.equal_maps(direct)
+    identical = rebuilt.equal_maps(direct)
     payload = {
         "steps": cfg.s - 1,
         "dims": list(rebuilt.dims()),
@@ -429,15 +429,19 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     text = render_report(cfg, payload, ok)
-    if cfg.out:
-        try:
+    try:
+        if cfg.out:
             with open(cfg.out, "w") as fh:
                 fh.write(text)
-        except OSError as e:
-            print(f"error: cannot write report: {e}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as e:
+        print(f"error: cannot write report: {e}", file=sys.stderr)
+        if not cfg.out:
+            # the unwritten text stays buffered; let shutdown flush it nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return 0 if ok else 1
 
 

@@ -477,7 +477,7 @@ def koszul_regularity_probe(spec: RegularSequenceSpec,
         max_internal = default_internal_bound(spec, 1)
     rspec = spec.with_domain(spec.domain.rank_field)
     c = koszul_complex(rspec)
-    dims = homology_slice_dims(c, max_internal)
+    dims, = homology_slice_dims(c, max_internal)
     failures = [(n, d) for (n, d), h in sorted(dims.items())
                 if n >= 1 and h != 0]
     witness = None

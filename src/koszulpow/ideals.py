@@ -170,13 +170,10 @@ class SubquotientModule:
         (I^b)_d) for degree d."""
         if d in self._cache:
             return self._cache[d]
-        spec = self.spec
         ech_b = self._power_b.echelon(d)
-        n, zero = count_monomials(spec.n_vars, d), spec.domain.zero()
         basis = []
         seen = ech_b.copy()
-        for _, _, col in power_span_columns(spec, self.a, d):
-            v = dense_row(col, n, zero)
+        for v in power_span_vectors(self.spec, self.a, d):
             if seen.insert(v):
                 basis.append(v)
         self._cache[d] = (basis, [ech_b.reduce(v) for v in basis], ech_b)

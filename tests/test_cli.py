@@ -165,6 +165,24 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"out": str(tmp_path)}))
         self.assert_config_error(["tor", "--config", str(cfg)], capsys)
 
+    def test_closed_stdout_is_two(self):
+        # nobody reads the report: a write error, not a failed check (1)
+        src = Path(__file__).resolve().parent.parent / "src"
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            res = subprocess.run(
+                [sys.executable, "-m", "koszulpow.cli", "tor", "--n", "2",
+                 "--s", "1"],
+                stdout=w, stderr=subprocess.PIPE, text=True, timeout=30,
+                env={**os.environ, "PYTHONPATH": str(src)})
+        finally:
+            os.close(w)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: cannot write report:")
+        assert len(res.stderr.splitlines()) == 1
+        assert "Traceback" not in res.stderr
+
     def test_composite_modulus_is_two(self, capsys):
         self.assert_config_error(["tor", "--n", "2", "--s", "1",
                                   "--field", "Fp:561"], capsys)

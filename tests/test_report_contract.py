@@ -47,6 +47,9 @@ CONTRACT = [
      "83adc5e921443d19a38a1f8f19574c8c83977ba7c58ae5ea737d4dec28a168a8"),
     (["splice", "--n", "3", "--s", "2", "--field", "Z"], 0,
      "062f646d072042762420e8501d2ec97209c70b20378a0180eb0a9ca1bf190c6d"),
+    (["verify", "--n", "3", "--s", "2", "--field", "Z", "--sequence",
+      "powers:1,2,2"], 0,
+     "d25b23914ef22db581482be36f372a0c4c2e07d8b7f68937b2a2a1ff2c6115e0"),
 ]
 
 
@@ -77,6 +80,18 @@ CONFIG_CONTRACT = [
     ({"n": 3, "s": 2, "field": "Z",
       "sequence": ["x1+2*x2-x3", "x2-x3", "x3"]}, ["verify"], 0,
      "394875255e154d9e08aa5c04dd510ddaa580303245858475605a926d61119726"),
+    # F_p runs of an integral sequence with coefficient primes 2 and 3
+    ({"n": 2, "s": 2, "field": "Z", "sequence": ["x1+3*x2", "x1-4*x2"]},
+     ["verify"], 0,
+     "de4350e5017138e105808b04fc5d507d279b60103fe0a6524ed83d192ef9a62f"),
+    # not regular over Z: the F7 run reports its mismatches
+    ({"n": 2, "s": 2, "field": "Z", "sequence": ["7*x1", "7*x2"]},
+     ["verify"], 1,
+     "9a0f2d1e8798f287e56726a9fbcfde502ded0ead5c194fcd7e20ae85d75c9f4f"),
+    # regular over Z with 2-torsion in R/I^s
+    ({"n": 2, "s": 3, "field": "Z", "sequence": ["2*x1", "x2"]},
+     ["verify"], 0,
+     "68271519492db448ba411847fd06e9def65aef0b3689965825c60d7cc7d3d070"),
 ]
 
 

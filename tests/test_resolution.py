@@ -4,14 +4,15 @@ import pytest
 
 from koszulpow.poly import (QQ, ZZ, GF, RegularSequenceSpec, parse_poly,
                             Polynomial, random_polynomial)
-from koszulpow.ideals import PowerReducer
+from koszulpow.ideals import PowerReducer, hilbert_function
 from koszulpow.chain import (make_label, verify_complex, element_add,
                              element_neg, tensor_mod_I)
 from koszulpow.koszul import koszul_complex
 from koszulpow.resolution import (build_k_ris, augment, verify_exactness,
                                   dga_multiply, dga_differential,
                                   reduction_chain_map, default_internal_bound,
-                                  homology_slice_dims, tensor_mod_I_complex)
+                                  homology_slice_dims, tensor_mod_I_complex,
+                                  ExactnessReport, _coefficient_primes)
 
 
 def P(text, n=2):
@@ -180,7 +181,7 @@ class TestExactness:
             rep = verify_exactness(spec, 2, max_internal=5)
             assert rep.ok, rep.mismatches
             fp = spec.with_domain(GF(p))
-            dims = homology_slice_dims(build_k_ris(fp, 2), 5)
+            dims, = homology_slice_dims(build_k_ris(fp, 2), 5)
             assert dims[(1, 2)] == 2 and dims[(0, 2)] == 2
             assert rep.hilbert[2] == 0
 
@@ -204,6 +205,76 @@ class TestExactness:
         rep = verify_exactness(SPEC2, 2, max_internal=3)
         lines = rep.grid_lines()
         assert lines[1].startswith("  n=0: 1 2 0 0")
+
+
+def per_field_exactness(spec, s):
+    """verify_exactness over Z with the resolution rebuilt over each field,
+    and the slice dims of each field's build: the reference that ranking
+    one integral build modulo each prime must reproduce."""
+    max_internal = default_internal_bound(spec, s)
+    primes = sorted({2, 3, 5} | _coefficient_primes(spec))
+    domains = [QQ] + [GF(p) for p in primes]
+    mismatches, per_field = [], []
+    for dom in domains:
+        rspec = spec.with_domain(dom)
+        dims, = homology_slice_dims(build_k_ris(rspec, s), max_internal)
+        per_field.append(dims)
+        hf = {d: hilbert_function(rspec, s, d)
+              for d in range(max_internal + 1)}
+        if dom == QQ:
+            homology, hilbert = dims, hf
+        for (n, d), h in sorted(dims.items()):
+            if n == 0:
+                if h != hf[d]:
+                    mismatches.append(
+                        f"[{dom}] cokernel dim at d={d} is {h}, "
+                        f"Hilbert function says {hf[d]}")
+                continue
+            want = hf[d] - hilbert[d] if n == 1 else 0
+            if h != want:
+                mismatches.append(
+                    f"[{dom}] homology at n={n}, d={d} has dim {h}, "
+                    f"expected {want}")
+    report = ExactnessReport(not mismatches, s, max_internal, homology,
+                             hilbert, mismatches, list(map(str, domains)))
+    return report, domains, per_field
+
+
+def _z(texts, n):
+    return RegularSequenceSpec.explicit([parse_poly(t, n, ZZ) for t in texts])
+
+
+INTEGRAL_CASES = (
+    [(RegularSequenceSpec.variables(n, ZZ), s)
+     for n in (1, 2, 3) for s in (1, 2, 3)]
+    + [(RegularSequenceSpec.variable_powers((1, 2, 2), ZZ), s)
+       for s in (1, 2)]
+    + [(_z(["x1+2*x2-x3", "x2-x3", "x3"], 3), 2),
+       (_z(["2*x1", "x2"], 2), 2),
+       (_z(["x1+3*x2", "x1-4*x2"], 2), 2),
+       (_z(["7*x1", "7*x2"], 2), 2)])
+
+
+class TestOneIntegralResolution:
+    @pytest.mark.parametrize(
+        "spec,s", INTEGRAL_CASES,
+        ids=[",".join(map(str, sp.gens)) + f"-s{s}"
+             for sp, s in INTEGRAL_CASES])
+    def test_reduction_mod_p_matches_rebuild_per_field(self, spec, s):
+        report, domains, per_field = per_field_exactness(spec, s)
+        bound = default_internal_bound(spec, s)
+        assert homology_slice_dims(build_k_ris(spec, s), bound,
+                                   domains) == per_field
+        assert verify_exactness(spec, s) == report
+
+    def test_verify_builds_once_and_assembles_each_slice_once(
+            self, count_calls, capsys):
+        from koszulpow import cli
+        calls = count_calls("resolution.build_k_ris", "chain.map_slice")
+        assert cli.run(["verify", "--n", "2", "--s", "2", "--field", "Z"]) == 0
+        capsys.readouterr()
+        # one integral build ranked over QQ, F2, F3 and F5, not four builds
+        assert calls == {"resolution.build_k_ris": 1, "chain.map_slice": 21}
 
 
 def random_element(rng, c, hom_deg, density=0.5):
@@ -330,6 +401,6 @@ class TestHomologySliceDims:
     def test_koszul_tensored_dims_appear_in_positive_degrees(self):
         # sanity check of the helper itself on the plain complex
         c = koszul_complex(SPEC2)
-        dims = homology_slice_dims(c, 4)
+        dims, = homology_slice_dims(c, 4)
         assert dims[(0, 0)] == 1
         assert dims[(1, 1)] == 0  # resolution: no homology upstairs
