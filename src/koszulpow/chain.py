@@ -19,8 +19,8 @@ their witnesses from it; compose builds its map from the same sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge, gt
 
 from .poly import (Polynomial, Domain, monomials_of_degree, mono_mul,
                    RegularSequenceSpec)
@@ -29,21 +29,35 @@ from .linalg import sparse_rank, dense_row
 Element = dict  # Label -> nonzero Polynomial
 
 
-@dataclass(frozen=True)
 class Label:
-    """A free-module generator e_S t_m with its internal degree."""
+    """A free-module generator e_S t_m with its internal degree.  Equal and
+    hashed by (exterior, tag, ideg), the hash computed once; ordered by
+    sort_key."""
 
-    exterior: tuple[int, ...]
-    tag: tuple[int, ...]
-    ideg: int
+    __slots__ = ("exterior", "tag", "ideg", "_hash")
 
-    def __post_init__(self):
-        if any(a >= b for a, b in zip(self.exterior, self.exterior[1:])) or \
-                any(i < 1 for i in self.exterior):
-            raise ValueError(f"exterior indices not strictly increasing: {self.exterior}")
-        if any(a > b for a, b in zip(self.tag, self.tag[1:])) or \
-                any(i < 1 for i in self.tag):
-            raise ValueError(f"tag indices not weakly increasing: {self.tag}")
+    def __init__(self, exterior: tuple[int, ...], tag: tuple[int, ...],
+                 ideg: int):
+        if exterior and (exterior[0] < 1 or
+                         any(map(ge, exterior, exterior[1:]))):
+            raise ValueError(f"exterior indices not strictly increasing: {exterior}")
+        if tag and (tag[0] < 1 or any(map(gt, tag, tag[1:]))):
+            raise ValueError(f"tag indices not weakly increasing: {tag}")
+        self.exterior = exterior
+        self.tag = tag
+        self.ideg = ideg
+        self._hash = hash((exterior, tag, ideg))
+
+    def __eq__(self, other):
+        if other.__class__ is not Label:
+            return NotImplemented
+        return self is other or (self._hash == other._hash
+                                 and self.exterior == other.exterior
+                                 and self.tag == other.tag
+                                 and self.ideg == other.ideg)
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def hom_degree(self) -> int:
@@ -75,13 +89,24 @@ def make_label(spec: RegularSequenceSpec, exterior: tuple[int, ...],
     return Label(tuple(exterior), tuple(tag), ideg)
 
 
-@dataclass(frozen=True)
 class FreeModule:
-    labels: tuple[Label, ...]
+    """A free module on distinct labels, in order.  Equal and hashed by its
+    label tuple."""
 
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
+    __slots__ = ("labels",)
+
+    def __init__(self, labels: tuple[Label, ...]):
+        if len(set(labels)) != len(labels):
             raise ValueError("duplicate generator labels")
+        self.labels = labels
+
+    def __eq__(self, other):
+        if other.__class__ is not FreeModule:
+            return NotImplemented
+        return self is other or self.labels == other.labels
+
+    def __hash__(self):
+        return hash(self.labels)
 
     @property
     def dim(self) -> int:
@@ -312,12 +337,15 @@ class ChainComplex:
         return lines
 
 
-@dataclass
 class ComplexReport:
-    ok: bool
-    failing_degree: int | None = None
-    witness: Label | None = None
-    detail: str = ""
+    __slots__ = ("ok", "failing_degree", "witness", "detail")
+
+    def __init__(self, ok: bool, failing_degree: int | None = None,
+                 witness: Label | None = None, detail: str = ""):
+        self.ok = ok
+        self.failing_degree = failing_degree
+        self.witness = witness
+        self.detail = detail
 
 
 def verify_complex(c: ChainComplex) -> ComplexReport:
@@ -383,7 +411,6 @@ def constant_matrix(f: SparseMap) -> list[list[int]]:
 
 # -- graded slices ----------------------------------------------------------
 
-@dataclass
 class GradedSlice:
     """One internal degree of a map, as a sparse scalar matrix.
 
@@ -394,12 +421,19 @@ class GradedSlice:
     column -> nonzero scalar per row.
     """
 
-    hom_degree: int | None
-    internal_degree: int
-    row_basis: list[tuple[Label, tuple[int, ...]]]
-    col_basis: list[tuple[Label, tuple[int, ...]]]
-    entries: list[dict[int, object]]
-    domain: Domain
+    __slots__ = ("hom_degree", "internal_degree", "row_basis", "col_basis",
+                 "entries", "domain")
+
+    def __init__(self, hom_degree: int | None, internal_degree: int,
+                 row_basis: list[tuple[Label, tuple[int, ...]]],
+                 col_basis: list[tuple[Label, tuple[int, ...]]],
+                 entries: list[dict[int, object]], domain: Domain):
+        self.hom_degree = hom_degree
+        self.internal_degree = internal_degree
+        self.row_basis = row_basis
+        self.col_basis = col_basis
+        self.entries = entries
+        self.domain = domain
 
     @property
     def n_cols(self) -> int:

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, asdict
 
 from .poly import Domain, RegularSequenceSpec, parse_domain, parse_poly
 from .chain import verify_complex
@@ -59,18 +58,15 @@ SETTINGS = (
 )
 
 
-@dataclass
 class RunConfig:
     """A subcommand and its value of each setting in SETTINGS."""
-    command: str
-    n_vars: int
-    s: int
-    field: str
-    sequence: str
-    max_degree: int | None
-    max_internal: int | None
-    workers: int
-    out: str | None
+
+    __slots__ = ("command",) + tuple(s.attr for s in SETTINGS)
+
+    def __init__(self, command: str, **values):
+        self.command = command
+        for s in SETTINGS:
+            setattr(self, s.attr, values[s.attr])
 
     def spec(self) -> RegularSequenceSpec:
         return parse_sequence(self.sequence, self.n_vars,
@@ -413,7 +409,8 @@ def render_report(cfg: RunConfig, payload: dict, ok: bool) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": cfg.command,
-        "config": asdict(cfg),
+        "config": {"command": cfg.command,
+                   **{s.attr: getattr(cfg, s.attr) for s in SETTINGS}},
         "ok": ok,
         "report": payload,
     }

@@ -18,8 +18,6 @@ it factors through d_P, which is again a finite linear solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .poly import Polynomial, RegularSequenceSpec
 from .linalg import rank_dense, solve, mat_mul, mat_vec
 from .chain import (FreeModule, SparseMap, ChainComplex, zero_map,
@@ -31,11 +29,13 @@ from .koszul import q_complex, q_module, transfer_entries, koszul_complex
 # ---------------------------------------------------------------------------
 # Graded short exact sequences, slicewise.
 
-@dataclass
 class SESReport:
-    ok: bool
-    max_internal: int
-    failures: list                       # (internal degree, message)
+    __slots__ = ("ok", "max_internal", "failures")
+
+    def __init__(self, ok: bool, max_internal: int, failures: list):
+        self.ok = ok
+        self.max_internal = max_internal
+        self.failures = failures        # (internal degree, message)
 
     def summary(self) -> str:
         if self.ok:
@@ -165,13 +165,16 @@ def split_power_ses(spec: RegularSequenceSpec, s: int) -> GradedSES:
 # ---------------------------------------------------------------------------
 # Connecting maps and splicing.
 
-@dataclass
 class ConnectingMap:
     """Degree -1 family del_n: P_n -> Q_{n-1} between two complexes."""
 
-    source: ChainComplex                 # P
-    target: ChainComplex                 # Q
-    maps: dict                           # n -> SparseMap
+    __slots__ = ("source", "target", "maps")
+
+    def __init__(self, source: ChainComplex, target: ChainComplex,
+                 maps: dict):
+        self.source = source            # P
+        self.target = target            # Q
+        self.maps = maps                # n -> SparseMap
 
     def component(self, n: int) -> SparseMap:
         f = self.maps.get(n)
@@ -187,11 +190,13 @@ class ConnectingMap:
         return ConnectingMap(self.source, self.target, maps)
 
 
-@dataclass
 class ConnectingReport:
-    ok: bool
-    checked: int
-    failures: list                       # (degree, witness Label)
+    __slots__ = ("ok", "checked", "failures")
+
+    def __init__(self, ok: bool, checked: int, failures: list):
+        self.ok = ok
+        self.checked = checked
+        self.failures = failures        # (degree, witness Label)
 
     def summary(self) -> str:
         if self.ok:
@@ -286,14 +291,19 @@ def iterated_splice(spec: RegularSequenceSpec, s: int) -> ChainComplex:
 # ---------------------------------------------------------------------------
 # Extension-class representatives.
 
-@dataclass
 class ThetaReport:
-    description: str
-    cocycle_ok: bool
-    image_coords: dict                   # P_1 generator Label -> sub coords
-    images: dict                         # P_1 generator Label -> str
-    trivial: bool
-    witness: list | None                 # coords of phi(1) when trivial
+    __slots__ = ("description", "cocycle_ok", "image_coords", "images",
+                 "trivial", "witness")
+
+    def __init__(self, description: str, cocycle_ok: bool,
+                 image_coords: dict, images: dict, trivial: bool,
+                 witness: list | None):
+        self.description = description
+        self.cocycle_ok = cocycle_ok
+        self.image_coords = image_coords  # P_1 generator Label -> sub coords
+        self.images = images            # P_1 generator Label -> str
+        self.trivial = trivial
+        self.witness = witness          # coords of phi(1) when trivial
 
     def lines(self) -> list[str]:
         out = [f"theta: {'trivial' if self.trivial else 'nontrivial'}"]

@@ -38,8 +38,6 @@ on t and on the t of R/I^{s-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .poly import Polynomial, GF, RegularSequenceSpec
 from .linalg import (block_smith_form, kernel_basis, rank_dense, sparse_rank,
                      Echelon, class_coordinates, _clear_row)
@@ -60,7 +58,6 @@ def tensored_matrices(t: ChainComplex) -> dict[int, list[list[int]]]:
 # ---------------------------------------------------------------------------
 # Direct-summand blocks.
 
-@dataclass(eq=False)
 class Summand:
     """One direct summand of a complex with constant integer entries.
 
@@ -71,9 +68,13 @@ class Summand:
     boundaries in degree n (the columns of mats[n+1]).  Compared by identity.
     """
 
-    index: dict[int, list[int]]
-    mats: dict[int, list[list[int]]]
-    spans: dict[int, Echelon] = field(default_factory=dict)
+    __slots__ = ("index", "mats", "spans")
+
+    def __init__(self, index: dict[int, list[int]],
+                 mats: dict[int, list[list[int]]]):
+        self.index = index
+        self.mats = mats
+        self.spans: dict[int, Echelon] = {}
 
     def dim(self, n: int) -> int:
         return len(self.index.get(n, ()))
@@ -159,11 +160,14 @@ def _torsion(t: ChainComplex,
 # ---------------------------------------------------------------------------
 # Tor with explicit generators.
 
-@dataclass
 class ProductTable:
-    gens: list[tuple[int, int]]          # (homological degree, index)
-    entries: dict                        # (i, j) -> nonzero residue Element
-    all_zero: bool
+    __slots__ = ("gens", "entries", "all_zero")
+
+    def __init__(self, gens: list[tuple[int, int]], entries: dict,
+                 all_zero: bool):
+        self.gens = gens                 # (homological degree, index)
+        self.entries = entries           # (i, j) -> nonzero residue Element
+        self.all_zero = all_zero
 
     def lines(self) -> list[str]:
         out = []
@@ -175,18 +179,23 @@ class ProductTable:
         return out
 
 
-@dataclass
 class TorReport:
     """Tor of (R/I, R/I^s); _tor_basis fills it up to where, tor() the rest."""
 
-    generators: list[list[Element]]      # per homological degree
-    t: KRIsComplex                       # K (x) R/I, K resolving R/I^s
-    summands: list[Summand]              # the blocks of t, with their spans
-    where: dict[Label, tuple[Summand, int]]  # label -> block, index in it
-    torsion: tuple[tuple[int, ...], ...] = ()
-    routes: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    products: ProductTable | None = None
-    induced_reduction: dict | None = None
+    __slots__ = ("generators", "t", "summands", "where", "torsion", "routes",
+                 "products", "induced_reduction")
+
+    def __init__(self, generators: list[list[Element]], t: KRIsComplex,
+                 summands: list[Summand],
+                 where: dict[Label, tuple[Summand, int]]):
+        self.generators = generators     # per homological degree
+        self.t = t                       # K (x) R/I, K resolving R/I^s
+        self.summands = summands         # the blocks of t, with their spans
+        self.where = where               # label -> block, index in it
+        self.torsion: tuple[tuple[int, ...], ...] = ()
+        self.routes: dict[str, tuple[int, ...]] = {}
+        self.products: ProductTable | None = None
+        self.induced_reduction: dict | None = None
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -337,12 +346,15 @@ def tor_products(report: TorReport) -> ProductTable:
 # ---------------------------------------------------------------------------
 # Freeness and induced maps.
 
-@dataclass
 class FreenessReport:
-    ok: bool
-    divisors: dict                       # degree -> SNF divisors
-    rank_by_field: dict                  # field name -> per-degree ranks
-    offending: list[str]
+    __slots__ = ("ok", "divisors", "rank_by_field", "offending")
+
+    def __init__(self, ok: bool, divisors: dict, rank_by_field: dict,
+                 offending: list[str]):
+        self.ok = ok
+        self.divisors = divisors         # degree -> SNF divisors
+        self.rank_by_field = rank_by_field  # field name -> per-degree ranks
+        self.offending = offending
 
     def summary(self) -> str:
         if self.ok:
@@ -452,12 +464,15 @@ def _induced_matrices(f: ChainMap, src: TorReport,
 # ---------------------------------------------------------------------------
 # Regularity probe.
 
-@dataclass
 class ProbeReport:
-    ok: bool
-    max_internal: int
-    failures: list                       # (homological degree, internal degree)
-    witness: str | None = None
+    __slots__ = ("ok", "max_internal", "failures", "witness")
+
+    def __init__(self, ok: bool, max_internal: int, failures: list,
+                 witness: str | None):
+        self.ok = ok
+        self.max_internal = max_internal
+        self.failures = failures         # (homological degree, internal degree)
+        self.witness = witness
 
     def summary(self) -> str:
         if self.ok:

@@ -11,12 +11,11 @@ the tag, with the same alternating sign but coefficient 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .poly import Polynomial, RegularSequenceSpec, binomial
 from .ideals import tags_of_length
-from .chain import (make_label, FreeModule, SparseMap, ChainComplex,
+from .chain import (Label, make_label, FreeModule, SparseMap, ChainComplex,
                     EMPTY_MODULE, _nonzero_source)
 
 
@@ -36,27 +35,30 @@ def q_module(spec: RegularSequenceSpec, s: int, p: int) -> FreeModule:
 
 
 def boundary_entries(spec: RegularSequenceSpec, source: FreeModule) -> dict:
-    """Koszul boundary on the exterior part; tags ride along unchanged."""
+    """Koszul boundary on the exterior part; tags ride along unchanged.
+    Removing index i lowers the internal degree by deg u_i."""
+    signed = [(u, -u) for u in spec.gens]
     ent = {}
     for src in source:
         for k, i in enumerate(src.exterior):
             rest = src.exterior[:k] + src.exterior[k + 1:]
-            tgt = make_label(spec, rest, src.tag)
-            ent[(tgt, src)] = spec.gens[i - 1].scale((-1) ** k)
+            tgt = Label(rest, src.tag, src.ideg - spec.degrees[i - 1])
+            ent[(tgt, src)] = signed[i - 1][k & 1]
     return ent
 
 
 def transfer_entries(spec: RegularSequenceSpec, source: FreeModule) -> dict:
     """Move one wedge factor into the tag: e_S t_m -> sum of signed
-    e_{S\\i} t_{sort(m+i)}; all matrix entries are +-1."""
+    e_{S\\i} t_{sort(m+i)}; all matrix entries are +-1.  The index moves,
+    so the internal degree stays."""
     one = Polynomial.one(spec.n_vars, spec.domain)
+    signed = (one, -one)
     ent = {}
     for src in source:
         for k, i in enumerate(src.exterior):
             rest = src.exterior[:k] + src.exterior[k + 1:]
             tag = tuple(sorted(src.tag + (i,)))
-            tgt = make_label(spec, rest, tag)
-            ent[(tgt, src)] = one.scale((-1) ** k)
+            ent[(Label(rest, tag, src.ideg), src)] = signed[k & 1]
     return ent
 
 
@@ -91,11 +93,14 @@ def del_map(spec: RegularSequenceSpec, s: int) -> dict[int, SparseMap]:
     return out
 
 
-@dataclass
 class IdentityReport:
-    ok: bool
-    checked: int
-    failures: list  # (identity name, tag level, degree, witness Label)
+    __slots__ = ("ok", "checked", "failures")
+
+    def __init__(self, ok: bool, checked: int, failures: list):
+        self.ok = ok
+        self.checked = checked
+        # (identity name, tag level, degree, witness Label)
+        self.failures = failures
 
     def summary(self) -> str:
         if self.ok:

@@ -17,7 +17,6 @@ col->scalar with no stored zeros (sparse).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
@@ -258,12 +257,23 @@ def sparse_rank(rows: list[dict[int, object]], dom: Domain = QQ) -> int:
 # ---------------------------------------------------------------------------
 # Smith normal form over the integers.
 
-@dataclass(frozen=True)
 class SmithForm:
-    """Nonzero elementary divisors of an integer matrix, d1 | d2 | ... ."""
+    """Nonzero elementary divisors of an integer matrix, d1 | d2 | ... .
+    Equal and hashed by (diagonal, rank)."""
 
-    diagonal: tuple[int, ...]
-    rank: int
+    __slots__ = ("diagonal", "rank")
+
+    def __init__(self, diagonal: tuple[int, ...], rank: int):
+        self.diagonal = diagonal
+        self.rank = rank
+
+    def __eq__(self, other):
+        if other.__class__ is not SmithForm:
+            return NotImplemented
+        return self.diagonal == other.diagonal and self.rank == other.rank
+
+    def __hash__(self):
+        return hash((self.diagonal, self.rank))
 
     @property
     def torsion(self) -> tuple[int, ...]:

@@ -9,7 +9,6 @@ lexicographic order, so printing is canonical and ``parse(str(p)) == p``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -40,21 +39,30 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Domain:
-    """An exact coefficient domain: 'Q', 'Z', or 'Fp' with a prime p."""
+    """An exact coefficient domain: 'Q', 'Z', or 'Fp' with a prime p.
+    Equal and hashed by (kind, p)."""
 
-    kind: str
-    p: int | None = None
+    __slots__ = ("kind", "p")
 
-    def __post_init__(self):
-        if self.kind not in ("Q", "Z", "Fp"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "Fp":
-            if self.p is None or not _is_prime(self.p):
-                raise ValueError(f"Fp needs a prime modulus, got {self.p!r}")
-        elif self.p is not None:
-            raise ValueError(f"{self.kind} takes no modulus")
+    def __init__(self, kind: str, p: int | None = None):
+        if kind not in ("Q", "Z", "Fp"):
+            raise ValueError(f"unknown domain kind {kind!r}")
+        if kind == "Fp":
+            if p is None or not _is_prime(p):
+                raise ValueError(f"Fp needs a prime modulus, got {p!r}")
+        elif p is not None:
+            raise ValueError(f"{kind} takes no modulus")
+        self.kind = kind
+        self.p = p
+
+    def __eq__(self, other):
+        if other.__class__ is not Domain:
+            return NotImplemented
+        return self is other or (self.kind == other.kind and self.p == other.p)
+
+    def __hash__(self):
+        return hash((self.kind, self.p))
 
     @property
     def is_field(self) -> bool:
@@ -68,6 +76,10 @@ class Domain:
 
     def coerce(self, value):
         """Bring an int/Fraction into this domain's canonical form."""
+        if type(value) is int:
+            if self.kind == "Fp":
+                return value % self.p
+            return Fraction(value) if self.kind == "Q" else value
         if self.kind == "Q":
             return Fraction(value)
         if self.kind == "Fp":
@@ -468,23 +480,42 @@ def parse_poly(text: str, n_vars: int, domain: Domain = QQ) -> Polynomial:
 # ---------------------------------------------------------------------------
 # Regular sequences.
 
-@dataclass(frozen=True)
 class RegularSequenceSpec:
     """A homogeneous sequence u_1..u_n in k[x1..x_nvars] generating the ideal.
 
     ``certified`` is True for the built-in monomial shapes (variables,
     prime-power variables), where regularity is automatic.  Explicit
     sequences are accepted as asserted-by-user; the Koszul homology probe
-    (homology module) offers a necessary-condition check.
+    (homology module) offers a necessary-condition check.  Equal and hashed
+    by all seven fields.
     """
 
-    n_vars: int
-    domain: Domain
-    gens: tuple[Polynomial, ...]
-    degrees: tuple[int, ...]
-    kind: str               # 'variables' | 'powers' | 'explicit'
-    certified: bool
-    powers: tuple[int, ...] | None = None
+    __slots__ = ("n_vars", "domain", "gens", "degrees", "kind", "certified",
+                 "powers")
+
+    def __init__(self, n_vars: int, domain: Domain,
+                 gens: tuple[Polynomial, ...], degrees: tuple[int, ...],
+                 kind: str, certified: bool,
+                 powers: tuple[int, ...] | None = None):
+        self.n_vars = n_vars
+        self.domain = domain
+        self.gens = gens
+        self.degrees = degrees
+        self.kind = kind            # 'variables' | 'powers' | 'explicit'
+        self.certified = certified
+        self.powers = powers
+
+    def _fields(self) -> tuple:
+        return (self.n_vars, self.domain, self.gens, self.degrees, self.kind,
+                self.certified, self.powers)
+
+    def __eq__(self, other):
+        if other.__class__ is not RegularSequenceSpec:
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     @property
     def n_gens(self) -> int:

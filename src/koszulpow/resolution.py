@@ -12,7 +12,6 @@ with the differential vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count
 from math import gcd
 
@@ -20,7 +19,7 @@ from .poly import (Polynomial, QQ, GF, RegularSequenceSpec, _MR_BASES,
                    _MR_BOUND, _is_prime)
 from .ideals import PowerReducer, hilbert_function, tag_product
 from .chain import (make_label, FreeModule, SparseMap, ChainComplex,
-                    ChainMap, graded_slice, slice_dim, Element, element_add)
+                    ChainMap, graded_slice, Element, element_add)
 from .koszul import q_module, boundary_entries, transfer_entries
 
 
@@ -95,15 +94,26 @@ def augment(spec: RegularSequenceSpec, s: int, elt: Element,
     return reducer.reduce(total)
 
 
-@dataclass
 class ExactnessReport:
-    ok: bool
-    s: int
-    max_internal: int
-    homology: dict          # (n, d) -> slice homology dimension
-    hilbert: dict           # d -> independently computed dim (R/I^s)_d
-    mismatches: list[str] = field(default_factory=list)
-    fields_checked: list[str] = field(default_factory=list)
+    __slots__ = ("ok", "s", "max_internal", "homology", "hilbert",
+                 "mismatches", "fields_checked")
+
+    def __init__(self, ok: bool, s: int, max_internal: int, homology: dict,
+                 hilbert: dict, mismatches: list[str],
+                 fields_checked: list[str]):
+        self.ok = ok
+        self.s = s
+        self.max_internal = max_internal
+        self.homology = homology    # (n, d) -> slice homology dimension
+        self.hilbert = hilbert      # d -> independently computed dim (R/I^s)_d
+        self.mismatches = mismatches
+        self.fields_checked = fields_checked
+
+    def __eq__(self, other):
+        if other.__class__ is not ExactnessReport:
+            return NotImplemented
+        return all(getattr(self, a) == getattr(other, a)
+                   for a in self.__slots__)
 
     def grid_lines(self) -> list[str]:
         top = max((n for n, _ in self.homology), default=0)
@@ -123,14 +133,16 @@ def homology_slice_dims(c: ChainComplex, max_d: int,
                         fields: list | None = None) -> list[dict]:
     """Per field (default: the rank field of c's domain), the dict (n, d) ->
     dim of degree-d slice homology, by rank-nullity.  Each slice is
-    assembled once; sparse_rank reduces integer entries mod p."""
+    assembled once, and its row count is the dim of C_{n-1} in degree d;
+    sparse_rank reduces integer entries mod p."""
     fields = fields or [c.domain.rank_field]
-    ranks = {}
+    dims, ranks = {}, {}
     for n in range(1, c.max_degree + 2):
         for d in range(max_d + 1):
             sl = graded_slice(c, n, d)
+            dims[(n - 1, d)] = len(sl.row_basis)
             ranks.update({(k, n, d): sl.rank(f) for k, f in enumerate(fields)})
-    return [{(n, d): slice_dim(c, n, d) - ranks.get((k, n + 1, d), 0)
+    return [{(n, d): dims[(n, d)] - ranks.get((k, n + 1, d), 0)
              - ranks.get((k, n, d), 0)
              for n in range(c.max_degree + 1) for d in range(max_d + 1)}
             for k in range(len(fields))]

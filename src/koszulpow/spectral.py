@@ -17,8 +17,6 @@ so no page-2 differential is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .poly import RegularSequenceSpec, binomial
 from .linalg import sparse_rank, smith_normal_form, block_smith_form, dense_row
 from .chain import (FreeModule, SparseMap, ChainComplex, Label, zero_map,
@@ -27,17 +25,20 @@ from .resolution import build_k_ris, tensor_mod_I_complex
 from .homology import homology_ranks
 
 
-@dataclass
 class DoubleComplex:
     """Bigraded cells with anticommuting boundary (vertical) and transfer
     (horizontal) maps.  Columns are tag levels 0..s-1; rows are exterior
     degrees 0..n_gens."""
 
-    spec: RegularSequenceSpec
-    s: int
-    cells: dict                 # (p, q) -> FreeModule
-    vertical: dict              # (p, q) -> SparseMap into (p, q-1)
-    horizontal: dict            # (p, q) -> SparseMap into (p+1, q-1)
+    __slots__ = ("spec", "s", "cells", "vertical", "horizontal")
+
+    def __init__(self, spec: RegularSequenceSpec, s: int, cells: dict,
+                 vertical: dict, horizontal: dict):
+        self.spec = spec
+        self.s = s
+        self.cells = cells              # (p, q) -> FreeModule
+        self.vertical = vertical        # (p, q) -> SparseMap into (p, q-1)
+        self.horizontal = horizontal    # (p, q) -> SparseMap into (p+1, q-1)
 
     def cell(self, p: int, q: int) -> FreeModule:
         return self.cells.get((p, q), EMPTY_MODULE)
@@ -85,11 +86,13 @@ def _split_by_tag_length(c: ChainComplex, spec: RegularSequenceSpec,
     return DoubleComplex(spec, s, cells, *maps)
 
 
-@dataclass
 class SquareReport:
-    ok: bool
-    checked: int
-    failures: list              # (identity name, (p, q), witness Label)
+    __slots__ = ("ok", "checked", "failures")
+
+    def __init__(self, ok: bool, checked: int, failures: list):
+        self.ok = ok
+        self.checked = checked
+        self.failures = failures        # (identity name, (p, q), witness Label)
 
     def summary(self) -> str:
         if self.ok:
@@ -146,7 +149,6 @@ def total_complex(dc: DoubleComplex) -> ChainComplex:
 # ---------------------------------------------------------------------------
 # Pages.
 
-@dataclass
 class SpectralPage:
     """One page of the column-filtration spectral sequence.
 
@@ -155,12 +157,16 @@ class SpectralPage:
     read from, page 1 also the integer d1 (transfer) maps out of each cell.
     """
 
-    r: int
-    s: int
-    n_gens: int
-    cells: dict                          # (p, q) -> rank
-    tensored: ChainComplex | None = None  # K (x) R/I
-    d1: dict | None = None               # page 1: (p, q) -> SparseMap
+    __slots__ = ("r", "s", "n_gens", "cells", "tensored", "d1")
+
+    def __init__(self, r: int, s: int, n_gens: int, cells: dict,
+                 tensored: ChainComplex, d1: dict | None = None):
+        self.r = r
+        self.s = s
+        self.n_gens = n_gens
+        self.cells = cells              # (p, q) -> rank
+        self.tensored = tensored        # K (x) R/I
+        self.d1 = d1                    # page 1: (p, q) -> SparseMap
 
     def rank(self, p: int, q: int) -> int:
         return self.cells.get((p, q), 0)
@@ -233,13 +239,16 @@ def off_support_cells(page: SpectralPage) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # Collapse.
 
-@dataclass
 class CollapseReport:
-    ok: bool
-    s: int
-    page_ranks: tuple[int, ...]          # column sums of page 2 per q
-    tor_ranks: tuple[int, ...]
-    off_support: list
+    __slots__ = ("ok", "s", "page_ranks", "tor_ranks", "off_support")
+
+    def __init__(self, ok: bool, s: int, page_ranks: tuple[int, ...],
+                 tor_ranks: tuple[int, ...], off_support: list):
+        self.ok = ok
+        self.s = s
+        self.page_ranks = page_ranks    # column sums of page 2 per q
+        self.tor_ranks = tor_ranks
+        self.off_support = off_support
 
     def lines(self) -> list[str]:
         out = [f"page 2 column sums: {self.page_ranks}",
@@ -271,23 +280,29 @@ def label_support(g: Label) -> tuple[int, ...]:
     return tuple(sorted(set(g.exterior) | set(g.tag)))
 
 
-@dataclass
 class SupportBlock:
-    support: tuple[int, ...]
-    row_labels: list
-    col_labels: list
-    matrix: list                         # integer rows
+    __slots__ = ("support", "row_labels", "col_labels", "matrix")
+
+    def __init__(self, support: tuple[int, ...], row_labels: list,
+                 col_labels: list, matrix: list):
+        self.support = support
+        self.row_labels = row_labels
+        self.col_labels = col_labels
+        self.matrix = matrix            # integer rows
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.row_labels), len(self.col_labels))
 
 
-@dataclass
 class SupportBlockReport:
-    blocks: list
-    global_divisors: tuple[int, ...]
-    merged_divisors: tuple[int, ...]
+    __slots__ = ("blocks", "global_divisors", "merged_divisors")
+
+    def __init__(self, blocks: list, global_divisors: tuple[int, ...],
+                 merged_divisors: tuple[int, ...]):
+        self.blocks = blocks
+        self.global_divisors = global_divisors
+        self.merged_divisors = merged_divisors
 
     @property
     def ok(self) -> bool:

@@ -45,13 +45,21 @@ class TestLabel:
         assert str(Label((1,), (2,), 2)) == "e{1}t(2)"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Label((2, 1), (), 2)
-        with pytest.raises(ValueError):
-            Label((1, 1), (), 2)
-        with pytest.raises(ValueError):
-            Label((), (2, 1), 2)
+        for ext in ((2, 1), (1, 1), (0, 1)):
+            with pytest.raises(ValueError, match="exterior indices"):
+                Label(ext, (), 2)
+        for tag in ((2, 1), (0,)):
+            with pytest.raises(ValueError, match="tag indices"):
+                Label((), tag, 2)
         Label((), (1, 1), 2)  # tags may repeat
+
+    def test_value_semantics(self):
+        a, b = Label((1,), (2,), 2), Label((1,), (2,), 2)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Label((1,), (2,), 3) and a != Label((2,), (1,), 2)
+        assert a != ((1,), (2,), 2)
+        assert not a < b and Label((1, 2), (), 2) < a
+        assert repr(a) == "Label(e{1}t(2))" and repr(UNIT) == "Label(1)"
 
     def test_ordering_tags_after_shorter_tags(self):
         a = Label((1, 2), (), 2)
@@ -62,6 +70,17 @@ class TestLabel:
     def test_internal_degree_from_spec(self):
         s = RegularSequenceSpec.variable_powers((2, 3))
         assert make_label(s, (1, 2), (2,)).ideg == 2 + 3 + 3
+
+
+class TestFreeModule:
+    def test_rejects_duplicate_labels(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            FreeModule((E1, E2, make_label(SPEC2, (1,), ())))
+
+    def test_value_semantics(self):
+        m = FreeModule((E1, E2))
+        assert m == FreeModule((E1, E2)) and hash(m) == hash(FreeModule((E1, E2)))
+        assert m != FreeModule((E2, E1)) and m != (E1, E2)
 
 
 class TestSparseMap:

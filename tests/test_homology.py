@@ -51,6 +51,12 @@ class TestHomologyRanks:
                     if n + 1 in mats else 0)
             assert t.module(n).dim == ranks[n][0] + r_out + r_in
 
+    def test_summands_compare_by_identity(self):
+        a, b = direct_summands(tensor_mod_I_complex(SPEC2, 2))[:2]
+        a2 = direct_summands(tensor_mod_I_complex(SPEC2, 2))[0]
+        assert a.index == a2.index and a.mats == a2.mats
+        assert a == a and a != a2 and a != b and len({a, a2, b}) == 3
+
     def test_untensored_entries_rejected(self):
         with pytest.raises(ValueError):
             homology_ranks(build_k_ris(SPEC2, 2))
@@ -115,6 +121,12 @@ class TestDirectSummands:
                     for lj, j in enumerate(b.index[d]):
                         seen[d][i][j] = m[li][lj]
         assert seen == mats
+
+    def test_summands_compare_by_identity(self):
+        a, b = direct_summands(tensor_mod_I_complex(SPEC2, 2))[:2]
+        a2 = direct_summands(tensor_mod_I_complex(SPEC2, 2))[0]
+        assert a.index == a2.index and a.mats == a2.mats
+        assert a == a and a != a2 and a != b and len({a, a2, b}) == 3
 
     def test_untensored_entries_rejected(self):
         with pytest.raises(ValueError):

@@ -7,15 +7,23 @@ name somewhere else in the module.  ``__init__.py`` is left out of that
 check because its imports are the package's re-exports.  The runtime has
 no dependencies, so every absolute import must name a module of
 ``sys.stdlib_module_names`` or the package.
+
+Every CLI job starts a fresh interpreter, so what ``import koszulpow.cli``
+loads is paid per job: it must load every module the benchmark tracer
+wraps, and neither ``dataclasses`` nor ``inspect``.
 """
 
 import ast
+import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "koszulpow"
+TRACER = PACKAGE.parents[1] / "perfbench" / "tracer.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALLOWED = sys.stdlib_module_names | {PACKAGE.name}
 
@@ -72,3 +80,21 @@ def test_checker_flags_a_foreign_module():
                          ids=lambda p: p.name)
 def test_standard_library_only(path):
     assert foreign_imports(path.read_text()) == []
+
+
+def test_cli_import_loads_traced_layers_and_no_dataclasses():
+    """perfbench/tracer.py patches the functions in its LAYERS table right
+    after ``import koszulpow``, so each of those modules must be loaded by
+    then.  ``dataclasses`` (which pulls in ``inspect``) cost each job about
+    13 ms to import and 20 ms to generate the record classes' methods."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, koszulpow.cli; print(*sys.modules, sep='\\n')"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    loaded = set(out.split())
+    assert {f"koszulpow.{m}" for m in tracer.LAYERS} <= loaded
+    assert not {"dataclasses", "inspect"} & loaded

@@ -208,6 +208,11 @@ class TestSmithNormalForm:
     def test_torsion_property(self):
         assert SmithForm((1, 1, 2, 6), 4).torsion == (2, 6)
 
+    def test_value_semantics(self):
+        a = SmithForm((1, 2), 2)
+        assert a == SmithForm((1, 2), 2) and hash(a) == hash(SmithForm((1, 2), 2))
+        assert a != SmithForm((1, 4), 2) and a != SmithForm((1, 2), 3)
+
 
 class TestMergeDivisorChains:
     def test_coprime(self):

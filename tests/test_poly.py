@@ -18,6 +18,12 @@ class TestDomain:
     def test_kinds(self):
         assert QQ.is_field and not ZZ.is_field and GF(5).is_field
 
+    def test_value_semantics(self):
+        a, b = Domain("Fp", 5), GF(5)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b, GF(7), Domain("Q"), QQ}) == 3
+        assert a != GF(7) and QQ != ZZ and QQ != "Q"
+
     def test_rank_field(self):
         assert QQ.rank_field == QQ and ZZ.rank_field == QQ
         assert GF(5).rank_field == GF(5)
@@ -38,6 +44,8 @@ class TestDomain:
         with pytest.raises(ValueError):
             ZZ.coerce(Fraction(1, 2))
         assert GF(5).coerce(-1) == 4
+        assert type(ZZ.coerce(-7)) is int and ZZ.coerce(-7) == -7
+        assert ZZ.coerce(True) == 1 and type(ZZ.coerce(True)) is int
         assert GF(5).coerce(Fraction(1, 2)) == 3  # 1/2 = 3 mod 5
 
     def test_fp_ops(self):
