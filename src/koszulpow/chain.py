@@ -259,10 +259,6 @@ def element_add(a: Element, b: Element) -> Element:
     return out
 
 
-def element_neg(a: Element) -> Element:
-    return {g: -p for g, p in a.items()}
-
-
 def element_str(a: Element) -> str:
     if not a:
         return "0"
@@ -421,15 +417,11 @@ class GradedSlice:
     column -> nonzero scalar per row.
     """
 
-    __slots__ = ("hom_degree", "internal_degree", "row_basis", "col_basis",
-                 "entries", "domain")
+    __slots__ = ("row_basis", "col_basis", "entries", "domain")
 
-    def __init__(self, hom_degree: int | None, internal_degree: int,
-                 row_basis: list[tuple[Label, tuple[int, ...]]],
+    def __init__(self, row_basis: list[tuple[Label, tuple[int, ...]]],
                  col_basis: list[tuple[Label, tuple[int, ...]]],
                  entries: list[dict[int, object]], domain: Domain):
-        self.hom_degree = hom_degree
-        self.internal_degree = internal_degree
         self.row_basis = row_basis
         self.col_basis = col_basis
         self.entries = entries
@@ -460,7 +452,7 @@ def slice_basis(mod: FreeModule, n_vars: int, d: int):
     return out
 
 
-def map_slice(f: SparseMap, d: int, hom_degree: int | None = None) -> GradedSlice:
+def map_slice(f: SparseMap, d: int) -> GradedSlice:
     """Sparse matrix of f restricted to internal degree d.
 
     Column (g, mu) holds the terms c*mon of the entries f[tgt, g] at rows
@@ -476,16 +468,12 @@ def map_slice(f: SparseMap, d: int, hom_degree: int | None = None) -> GradedSlic
         for tgt, p in f_cols[g]:
             for mon, cval in p.terms.items():
                 rows[row_index[(tgt, mono_mul(mon, mu))]][j] = cval
-    return GradedSlice(hom_degree, d, row_basis, col_basis, rows, f.domain)
+    return GradedSlice(row_basis, col_basis, rows, f.domain)
 
 
 def graded_slice(c: ChainComplex, n: int, d: int) -> GradedSlice:
     """Slice of the differential C_n -> C_{n-1} at internal degree d."""
-    return map_slice(c.differential(n), d, hom_degree=n)
-
-
-def slice_dim(c: ChainComplex, n: int, d: int) -> int:
-    return len(slice_basis(c.module(n), c.n_vars, d))
+    return map_slice(c.differential(n), d)
 
 
 # -- chain maps -------------------------------------------------------------

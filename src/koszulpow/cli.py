@@ -27,7 +27,7 @@ from .spectral import e1_page, e2_page, off_support_cells, collapse_check, \
 from .extensions import power_ses, split_power_ses, iterated_splice, \
     theta_representative
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ConfigError(Exception):
@@ -300,22 +300,24 @@ def cmd_tor(cfg: RunConfig):
         "routes_agree": rep.routes_agree,
         "generators": rep.generator_strings(),
         "products": {"all_zero": rep.products.all_zero,
-                     "lines": rep.products.lines()},
+                     "certificate": rep.products.certificate,
+                     "nonzero": rep.products.nonzero_lines(),
+                     "pairs": len(rep.products.gens) ** 2},
     }
     ok = rep.routes_agree and all(not t for t in rep.torsion)
     if cfg.s >= 2:
         ok = ok and rep.products.all_zero
     if rep.induced_reduction is not None:
-        zero, one = spec.domain.zero(), spec.domain.one()
-        # the identity in degree 0, zero in every positive degree
-        red_ok = all(x == (one if n == 0 and i == j else zero)
-                     for n, m in rep.induced_reduction.items()
-                     for i, row in enumerate(m) for j, x in enumerate(row))
-        payload["induced_reduction"] = {
-            "zero_in_positive_degrees": red_ok,
-            "matrices": {str(n): [[str(x) for x in row] for row in m]
-                         for n, m in sorted(rep.induced_reduction.items())},
-        }
+        matrices = {str(n): {"shape": [len(m), rep.ranks[n]],
+                             "nonzero": [[i, j, str(x)]
+                                         for i, row in enumerate(m)
+                                         for j, x in enumerate(row) if x]}
+                    for n, m in sorted(rep.induced_reduction.items())}
+        # the 1 x 1 identity in degree 0, zero in every positive degree
+        red_ok = all(m["nonzero"] == ([[0, 0, "1"]] if n == "0" else [])
+                     for n, m in matrices.items())
+        payload["induced_reduction"] = {"zero_in_positive_degrees": red_ok,
+                                        "matrices": matrices}
         ok = ok and red_ok
     return payload, ok
 
@@ -422,9 +424,13 @@ def run(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args)
         payload, ok = _COMMANDS[cfg.command](cfg)
+        defect = cfg.spec().length_defect()
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    if defect:
+        payload["regularity"] = defect
+        ok = False
     text = render_report(cfg, payload, ok)
     try:
         if cfg.out:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from .poly import Polynomial, RegularSequenceSpec
 from .linalg import rank_dense, solve, mat_mul, mat_vec
 from .chain import (FreeModule, SparseMap, ChainComplex, zero_map,
-                    verify_complex, slice_basis, _nonzero_source)
+                    verify_complex, _nonzero_source)
 from .ideals import SubquotientModule
 from .koszul import q_complex, q_module, transfer_entries, koszul_complex
 
@@ -343,9 +343,6 @@ def theta_representative(P: ChainComplex, ses: GradedSES) -> ThetaReport:
     if eps0 is None:
         raise ValueError("lifting infeasible: unit class has no preimage")
 
-    def act_on(action_matrix, vec):
-        return mat_vec(action_matrix, vec, fd)
-
     d1_cols = P.differential(1).columns()
     image_coords = {}
     for g in P.module(1):
@@ -354,7 +351,7 @@ def theta_representative(P: ChainComplex, ses: GradedSES) -> ThetaReport:
         for tgt, poly in d1_cols[g]:
             if tgt != unit:
                 raise ValueError("resolution is not single-sourced at degree 0")
-            step = act_on(ses.mid_action(_to_field(poly, fd), 0), eps0)
+            step = mat_vec(ses.mid_action(_to_field(poly, fd), 0), eps0, fd)
             img = [fd.add(a, b) for a, b in zip(img, step)]
         y = solve(ses.injection_matrix(g.ideg), img, fd)
         if y is None:
@@ -368,8 +365,8 @@ def theta_representative(P: ChainComplex, ses: GradedSES) -> ThetaReport:
     for h in P.module(2):
         acc = [fd.zero()] * ses.dim_sub(h.ideg)
         for g, poly in d2_cols[h]:
-            step = act_on(ses.sub.action(_to_field(poly, fd), g.ideg),
-                          image_coords[g])
+            step = mat_vec(ses.sub.action(_to_field(poly, fd), g.ideg),
+                           image_coords[g], fd)
             acc = [fd.add(a, b) for a, b in zip(acc, step)]
         if any(x != fd.zero() for x in acc):
             cocycle_ok = False
@@ -391,17 +388,3 @@ def theta_representative(P: ChainComplex, ses: GradedSES) -> ThetaReport:
               for g, c in image_coords.items()}
     return ThetaReport(ses.description, cocycle_ok, image_coords, images,
                        witness is not None, witness)
-
-
-def theta_slice_matrix(P: ChainComplex, ses: GradedSES, report: ThetaReport,
-                       d: int) -> list[list]:
-    """Dense degree-d slice of the representative P_1 -> sub: columns in
-    slice-basis order of P_1, rows the submodule's degree-d basis."""
-    fd = ses.field
-    cols = []
-    for g, mu in slice_basis(P.module(1), P.n_vars, d):
-        muf = Polynomial(P.n_vars, fd, {mu: fd.one()})
-        cols.append(mat_vec(ses.sub.action(muf, g.ideg),
-                            report.image_coords[g], fd))
-    nr = ses.dim_sub(d)
-    return [[col[i] for col in cols] for i in range(nr)]

@@ -41,18 +41,12 @@ from __future__ import annotations
 from .poly import Polynomial, GF, RegularSequenceSpec
 from .linalg import (block_smith_form, kernel_basis, rank_dense, sparse_rank,
                      Echelon, class_coordinates, _clear_row)
-from .chain import (ChainComplex, ChainMap, Element, Label, constant_matrix,
-                    constant_rows, element_str, element_add, map_slice)
+from .chain import (ChainComplex, ChainMap, Element, Label, constant_rows,
+                    element_str, element_add, map_slice)
 from .koszul import koszul_complex
-from .resolution import (KRIsComplex, cut_top_level, dga_multiply,
+from .resolution import (KRIsComplex, cut, cut_top_level, dga_multiply,
                          homology_slice_dims, default_internal_bound,
-                         tensor_mod_I_complex)
-
-
-def tensored_matrices(t: ChainComplex) -> dict[int, list[list[int]]]:
-    """Integer differential matrices of a tensored complex, per degree."""
-    return {n: constant_matrix(t.differential(n))
-            for n in range(1, t.max_degree + 1)}
+                         tag_floor, tensor_mod_I_complex)
 
 
 # ---------------------------------------------------------------------------
@@ -161,22 +155,26 @@ def _torsion(t: ChainComplex,
 # Tor with explicit generators.
 
 class ProductTable:
-    __slots__ = ("gens", "entries", "all_zero")
+    __slots__ = ("gens", "entries", "all_zero", "certificate")
 
     def __init__(self, gens: list[tuple[int, int]], entries: dict,
-                 all_zero: bool):
+                 all_zero: bool, certificate: str):
         self.gens = gens                 # (homological degree, index)
         self.entries = entries           # (i, j) -> nonzero residue Element
         self.all_zero = all_zero
+        self.certificate = certificate   # "tag-length" or "reduced"
+
+    def _line(self, i: int, j: int) -> str:
+        res = self.entries.get((i, j))
+        return f"g{i} * g{j} = {element_str(res) if res else '0'}"
 
     def lines(self) -> list[str]:
-        out = []
-        for i in range(len(self.gens)):
-            for j in range(len(self.gens)):
-                res = self.entries.get((i, j))
-                tag = element_str(res) if res else "0"
-                out.append(f"g{i} * g{j} = {tag}")
-        return out
+        n = len(self.gens)
+        return [self._line(i, j) for i in range(n) for j in range(n)]
+
+    def nonzero_lines(self) -> list[str]:
+        """The lines of the nonzero products, in the order of lines()."""
+        return [self._line(i, j) for i, j in sorted(self.entries)]
 
 
 class TorReport:
@@ -315,21 +313,29 @@ def _tor_basis(spec: RegularSequenceSpec, s: int) -> TorReport:
 def tor_products(report: TorReport) -> ProductTable:
     """Pairwise products of the report's positive-degree Tor generators,
     multiplied on the labels of its tensored complex and reduced modulo
-    boundaries, each within its own blocks.  All zero for s >= 2;
-    genuinely nonzero for s=1."""
+    boundaries, each within its own blocks.  A pair whose tag floors cut
+    every term is zero unmultiplied: for s >= 2 every pair (certificate
+    "tag-length"); for s = 1 none, and the table is genuinely nonzero."""
     t = report.t
     fd = t.domain.rank_field
     fone = Polynomial.one(t.n_vars, fd)
     flat = [(n, i) for n in range(1, len(report.generators))
             for i in range(len(report.generators[n]))]
+    tau = [tag_floor(report.generators[n][i]) for n, i in flat]
+    least = min(tau, default=0)
     entries = {}
-    top = t.max_degree
+    certificate = "tag-length"
     for ai, (na, ia) in enumerate(flat):
+        if cut(t.s, tau[ai], least):      # then every pair (ai, bi) is
+            continue
         for bi, (nb, ib) in enumerate(flat):
+            if cut(t.s, tau[ai], tau[bi]):
+                continue
+            certificate = "reduced"
             prod = dga_multiply(t, report.generators[na][ia],
                                 report.generators[nb][ib])
             nd = na + nb
-            if nd > top or not prod:
+            if not prod:      # as when nd > t.max_degree: exteriors overlap
                 continue
             resid = []
             for b, v in _block_vectors(prod, nd, report.where, fd).items():
@@ -340,7 +346,7 @@ def tor_products(report: TorReport) -> ProductTable:
                 labels = t.module(nd).labels
                 entries[(ai, bi)] = {labels[gi]: fone.scale(c)
                                      for gi, c in sorted(resid)}
-    return ProductTable(flat, entries, not entries)
+    return ProductTable(flat, entries, not entries, certificate)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .poly import Polynomial, RegularSequenceSpec, binomial
+from .poly import Polynomial, RegularSequenceSpec
 from .ideals import tags_of_length
 from .chain import (Label, make_label, FreeModule, SparseMap, ChainComplex,
                     EMPTY_MODULE, _nonzero_source)
@@ -132,9 +132,3 @@ def verify_identities(spec: RegularSequenceSpec, s_max: int) -> IdentityReport:
             if witness is not None:
                 failures.append(("square-zero", r, p, witness))
     return IdentityReport(not failures, checked, failures)
-
-
-def q_dims_formula(spec: RegularSequenceSpec, s: int) -> tuple[int, ...]:
-    """Predicted dims C(n,p)*C(n+s-1,s) per homological degree."""
-    n = spec.n_gens
-    return tuple(binomial(n, p) * binomial(n + s - 1, s) for p in range(n + 1))

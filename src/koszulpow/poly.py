@@ -209,6 +209,14 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _canonical(cls, n_vars: int, domain: Domain,
+                   terms: dict[Exponents, object]) -> Polynomial:
+        """A polynomial on terms already in __init__'s canonical form."""
+        p = object.__new__(cls)
+        p.n_vars, p.domain, p.terms = n_vars, domain, terms
+        return p
+
+    @classmethod
     def zero(cls, n_vars: int, domain: Domain) -> Polynomial:
         return cls(n_vars, domain, {})
 
@@ -270,12 +278,15 @@ class Polynomial:
         dom = self.domain
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = dom.add(out.get(m, dom.zero()), c)
-        return Polynomial(self.n_vars, dom, out)
+            out[m] = v = dom.add(out[m], c) if m in out else c
+            if not v:
+                del out[m]
+        return Polynomial._canonical(self.n_vars, dom, out)
 
     def __neg__(self) -> Polynomial:
         dom = self.domain
-        return Polynomial(self.n_vars, dom, {m: dom.neg(c) for m, c in self.terms.items()})
+        return Polynomial._canonical(
+            self.n_vars, dom, {m: dom.neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         return self + (-other)
@@ -287,13 +298,17 @@ class Polynomial:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = mono_mul(ma, mb)
-                out[m] = dom.add(out.get(m, dom.zero()), dom.mul(ca, cb))
-        return Polynomial(self.n_vars, dom, out)
+                c = dom.mul(ca, cb)
+                out[m] = dom.add(out[m], c) if m in out else c
+        return Polynomial._canonical(self.n_vars, dom,
+                                     {m: c for m, c in out.items() if c})
 
     def scale(self, scalar) -> Polynomial:
         dom = self.domain
         c0 = dom.coerce(scalar)
-        return Polynomial(self.n_vars, dom, {m: dom.mul(c, c0) for m, c in self.terms.items()})
+        # a product of nonzero elements of a domain is nonzero
+        return Polynomial._canonical(self.n_vars, dom, {
+            m: dom.mul(c, c0) for m, c in self.terms.items()} if c0 else {})
 
     def __pow__(self, k: int) -> Polynomial:
         if k < 0:
@@ -483,31 +498,28 @@ def parse_poly(text: str, n_vars: int, domain: Domain = QQ) -> Polynomial:
 class RegularSequenceSpec:
     """A homogeneous sequence u_1..u_n in k[x1..x_nvars] generating the ideal.
 
-    ``certified`` is True for the built-in monomial shapes (variables,
-    prime-power variables), where regularity is automatic.  Explicit
-    sequences are accepted as asserted-by-user; the Koszul homology probe
-    (homology module) offers a necessary-condition check.  Equal and hashed
-    by all seven fields.
+    The built-in monomial shapes (variables, prime-power variables) are
+    regular.  Explicit sequences are accepted as asserted-by-user;
+    length_defect rejects one that is too long, and the Koszul homology
+    probe (homology module) offers a necessary-condition check.  Equal and
+    hashed by all six fields.
     """
 
-    __slots__ = ("n_vars", "domain", "gens", "degrees", "kind", "certified",
-                 "powers")
+    __slots__ = ("n_vars", "domain", "gens", "degrees", "kind", "powers")
 
     def __init__(self, n_vars: int, domain: Domain,
                  gens: tuple[Polynomial, ...], degrees: tuple[int, ...],
-                 kind: str, certified: bool,
-                 powers: tuple[int, ...] | None = None):
+                 kind: str, powers: tuple[int, ...] | None = None):
         self.n_vars = n_vars
         self.domain = domain
         self.gens = gens
         self.degrees = degrees
         self.kind = kind            # 'variables' | 'powers' | 'explicit'
-        self.certified = certified
         self.powers = powers
 
     def _fields(self) -> tuple:
         return (self.n_vars, self.domain, self.gens, self.degrees, self.kind,
-                self.certified, self.powers)
+                self.powers)
 
     def __eq__(self, other):
         if other.__class__ is not RegularSequenceSpec:
@@ -530,12 +542,20 @@ class RegularSequenceSpec:
     def max_degree(self) -> int:
         return max(self.degrees)
 
+    def length_defect(self) -> str | None:
+        """Why the sequence is too long to be regular, else None: it lies
+        in (x1..xn), of grade n over Q, F_p and Z, so at most n long."""
+        if self.n_gens > self.n_vars:
+            return (f"not regular: {self.n_gens} generators, more than the "
+                    f"{self.n_vars} variables")
+        return None
+
     @classmethod
     def variables(cls, n_vars: int, domain: Domain = QQ) -> RegularSequenceSpec:
         if n_vars < 1:
             raise ValueError("need at least one generator")
         gens = tuple(Polynomial.variable(n_vars, domain, i + 1) for i in range(n_vars))
-        return cls(n_vars, domain, gens, (1,) * n_vars, "variables", True,
+        return cls(n_vars, domain, gens, (1,) * n_vars, "variables",
                    powers=(1,) * n_vars)
 
     @classmethod
@@ -548,7 +568,7 @@ class RegularSequenceSpec:
         n = len(exponents)
         gens = tuple(Polynomial.variable(n, domain, i + 1) ** a
                      for i, a in enumerate(exponents))
-        return cls(n, domain, gens, tuple(exponents), "powers", True,
+        return cls(n, domain, gens, tuple(exponents), "powers",
                    powers=tuple(exponents))
 
     @classmethod
@@ -568,7 +588,7 @@ class RegularSequenceSpec:
             if d < 1:
                 raise ValueError(f"generator {u} has degree 0")
             degrees.append(d)
-        return cls(n_vars, domain, tuple(polys), tuple(degrees), "explicit", False)
+        return cls(n_vars, domain, tuple(polys), tuple(degrees), "explicit")
 
     def with_domain(self, domain: Domain) -> RegularSequenceSpec:
         """The same sequence with coefficients coerced into another domain
@@ -577,7 +597,7 @@ class RegularSequenceSpec:
             return self
         gens = tuple(Polynomial(u.n_vars, domain, dict(u.terms)) for u in self.gens)
         return RegularSequenceSpec(self.n_vars, domain, gens, self.degrees,
-                                   self.kind, self.certified, self.powers)
+                                   self.kind, self.powers)
 
 
 def random_polynomial(rng, n_vars: int, domain: Domain, max_degree: int = 3,
@@ -591,7 +611,3 @@ def random_polynomial(rng, n_vars: int, domain: Domain, max_degree: int = 3,
         c = rng.randrange(-9, 10)
         terms[m] = terms.get(m, 0) + c
     return Polynomial(n_vars, domain, terms)
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k) if 0 <= k <= n else 0

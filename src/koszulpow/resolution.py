@@ -247,6 +247,17 @@ def _shuffle_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
+def tag_floor(a: Element) -> int:
+    """tau(a): the least tag length among the labels of a nonzero a."""
+    return min(len(g.tag) for g in a)
+
+
+def cut(s: int, p: int, q: int) -> bool:
+    """dga_multiply's cut rule for merged tags of lengths p + q; it cuts
+    every term of a * b when cut(s, tag_floor(a), tag_floor(b))."""
+    return p + q >= s
+
+
 def dga_multiply(c: KRIsComplex, a: Element, b: Element) -> Element:
     """Product in the truncated differential graded algebra.
 
@@ -258,7 +269,7 @@ def dga_multiply(c: KRIsComplex, a: Element, b: Element) -> Element:
     out: Element = {}
     for g, pg in a.items():
         for h, ph in b.items():
-            if len(g.tag) + len(h.tag) >= s:
+            if cut(s, len(g.tag), len(h.tag)):
                 continue
             sign = _shuffle_sign(g.exterior, h.exterior)
             if sign == 0:

@@ -17,7 +17,7 @@ so no page-2 differential is built.
 
 from __future__ import annotations
 
-from .poly import RegularSequenceSpec, binomial
+from .poly import RegularSequenceSpec
 from .linalg import sparse_rank, smith_normal_form, block_smith_form, dense_row
 from .chain import (FreeModule, SparseMap, ChainComplex, Label, zero_map,
                     constant_rows, EMPTY_MODULE, _nonzero_source)
@@ -205,10 +205,6 @@ def _page_one(t: ChainComplex, spec: RegularSequenceSpec,
     cells = {(p, q): dc.cell(p, q).dim
              for p in range(s) for q in range(spec.n_gens + 1)}
     return SpectralPage(1, s, spec.n_gens, cells, t, dc.horizontal)
-
-
-def e1_rank_formula(n_gens: int, p: int, q: int) -> int:
-    return binomial(n_gens, q) * binomial(n_gens + p - 1, p)
 
 
 def e2_page(spec: RegularSequenceSpec, s: int,

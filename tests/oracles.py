@@ -99,6 +99,18 @@ def tor_ranks(n_vars: int, s: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def q_dims_formula(spec, s: int) -> tuple[int, ...]:
+    """Ranks C(n,p)*C(n+s-1,s) of the tag-level-s complex on n generators,
+    per homological degree p."""
+    n = spec.n_gens
+    return tuple(comb(n, p) * comb(n + s - 1, s) for p in range(n + 1))
+
+
+def e1_rank_formula(n_gens: int, p: int, q: int) -> int:
+    """Rank of page-1 cell (p, q): C(n,q)*C(n+p-1,p)."""
+    return comb(n_gens, q) * comb(n_gens + p - 1, p)
+
+
 def betti_closed_form(n_vars: int, s: int) -> tuple[int, ...]:
     """The same ranks in closed form, with no elimination at all:
     beta_q = C(n+s-1, s+q-1) * C(s+q-2, q-1) for q >= 1 and beta_0 = 1,

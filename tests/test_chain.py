@@ -7,7 +7,7 @@ from koszulpow.poly import (QQ, ZZ, GF, Polynomial, parse_poly,
 from koszulpow.chain import (Label, make_label, FreeModule, SparseMap,
                              zero_map, compose, ChainComplex, verify_complex,
                              tensor_mod_I, graded_slice, map_slice,
-                             slice_basis, slice_dim, ChainMap, element_add,
+                             slice_basis, ChainMap, element_add,
                              element_str)
 from koszulpow.koszul import koszul_complex
 from koszulpow.linalg import rank_dense
@@ -34,6 +34,10 @@ def koszul2() -> ChainComplex:
     d1 = SparseMap(m1, m0, {(UNIT, E1): P("x1"), (UNIT, E2): P("x2")}, 2, QQ)
     d2 = SparseMap(m2, m1, {(E2, E12): P("x1"), (E1, E12): P("-x2")}, 2, QQ)
     return ChainComplex(2, QQ, {0: m0, 1: m1, 2: m2}, {1: d1, 2: d2})
+
+
+def slice_dim(c, n, d):
+    return len(slice_basis(c.module(n), c.n_vars, d))
 
 
 class TestLabel:

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from koszulpow.poly import QQ, ZZ
+from koszulpow.poly import QQ, ZZ, RegularSequenceSpec
+from koszulpow.homology import tor
 import koszulpow.cli as cli
 from koszulpow.cli import (ConfigError, parse_field, parse_sequence,
                            explicit_spec, run)
@@ -313,7 +314,7 @@ class TestReports:
     def test_build_report(self, capsys):
         code, doc = capture(capsys, ["build", "--n", "2", "--s", "2"])
         assert code == 0
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["command"] == "build"
         r = doc["report"]
         assert r["dims"] == [3, 6, 3]
@@ -370,6 +371,60 @@ class TestReports:
         assert code == 0
         assert doc["report"]["ranks"] == [1, 2, 1]
         assert doc["report"]["products"]["all_zero"] is False
+
+    def test_tor_products_field(self, capsys):
+        code, doc = capture(capsys, ["tor", "--n", "2", "--s", "2"])
+        assert code == 0
+        assert doc["report"]["products"] == {
+            "all_zero": True, "certificate": "tag-length", "nonzero": [],
+            "pairs": 25}
+
+    def test_tor_first_power_products_field(self, capsys):
+        code, doc = capture(capsys, ["tor", "--n", "3", "--s", "1"])
+        products = doc["report"]["products"]
+        lines = tor(RegularSequenceSpec.variables(3), 1).products.lines()
+        assert code == 0
+        assert products["certificate"] == "reduced"
+        assert products["pairs"] == len(lines) == 49
+        assert products["nonzero"] == [ln for ln in lines
+                                       if not ln.endswith(" = 0")]
+        assert products["nonzero"]
+
+    def test_tor_induced_reduction_field(self, capsys):
+        code, doc = capture(capsys, ["tor", "--n", "2", "--s", "3",
+                                     "--field", "Fp:7"])
+        red = doc["report"]["induced_reduction"]
+        assert code == 0
+        assert red["zero_in_positive_degrees"]
+        # rows: Tor ranks of R/I^2 [1, 3, 2]; columns: of R/I^3 [1, 4, 3]
+        assert red["matrices"] == {
+            "0": {"shape": [1, 1], "nonzero": [[0, 0, "1"]]},
+            "1": {"shape": [3, 4], "nonzero": []},
+            "2": {"shape": [2, 3], "nonzero": []}}
+
+    @pytest.mark.parametrize("command", ["build", "verify", "tor",
+                                         "spectral", "splice"])
+    def test_more_generators_than_variables_is_one(self, command, tmp_path,
+                                                   capsys):
+        f = tmp_path / "seq.json"
+        f.write_text('["x1^2", "x1*x2", "x2^2"]')
+        code, doc = capture(capsys, [command, "--n", "2", "--s", "2",
+                                     "--sequence", f"file:{f}"])
+        assert code == 1
+        assert doc["ok"] is False
+        assert doc["report"]["regularity"] == \
+            "not regular: 3 generators, more than the 2 variables"
+
+    @pytest.mark.parametrize("command", ["build", "verify", "tor",
+                                         "spectral", "splice"])
+    def test_integral_torsion_sequence_passes_every_command(
+            self, command, tmp_path, capsys):
+        f = tmp_path / "seq.json"
+        f.write_text('["2*x1", "x2"]')
+        code, doc = capture(capsys, [command, "--n", "2", "--s", "2",
+                                     "--field", "Z", "--sequence", f"file:{f}"])
+        assert code == 0 and doc["ok"] is True
+        assert "regularity" not in doc["report"]
 
     def test_spectral_report(self, capsys):
         code, doc = capture(capsys, ["spectral", "--n", "2", "--s", "2"])

@@ -1,18 +1,31 @@
 import pytest
 
-from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec
+from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec, Polynomial
 from koszulpow.ideals import SubquotientModule
-from koszulpow.chain import SparseMap, make_label, verify_complex
+from koszulpow.linalg import mat_vec
+from koszulpow.chain import SparseMap, make_label, verify_complex, slice_basis
 from koszulpow.koszul import koszul_complex, q_complex
 from koszulpow.resolution import build_k_ris
 from koszulpow.extensions import (GradedSES, power_ses, split_power_ses,
                                   ConnectingMap, verify_connecting, splice,
                                   power_connecting, iterated_splice,
-                                  theta_representative, theta_slice_matrix)
+                                  theta_representative)
 
 
 SPEC2 = RegularSequenceSpec.variables(2)
 SPEC3 = RegularSequenceSpec.variables(3)
+
+
+def theta_slice_matrix(P, ses, report, d):
+    """Dense degree-d slice of the representative P_1 -> sub: columns in
+    slice-basis order of P_1, rows the submodule's degree-d basis."""
+    fd = ses.field
+    cols = []
+    for g, mu in slice_basis(P.module(1), P.n_vars, d):
+        muf = Polynomial(P.n_vars, fd, {mu: fd.one()})
+        cols.append(mat_vec(ses.sub.action(muf, g.ideg),
+                            report.image_coords[g], fd))
+    return [[col[i] for col in cols] for i in range(ses.dim_sub(d))]
 
 
 class TestGradedSES:

@@ -1,20 +1,28 @@
+from math import comb
+
 import pytest
 
 from oracles import betti_closed_form
-from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec, parse_poly, Polynomial, binomial
+from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec, parse_poly, Polynomial
 from koszulpow.linalg import (Echelon, kernel_basis, rank_dense, solve,
                               smith_normal_form)
 from koszulpow.chain import (SparseMap, ChainMap, element_str, constant_rows,
-                             tensor_mod_I)
+                             constant_matrix, tensor_mod_I)
 from koszulpow.koszul import koszul_complex
 from koszulpow.resolution import (build_k_ris, reduction_chain_map,
                                   dga_multiply, cut_top_level)
 from koszulpow.spectral import label_support
-from koszulpow.homology import (tensored_matrices, homology_ranks,
+from koszulpow.homology import (homology_ranks,
                                 tensor_mod_I_complex, tor, coker_transfer_ranks,
                                 tor_products, freeness_check, divisor_report,
                                 induced_tor_map, koszul_regularity_probe,
                                 direct_summands)
+
+
+def tensored_matrices(t):
+    """Integer differential matrices of a tensored complex, per degree."""
+    return {n: constant_matrix(t.differential(n))
+            for n in range(1, t.max_degree + 1)}
 
 
 def P(text, n=2):
@@ -169,14 +177,14 @@ class TestTor:
         for n in (1, 2, 3, 4):
             spec = RegularSequenceSpec.variables(n)
             rep = tor(spec, 1)
-            assert rep.ranks == tuple(binomial(n, k) for k in range(n + 1))
+            assert rep.ranks == tuple(comb(n, k) for k in range(n + 1))
 
     def test_first_tor_rank_formula(self):
         for n in (1, 2, 3):
             spec = RegularSequenceSpec.variables(n)
             for s in (1, 2, 3):
                 rep = tor(spec, s)
-                assert rep.ranks[1] == binomial(n + s - 1, s)
+                assert rep.ranks[1] == comb(n + s - 1, s)
 
     def test_no_torsion_anywhere(self):
         for n in (1, 2, 3):
@@ -247,6 +255,30 @@ class TestProducts:
         lines = tor(SPEC2, 1).products.lines()
         assert "g0 * g1 = (1)*e{1,2}" in lines
         assert "g0 * g0 = 0" in lines
+
+    @pytest.mark.parametrize("spec", [
+        SPEC1, SPEC2, SPEC3,
+        RegularSequenceSpec.explicit([P("x1+2*x2-x3", 3), P("x2-x3", 3),
+                                      P("x3", 3)])],
+        ids=["vars1", "vars2", "vars3", "linear3"])
+    def test_tag_length_certificate_multiplies_nothing(self, spec,
+                                                        count_calls):
+        # for s >= 2 every positive-degree generator has tag floor
+        # s - 1 >= 1, so every pair is cut unmultiplied; for s = 1 every
+        # tag is empty and all g^2 pairs are multiplied and reduced
+        calls = count_calls("resolution.dga_multiply")
+        for s in (1, 2, 3, 4):
+            before = calls["resolution.dga_multiply"]
+            table = tor(spec, s).products
+            made = calls["resolution.dga_multiply"] - before
+            if s == 1:
+                assert made == len(table.gens) ** 2
+                assert table.certificate == "reduced"
+                assert table.all_zero == (spec.n_gens == 1)    # e1 * e1 = 0
+            else:
+                assert made == 0
+                assert table.certificate == "tag-length"
+                assert table.all_zero and table.nonzero_lines() == []
 
 
 class TestFreeness:

@@ -1,11 +1,12 @@
 import pytest
 
+from oracles import q_dims_formula
 from koszulpow.poly import QQ, RegularSequenceSpec, parse_poly, Polynomial
 from koszulpow.chain import (make_label, verify_complex, compose, SparseMap,
                              _nonzero_source)
 from koszulpow.koszul import (exterior_subsets, q_module, q_complex,
                               koszul_complex, del_map, verify_identities,
-                              q_dims_formula, transfer_entries)
+                              transfer_entries)
 
 
 def P(text, n=2):

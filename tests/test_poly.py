@@ -218,20 +218,20 @@ class TestParser:
 class TestRegularSequenceSpec:
     def test_variables(self):
         s = RegularSequenceSpec.variables(3)
-        assert s.n_gens == 3 and s.certified and s.monomial_regime
+        assert s.n_gens == 3 and s.monomial_regime
         assert [str(u) for u in s.gens] == ["x1", "x2", "x3"]
         assert s.degrees == (1, 1, 1)
 
     def test_powers(self):
         s = RegularSequenceSpec.variable_powers((2, 3))
-        assert s.degrees == (2, 3) and s.certified
+        assert s.degrees == (2, 3) and s.monomial_regime
         assert str(s.gens[1]) == "x2^3"
 
     def test_explicit(self):
         polys = [P("x1^2 + x2^2"), P("x1*x2")]
         s = RegularSequenceSpec.explicit(polys)
         assert s.degrees == (2, 2)
-        assert not s.certified and not s.monomial_regime
+        assert not s.monomial_regime
 
     def test_explicit_rejects_inhomogeneous(self):
         with pytest.raises(ValueError):

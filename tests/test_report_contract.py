@@ -18,38 +18,38 @@ from koszulpow.cli import run
 
 CONTRACT = [
     (["tor", "--n", "2", "--s", "1"], 0,
-     "c2374c010d2519f3c422b0c53d08b971c4f6033d5e2645101e16471cd689ebb9"),
+     "3bd9394e3ad77758defca2a138fecaf854930fb13f3ea25f439223d3913d28e3"),
     (["tor", "--n", "2", "--s", "2"], 0,
-     "84093b0122e99527ef8dbd0646f95b62bbde0fdeb6742e103e4c50c82ba097cd"),
+     "86e219db9f9b40ea183589f87931a9b920afa70f46b604207a402641a168315d"),
     (["tor", "--n", "3", "--s", "3", "--field", "Z"], 0,
-     "652ed27404aa796f71db88a8f25fe14f2791edf46c8d91b7d1c7db92d9e52f60"),
+     "6b2893f3158b08ad6cf51a4d1cf94ac7b7841cc8e1fb936accf3d28a6a3b93a5"),
     (["tor", "--n", "3", "--s", "2", "--field", "Fp:5"], 0,
-     "b8e86c3633a83eb4709942f226aa1d201eb32f7f0989a78a0fa253d6751d71d6"),
+     "941a40729fe7b0b101162811c4f4f1b2b5354d8c1b247df2a726999073db631d"),
     (["spectral", "--n", "3", "--s", "3", "--field", "Z"], 0,
-     "8e3d9f1ccd84d9a9c7acd5cf98da707aa7e88ca740acca4f8a647fd081dab51f"),
+     "2a1efe382a1b76e4560b10b56aa575fdf7738394511caccf36c9b801b7388f9c"),
     (["spectral", "--n", "4", "--s", "3", "--field", "Z"], 0,
-     "9db6c51145d829a157744249485012aed4c6f8316813fe7995deab71aacd9ab2"),
+     "e381d94fdd2f8a0be16f08474cd0ec2979bd8670c147aa782f772bf2be858ec3"),
     (["verify", "--n", "2", "--s", "2", "--field", "Z"], 0,
-     "ad9296f7a171d43a8ac9a0c1cccf982cba3050e3f47dbc101711e7f19c35632e"),
+     "274b5c02ff9d19f0b2cbb57764dcd0256427c0cd46c946761409e428807e659e"),
     (["verify", "--n", "3", "--s", "3", "--field", "Z"], 0,
-     "6035bbce2715deff2e79414f4df3c9a8f0a1e6c240ecfab5cdad4f0f8658f764"),
+     "ea9eb8dbbac11cc8727eac92dbdfd79dfee9c52628984abaf555d39843e377d0"),
     (["verify", "--n", "4", "--s", "3"], 0,
-     "8f562bd35ced9728a2291c1b9aa3f6cb238ab57d81d6ff5715c77ccd0d251c6a"),
+     "24cf7fc46d4a8877681d5d34b17f53ecab1c6cf02608998432100372860dc611"),
     (["tor", "--n", "4", "--s", "3", "--field", "Z"], 0,
-     "8b7d9ebe51c0060ef864471c8154b3e0d4f1861ea3efce2f3bd8c9d8bf0e9622"),
+     "0ba95dc561906ae6e8b5ccf65f05b52c9a77fa5f652ab532e5f6ace9de551868"),
     (["build", "--n", "3", "--s", "2"], 0,
-     "0cfd59b032288a5ef257d7926e3818277a8bcb0c4eb9adce78547477012360aa"),
+     "658b809b5de49569e95d2899a5f3a4a0243599b046168b74cf91142a286a3db2"),
     (["splice", "--n", "2", "--s", "2"], 0,
-     "beb79ea61d892409597dfd135bf9110c4c411c700667f627e8886537e3bf811c"),
+     "a0c29d21f1414a4866a9c2a90c4a469cf0cfb9655b846fc15a3763697e74b32e"),
     (["build", "--n", "4", "--s", "3", "--field", "Z"], 0,
-     "50f4af21d54a1a5d4bc74203d3874205f379a2faaeb5f815a4e6759b0ff56854"),
+     "84d4d6141cd41f3fbd2d588477bf3edfa9abdc995f9c25aeadefaec39cb4c4bb"),
     (["splice", "--n", "3", "--s", "3"], 0,
-     "83adc5e921443d19a38a1f8f19574c8c83977ba7c58ae5ea737d4dec28a168a8"),
+     "b887c01d86ece4cb692962a4e40a595b24a7fefbd0101fda0a30b0d83db0545e"),
     (["splice", "--n", "3", "--s", "2", "--field", "Z"], 0,
-     "062f646d072042762420e8501d2ec97209c70b20378a0180eb0a9ca1bf190c6d"),
+     "58c91a05e811f7ea28d225b49bcf604b6645e68e8ac73de65dad6d0866e55be5"),
     (["verify", "--n", "3", "--s", "2", "--field", "Z", "--sequence",
       "powers:1,2,2"], 0,
-     "d25b23914ef22db581482be36f372a0c4c2e07d8b7f68937b2a2a1ff2c6115e0"),
+     "a990cde736665b08bcd013d92397fbef5aab578abf2bf1b16c809d36f6c8ff6b"),
 ]
 
 
@@ -66,32 +66,32 @@ CONFIG_CONTRACT = [
     # an inline list of polynomials as the sequence
     ({"n": 2, "s": 2, "field": "Z", "sequence": ["x1+2*x2", "x2"]},
      ["tor"], 0,
-     "0de88c9b24b0143c74ecc45787927d76d971bb5e39a7beb2834a08859b6d84af"),
+     "986c0e79e1183d684a1c85099f403e5796a8fc88bd75a2b4922933e830de2ae4"),
     # flags override the file
     ({"n": 3, "s": 3, "field": "Z"}, ["spectral", "--s", "2", "--field", "Q"],
-     0, "1a5d69ec648665f6d51eddd75500e9099cd71e89fb756e0ef304914ee5fab86a"),
+     0, "c20a788d0c5473deeb32708ca641c379a89f8b62f34b950f58b05857353fb89c"),
     # keys spelled by attribute name
     ({"n_vars": 3, "s": 2, "max_degree": 1}, ["build"], 0,
-     "d59108068d70ea30f66055bc800245d00d7a06e28b9488f5a505ec29056c7b2b"),
+     "d2bb59e1e949cf2fbaeba57bc7689c6ca833ff3791b5344907ba5dda3dd56d5c"),
     # a sequence that is no monomial: boundary entries are linear forms
     ({"n": 3, "s": 2, "field": "Z",
       "sequence": ["x1+2*x2-x3", "x2-x3", "x3"]}, ["spectral"], 0,
-     "524281bb14d56568d367d50a2c7aa8dfc565403755bed689b33e6b5901204a37"),
+     "c7e10755101a8feafe9b705840f9f28dcaca551059b96d37a8f874d3d84529d0"),
     ({"n": 3, "s": 2, "field": "Z",
       "sequence": ["x1+2*x2-x3", "x2-x3", "x3"]}, ["verify"], 0,
-     "394875255e154d9e08aa5c04dd510ddaa580303245858475605a926d61119726"),
+     "dcd1a6646dee1ae2cb22e66dea88bfd5619d12e73efaf2bc5fbfad19372f6bdc"),
     # F_p runs of an integral sequence with coefficient primes 2 and 3
     ({"n": 2, "s": 2, "field": "Z", "sequence": ["x1+3*x2", "x1-4*x2"]},
      ["verify"], 0,
-     "de4350e5017138e105808b04fc5d507d279b60103fe0a6524ed83d192ef9a62f"),
+     "5026b63c73d0db971c2b1d2299f220d0266a0bcd45db5ada02e81df00a1825e3"),
     # not regular over Z: the F7 run reports its mismatches
     ({"n": 2, "s": 2, "field": "Z", "sequence": ["7*x1", "7*x2"]},
      ["verify"], 1,
-     "9a0f2d1e8798f287e56726a9fbcfde502ded0ead5c194fcd7e20ae85d75c9f4f"),
+     "e7ff9dd15ad0ca48301ab77a575c893d74345e6112660e312d401e0c475a1750"),
     # regular over Z with 2-torsion in R/I^s
     ({"n": 2, "s": 3, "field": "Z", "sequence": ["2*x1", "x2"]},
      ["verify"], 0,
-     "68271519492db448ba411847fd06e9def65aef0b3689965825c60d7cc7d3d070"),
+     "50dda189f26dcd569c95b71d1809982d8fc996da7262e0cfae4ad6958c1265bb"),
 ]
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import e1_rank_formula
 from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec, parse_poly
 from koszulpow.chain import SparseMap, constant_matrix, make_label
 from koszulpow.koszul import (koszul_complex, del_map, q_module,
@@ -7,7 +8,7 @@ from koszulpow.koszul import (koszul_complex, del_map, q_module,
 from koszulpow.resolution import build_k_ris
 from koszulpow.spectral import (DoubleComplex, build_double_complex,
                                 verify_double_complex, total_complex,
-                                e1_page, e1_rank_formula, e2_page,
+                                e1_page, e2_page,
                                 off_support_cells, collapse_check,
                                 support_blocks, label_support, _page_one)
 
