@@ -305,6 +305,9 @@ def cmd_tor(cfg: RunConfig):
                      "pairs": len(rep.products.gens) ** 2},
     }
     ok = rep.routes_agree and all(not t for t in rep.torsion)
+    if rep.failure:
+        payload["matching"] = rep.failure
+        ok = False
     if cfg.s >= 2:
         ok = ok and rep.products.all_zero
     if rep.induced_reduction is not None:

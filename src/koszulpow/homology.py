@@ -1,154 +1,48 @@
 """Homology of the tensored resolution: Tor with explicit generators,
 torsion certificates, product triviality, freeness, and induced maps.
 
-The tensored resolution (resolution.tensor_mod_I_complex) has the +-1
-transfer matrices on the generator labels as its differentials.  All Tor
-accounting happens on that integer skeleton: ranks and kernels over the
-rationals, torsion via Smith normal form, and base change to any
-coefficient field is legitimate exactly when the elementary divisors are
-units, which freeness_check certifies.
-
-The skeleton is block diagonal.  direct_summands splits a complex with
-constant entries into the connected components of the nonzero entries of
-all its differentials, and every elimination, freeness included, runs on
-those small dense blocks.  (For the tensored resolution each component
-lies inside one support set ext u tag of spectral.support_blocks, and
-they are finer: 192 components on 16 support sets for 4 generators at
-s = 4.  Nothing here relies on that.)  Block by block:
-
-- ranks add up over the blocks and Smith forms merge
-  (linalg.block_smith_form);
-- pivot columns, the reduced-echelon kernel basis, the greedy choice of
-  generators modulo the boundaries and canonical residues all split over
-  a block-diagonal matrix, so generators chosen block by block and merged
-  in global free-column order are the ones a whole-matrix elimination
-  picks, and product residues and class coordinates are solved within
-  the block of the vector alone.
-
-One tor(spec, s) run builds the tensored complex t = K (x) R/I and its
-blocks once, and no polynomial resolution K; per degree n and block it
-keeps one reduced-echelon span of the block's columns of d_{n+1} (the
-boundaries in degree n).  The TorReport carries them all and one map
-from each label to its block; its generators are a basis of homology
-over the rank field, so their counts are the free ranks.  The other two
-routes read one page 2 off the same t (transfer-cokernel: its last
-column).  Products and the reduction map read labels only, so they run
-on t and on the t of R/I^{s-1}.
+The tensored resolution t = K (x) R/I has the +-1 transfer entries as
+its differentials and carries the max-rule acyclic matching
+(resolution.MorseMatching).  Once its certificate holds, it settles Tor
+with no elimination: the generators are the critical cells, each with
+coefficient 1 and zero differential, so Tor is free on them over Z and
+every field; d_n has pairs[n] elementary divisors, all 1, so there is no
+torsion; and class coordinates, of products and of images under a chain
+map, are the Morse projection onto the critical cells.  tor and
+freeness_check report a failed certificate as a failed check;
+induced_tor_map raises on it.  tor(spec, s) builds t once, and no
+polynomial resolution; its other two rank routes read one page 2 off t
+by real elimination (transfer-cokernel: its last column; page2: its
+column sums).
 """
 
 from __future__ import annotations
 
 from .poly import Polynomial, GF, RegularSequenceSpec
-from .linalg import (block_smith_form, kernel_basis, rank_dense, sparse_rank,
-                     Echelon, class_coordinates, _clear_row)
-from .chain import (ChainComplex, ChainMap, Element, Label, constant_rows,
+from .linalg import (kernel_basis, rank_dense, smith_normal_form,
+                     sparse_rank, Echelon)
+from .chain import (ChainComplex, ChainMap, Element, constant_matrix,
                     element_str, element_add, map_slice)
 from .koszul import koszul_complex
-from .resolution import (KRIsComplex, cut, cut_top_level, dga_multiply,
-                         homology_slice_dims, default_internal_bound,
-                         tag_floor, tensor_mod_I_complex)
-
-
-# ---------------------------------------------------------------------------
-# Direct-summand blocks.
-
-class Summand:
-    """One direct summand of a complex with constant integer entries.
-
-    index[n] lists the global indices of its degree-n generators in
-    increasing order (degrees without any are absent); mats[n] is its dense
-    block of d_n, rows index[n-1] and columns index[n], present when both
-    are; _tor_basis sets spans[n] to the span over the rank field of its
-    boundaries in degree n (the columns of mats[n+1]).  Compared by identity.
-    """
-
-    __slots__ = ("index", "mats", "spans")
-
-    def __init__(self, index: dict[int, list[int]],
-                 mats: dict[int, list[list[int]]]):
-        self.index = index
-        self.mats = mats
-        self.spans: dict[int, Echelon] = {}
-
-    def dim(self, n: int) -> int:
-        return len(self.index.get(n, ()))
-
-
-def direct_summands(t: ChainComplex) -> list[Summand]:
-    """Split t into the connected components of the nonzero entries of all
-    its differentials (union-find over the generators of every degree).
-
-    No entry joins two components, so t is their direct sum.  Input must
-    have constant integer entries; anything else raises.  Components come
-    in the order of their first generator by (degree, index).
-    """
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    rows = {n: constant_rows(t.differential(n))
-            for n in range(1, t.max_degree + 1)}
-    for n, m in rows.items():
-        for i, row in enumerate(m):
-            for j in row:
-                a, b = find((n - 1, i)), find((n, j))
-                if a != b:
-                    parent[b] = a
-    root_of: dict[tuple[int, int], Summand] = {}
-    where: dict[tuple[int, int], tuple[Summand, int]] = {}
-    out: list[Summand] = []
-    for n in range(t.max_degree + 1):
-        for i in range(t.module(n).dim):
-            r = find((n, i))
-            b = root_of.get(r)
-            if b is None:
-                b = root_of[r] = Summand({}, {})
-                out.append(b)
-            idx = b.index.setdefault(n, [])
-            where[(n, i)] = (b, len(idx))
-            idx.append(i)
-    for b in out:
-        for n in b.index:
-            if n - 1 in b.index:
-                b.mats[n] = [[0] * len(b.index[n]) for _ in b.index[n - 1]]
-    for n, m in rows.items():
-        for i, row in enumerate(m):
-            b, li = where[(n - 1, i)]
-            for j, v in row.items():
-                b.mats[n][li][where[(n, j)][1]] = v
-    return out
+from .resolution import (MorseMatching, cut, cut_top_level,
+                         dga_multiply, homology_slice_dims,
+                         default_internal_bound, tag_floor,
+                         tensor_mod_I_complex)
 
 
 def homology_ranks(t: ChainComplex) -> list[tuple[int, tuple[int, ...]]]:
-    """Per homological degree: (free rank, torsion divisors > 1).
-
-    Input must have constant integer entries (the tensored complexes).
-    Rank from rank-nullity, each block of each differential ranked once;
-    torsion as in _torsion.
-    """
-    summands = direct_summands(t)
+    """Per homological degree: (free rank, torsion divisors > 1), for a
+    complex with constant integer entries.  Rank by rank-nullity, each
+    whole differential ranked once over the rank field; torsion of H_n
+    from the Smith form of d_{n+1} (none over F_p)."""
     fd = t.domain.rank_field
-    rank: dict[int, int] = {}
-    for b in summands:
-        for n, m in b.mats.items():
-            rank[n] = rank.get(n, 0) + rank_dense(m, b.dim(n), fd)
-    torsion = _torsion(t, summands)
+    mats = {n: constant_matrix(t.differential(n))
+            for n in range(1, t.max_degree + 1)}
+    rank = {n: rank_dense(m, t.module(n).dim, fd) for n, m in mats.items()}
     return [(t.module(n).dim - rank.get(n, 0) - rank.get(n + 1, 0),
-             torsion[n]) for n in range(t.max_degree + 1)]
-
-
-def _torsion(t: ChainComplex,
-             summands: list[Summand]) -> tuple[tuple[int, ...], ...]:
-    """Per degree n, the torsion divisors > 1 of H_n: those of the Smith
-    form of d_{n+1} (none over F_p, where every divisor is a unit)."""
-    if t.domain.kind == "Fp":
-        return ((),) * (t.max_degree + 1)
-    return tuple(block_smith_form([b.mats[n + 1] for b in summands
-                                   if n + 1 in b.mats]).torsion
-                 for n in range(t.max_degree + 1))
+             smith_normal_form(mats[n + 1]).torsion
+             if n + 1 in mats and fd.kind != "Fp" else ())
+            for n in range(t.max_degree + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -178,19 +72,23 @@ class ProductTable:
 
 
 class TorReport:
-    """Tor of (R/I, R/I^s); _tor_basis fills it up to where, tor() the rest."""
+    """Tor of (R/I, R/I^s) read off the max-rule matching on t = K (x) R/I:
+    per degree the generators are its critical cells with coefficient 1.
+    tor() fills in the rest; failure is None when every matching it read
+    is certified, else the first failing label and check."""
 
-    __slots__ = ("generators", "t", "summands", "where", "torsion", "routes",
-                 "products", "induced_reduction")
+    __slots__ = ("generators", "t", "matching", "failure", "torsion",
+                 "routes", "products", "induced_reduction")
 
-    def __init__(self, generators: list[list[Element]], t: KRIsComplex,
-                 summands: list[Summand],
-                 where: dict[Label, tuple[Summand, int]]):
-        self.generators = generators     # per homological degree
-        self.t = t                       # K (x) R/I, K resolving R/I^s
-        self.summands = summands         # the blocks of t, with their spans
-        self.where = where               # label -> block, index in it
-        self.torsion: tuple[tuple[int, ...], ...] = ()
+    def __init__(self, matching: MorseMatching):
+        self.t = matching.t              # K (x) R/I, K resolving R/I^s
+        one = Polynomial.one(self.t.n_vars, self.t.domain)
+        self.generators = [[{g: one} for g in cells]
+                           for cells in matching.critical]
+        self.matching = matching
+        self.failure = matching.failure
+        # every elementary divisor is 1 (MorseMatching): no torsion
+        self.torsion = ((),) * len(self.generators)
         self.routes: dict[str, tuple[int, ...]] = {}
         self.products: ProductTable | None = None
         self.induced_reduction: dict | None = None
@@ -206,38 +104,6 @@ class TorReport:
 
     def generator_strings(self) -> list[list[str]]:
         return [[element_str(g) for g in gens] for gens in self.generators]
-
-
-def _column_span(matrix: list[list], n_cols: int, dom) -> Echelon:
-    """Reduced echelon span of the columns of a dense matrix."""
-    span = Echelon(dom)
-    for j in range(n_cols):
-        span.insert([row[j] for row in matrix])
-    return span
-
-
-def _homology_basis(m_out: list[list], n_cols: int,
-                    span: Echelon) -> list[list]:
-    """Reduced-echelon kernel basis vectors of m_out that are independent
-    modulo span (the incoming image), taken in column order.
-    Deterministic."""
-    ech = span.copy()
-    return [v for v in kernel_basis(m_out, n_cols, span.dom) if ech.insert(v)]
-
-
-def _block_vectors(elt: Element, n: int, where: dict,
-                   fd) -> dict[Summand, list]:
-    """Coordinates of a degree-n tensored element, split by block: summand
-    -> vector on its degree-n indices, for the summands the element meets."""
-    vecs: dict[Summand, list] = {}
-    for g, p in elt.items():
-        if not p.is_constant():
-            raise ValueError(f"non-constant coefficient {p} in tensored element")
-        b, j = where[g]
-        if b not in vecs:
-            vecs[b] = [fd.zero()] * b.dim(n)
-        vecs[b][j] = fd.coerce(p.constant_value())
-    return vecs
 
 
 def coker_transfer_ranks(spec: RegularSequenceSpec, s: int) -> tuple[int, ...]:
@@ -265,7 +131,6 @@ def tor(spec: RegularSequenceSpec, s: int) -> TorReport:
     if s < 1:
         raise ValueError("power must be >= 1")
     report = _tor_basis(spec, s)
-    report.torsion = _torsion(report.t, report.summands)
     from .spectral import _page_one, e2_page
     page2 = e2_page(spec, s, _page_one(report.t, spec, s))
     report.routes = {"direct": report.ranks,
@@ -274,51 +139,25 @@ def tor(spec: RegularSequenceSpec, s: int) -> TorReport:
     report.products = tor_products(report)
     if s >= 2:
         lower = _tor_basis(spec, s - 1)
+        report.failure = report.failure or lower.failure
         report.induced_reduction = _induced_matrices(
             cut_top_level(report.t, lower.t), report, lower)
     return report
 
 
 def _tor_basis(spec: RegularSequenceSpec, s: int) -> TorReport:
-    """The tensored resolution of R/I^s and its blocks with their boundary
-    spans, the label map, and per degree the generators: a reduced-echelon
-    kernel basis modulo the span, block by block, merged in global
-    free-column order."""
-    t = tensor_mod_I_complex(spec, s)
-    summands = direct_summands(t)
-    fd = t.domain.rank_field
-    one = Polynomial.one(t.n_vars, t.domain)
-    where, generators = {}, []
-    for n in range(t.max_degree + 1):
-        labels = t.module(n).labels
-        picked = []
-        for b in summands:
-            idx = b.index.get(n)
-            if idx is None:
-                continue
-            span = b.spans[n] = _column_span(b.mats.get(n + 1, []),
-                                             b.dim(n + 1), fd)
-            where.update((labels[gi], (b, j)) for j, gi in enumerate(idx))
-            for v in _homology_basis(b.mats.get(n, []), len(idx), span):
-                w = {j: c for j, c in enumerate(v) if c}
-                if fd.kind != "Fp":
-                    w = _clear_row(w)
-                # a reduced-echelon kernel vector ends at its free column
-                picked.append((idx[max(w)], {labels[idx[j]]: one.scale(c)
-                                             for j, c in w.items()}))
-        generators.append([g for _, g in sorted(picked, key=lambda p: p[0])])
-    return TorReport(generators, t, summands, where)
+    """The generators of Tor, read off the tensored resolution of R/I^s."""
+    return TorReport(MorseMatching(tensor_mod_I_complex(spec, s), s))
 
 
 def tor_products(report: TorReport) -> ProductTable:
-    """Pairwise products of the report's positive-degree Tor generators,
-    multiplied on the labels of its tensored complex and reduced modulo
-    boundaries, each within its own blocks.  A pair whose tag floors cut
-    every term is zero unmultiplied: for s >= 2 every pair (certificate
-    "tag-length"); for s = 1 none, and the table is genuinely nonzero."""
+    """Pairwise products of the report's positive-degree Tor generators on
+    the labels of its tensored complex, each residue its Morse projection.
+    A pair whose tag floors cut every term is zero unmultiplied: for s >= 2
+    every pair (certificate "tag-length"); for s = 1 none, d = 0, the
+    projection is the identity and the table is genuinely nonzero."""
     t = report.t
-    fd = t.domain.rank_field
-    fone = Polynomial.one(t.n_vars, fd)
+    fone = Polynomial.one(t.n_vars, t.domain.rank_field)
     flat = [(n, i) for n in range(1, len(report.generators))
             for i in range(len(report.generators[n]))]
     tau = [tag_floor(report.generators[n][i]) for n, i in flat]
@@ -332,20 +171,11 @@ def tor_products(report: TorReport) -> ProductTable:
             if cut(t.s, tau[ai], tau[bi]):
                 continue
             certificate = "reduced"
-            prod = dga_multiply(t, report.generators[na][ia],
-                                report.generators[nb][ib])
-            nd = na + nb
-            if not prod:      # as when nd > t.max_degree: exteriors overlap
-                continue
-            resid = []
-            for b, v in _block_vectors(prod, nd, report.where, fd).items():
-                resid += [(gi, c) for gi, c in
-                          zip(b.index[nd], b.spans[nd].reduce(v))
-                          if c != fd.zero()]
+            resid = report.matching.project(dga_multiply(
+                t, report.generators[na][ia], report.generators[nb][ib]))
             if resid:
-                labels = t.module(nd).labels
-                entries[(ai, bi)] = {labels[gi]: fone.scale(c)
-                                     for gi, c in sorted(resid)}
+                entries[(ai, bi)] = {g: fone.scale(c)
+                                     for g, c in resid.items()}
     return ProductTable(flat, entries, not entries, certificate)
 
 
@@ -373,30 +203,22 @@ _PROBE_PRIMES = (2, 3, 5)
 
 
 def divisor_report(matrices: dict[int, list[list[int]]]) -> FreenessReport:
-    """Divisor certificate of integer matrices, one per degree."""
-    return _block_divisor_report({n: [m] for n, m in matrices.items()})
-
-
-def _block_divisor_report(
-        blocks: dict[int, list[list[list[int]]]]) -> FreenessReport:
-    """divisor_report of the block-diagonal matrices with these diagonal
-    blocks, one list per degree."""
+    """Divisor certificate of integer matrices, one per degree: each
+    matrix's Smith form, and its rank again modulo each probe prime."""
     divisors = {}
     rank_by_field: dict = {"QQ": {}}
     offending = []
     for p in _PROBE_PRIMES:
         rank_by_field[f"F{p}"] = {}
-    for n, ms in sorted(blocks.items()):
-        snf = block_smith_form(ms)
+    for n, m in sorted(matrices.items()):
+        snf = smith_normal_form(m)
         divisors[n] = snf.diagonal
         for d in snf.torsion:
             offending.append(f"degree {n}: elementary divisor {d} != 1")
-        rows_q = [[{j: v for j, v in enumerate(r) if v} for r in m]
-                  for m in ms]
+        rows = [{j: v for j, v in enumerate(r) if v} for r in m]
         rank_by_field["QQ"][n] = snf.rank
         for p in _PROBE_PRIMES:
-            rp = sum(sparse_rank(rows, GF(p)) for rows in rows_q)
-            rank_by_field[f"F{p}"][n] = rp
+            rp = rank_by_field[f"F{p}"][n] = sparse_rank(rows, GF(p))
             if rp != snf.rank:
                 offending.append(
                     f"degree {n}: rank drops from {snf.rank} to {rp} mod {p}")
@@ -406,15 +228,17 @@ def _block_divisor_report(
 def freeness_check(spec: RegularSequenceSpec, s: int) -> FreenessReport:
     """Certify Tor is a free R/I-module: every elementary divisor of every
     tensored differential is 1, so images are direct summands and ranks
-    survive base change to any field.  Read block by block off the direct
-    summands of the tensored resolution."""
+    survive base change to any field.  Read off the certified max-rule
+    matching: d_n has pairs[n] divisors, all 1, and rank pairs[n] over Q
+    and modulo every prime.  A failed certificate is the offending line."""
     if spec.domain.kind == "Fp":
         raise ValueError("freeness certificate needs a characteristic-0 domain")
-    t = tensor_mod_I_complex(spec, s)
-    summands = direct_summands(t)
-    return _block_divisor_report({n: [b.mats[n] for b in summands
-                                      if n in b.mats]
-                                  for n in range(1, t.max_degree + 1)})
+    m = MorseMatching(tensor_mod_I_complex(spec, s), s)
+    ranks = {n: r for n, r in enumerate(m.pairs) if n}
+    return FreenessReport(
+        m.failure is None, {n: (1,) * r for n, r in ranks.items()},
+        {f: dict(ranks) for f in ["QQ"] + [f"F{p}" for p in _PROBE_PRIMES]},
+        [m.failure] if m.failure else [])
 
 
 def induced_tor_map(f: ChainMap) -> dict[int, list[list]]:
@@ -430,40 +254,30 @@ def induced_tor_map(f: ChainMap) -> dict[int, list[list]]:
     chain_ok = f.verify()
     if not chain_ok.ok:
         raise ValueError(f"not a chain map: {chain_ok.detail}")
-    return _induced_matrices(f, _tor_basis(f.source.spec, f.source.s),
-                             _tor_basis(f.target.spec, f.target.s))
+    src, tgt = (_tor_basis(c.spec, c.s) for c in (f.source, f.target))
+    if src.failure or tgt.failure:
+        raise ValueError(f"uncertified basis: {src.failure or tgt.failure}")
+    return _induced_matrices(f, src, tgt)
 
 
 def _induced_matrices(f: ChainMap, src: TorReport,
                       tgt: TorReport) -> dict[int, list[list]]:
-    """induced_tor_map of a chain map f, given the Tor reports of its ends."""
-    fd = tgt.t.domain.rank_field
+    """induced_tor_map of a chain map f, given the Tor reports of its ends:
+    column j in degree n is the Morse projection of f(g_j) onto the
+    target's critical cells."""
     out = {}
     for n in range(max(len(src.ranks), len(tgt.ranks))):
         src_gens = src.generators[n] if n < len(src.generators) else []
-        tgt_gens = tgt.generators[n] if n < len(tgt.generators) else []
-        # each target generator lies in one block; a class has unique
-        # coordinates on its block's generators, which are independent
-        # modulo the block's boundaries
-        gens_in: dict[Summand, list[tuple[int, list]]] = {}
-        for i, g in enumerate(tgt_gens):
-            (b, v), = _block_vectors(g, n, tgt.where, fd).items()
-            gens_in.setdefault(b, []).append((i, v))
+        cells = tgt.matching.critical[n] if n < len(tgt.generators) else []
+        row_of = {g: i for i, g in enumerate(cells)}
         comp = f.component(n)
         cols = []
         for g in src_gens:
-            col = [0] * len(tgt_gens)
-            image = _block_vectors(comp.apply(g), n, tgt.where, fd)
-            for b, v in image.items():
-                gens = gens_in.get(b, [])
-                coords = class_coordinates([w for _, w in gens],
-                                           b.spans[n], v)
-                if coords is None:
-                    raise ValueError("cycle class not in generator span")
-                for (i, _), x in zip(gens, coords):
-                    col[i] = int(x) if x.denominator == 1 else x
+            col = [0] * len(cells)
+            for h, x in tgt.matching.project(comp.apply(g)).items():
+                col[row_of[h]] = int(x) if x.denominator == 1 else x
             cols.append(col)
-        out[n] = [[col[i] for col in cols] for i in range(len(tgt_gens))]
+        out[n] = [[col[i] for col in cols] for i in range(len(cells))]
     return out
 
 
@@ -508,16 +322,20 @@ def koszul_regularity_probe(spec: RegularSequenceSpec,
 
 
 def _slice_homology_witness(c: ChainComplex, n: int, d: int) -> str:
-    """A cycle at slice (n, d) that is not a boundary, as printable text."""
+    """A cycle at slice (n, d) that is not a boundary, as printable text:
+    the first reduced-echelon kernel vector of the slice of d_n that lies
+    outside the span of the columns of the slice of d_{n+1}."""
     sl = map_slice(c.differential(n), d)
-    up = map_slice(c.differential(n + 1), d)
     dom = c.domain
-    basis = _homology_basis(sl.rows, sl.n_cols,
-                            _column_span(up.rows, up.n_cols, dom))
-    if not basis:
+    span = Echelon(dom)
+    for col in zip(*map_slice(c.differential(n + 1), d).rows):
+        span.insert(list(col))
+    cycle = next((v for v in kernel_basis(sl.rows, sl.n_cols, dom)
+                  if span.insert(v)), None)
+    if cycle is None:
         return "(none)"
     elt: Element = {}
-    for (g, mono), coeff in zip(sl.col_basis, basis[0]):
+    for (g, mono), coeff in zip(sl.col_basis, cycle):
         if coeff != dom.zero():
             term = Polynomial(c.n_vars, dom, {mono: coeff})
             elt = element_add(elt, {g: term})

@@ -2,9 +2,8 @@
 
 Two regimes.  Small matrices (kernels, solving, membership) use dense
 reduced row echelon over a field with Fraction or mod-p scalars, and
-Echelon is the one Gauss-Jordan: rref feeds it the rows, rank_dense,
-kernel_basis and solve read rref, and class_coordinates writes a vector
-on a basis modulo an Echelon's span.  Large graded slices and the
+Echelon is the one Gauss-Jordan: rref feeds it the rows, and rank_dense,
+kernel_basis and solve read rref.  Large graded slices and the
 spanning sets of ideal powers only need rank, so those go through a
 sparse row elimination that stays in integers (_clear_row clears
 denominators up front and gives the primitive integer row; rows are
@@ -159,14 +158,6 @@ class Echelon:
     def contains(self, v: list) -> bool:
         zero = self.dom.zero()
         return all(x == zero for x in self.reduce(v))
-
-
-def class_coordinates(basis: list[list], span: Echelon, vec: list):
-    """Coordinates of vec modulo span on basis, or None if vec does not lie
-    in the sum of their spans.  basis must be independent modulo span, so
-    the coordinates are unique."""
-    cols = [span.reduce(b) for b in basis]
-    return solve([list(r) for r in zip(*cols)], span.reduce(vec), span.dom)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from math import gcd
 from .poly import (Polynomial, QQ, GF, RegularSequenceSpec, _MR_BASES,
                    _MR_BOUND, _is_prime)
 from .ideals import PowerReducer, hilbert_function, tag_product
-from .chain import (make_label, FreeModule, SparseMap, ChainComplex,
+from .chain import (Label, make_label, FreeModule, SparseMap, ChainComplex,
                     ChainMap, graded_slice, Element, element_add)
 from .koszul import q_module, boundary_entries, transfer_entries
 
@@ -256,6 +256,132 @@ def cut(s: int, p: int, q: int) -> bool:
     """dga_multiply's cut rule for merged tags of lengths p + q; it cuts
     every term of a * b when cut(s, tag_floor(a), tag_floor(b))."""
     return p + q >= s
+
+
+# -- Morse matching on K (x) R/I --------------------------------------------
+
+def _max_rule_mate(g: Label, s: int) -> Label | None:
+    """g = (S, m) is matched down to (S - max S, m + max S) if S is
+    nonempty, max S >= max m and |m| < s - 1, up to (S + max m, m - max m)
+    if max m > max S; None if g is critical."""
+    ext, tag = g.exterior, g.tag
+    top_e, top_t = (ext or (0,))[-1], (tag or (0,))[-1]
+    if ext and top_e >= top_t and len(tag) < s - 1:
+        return Label(ext[:-1], tag + (top_e,), g.ideg)
+    if top_t > top_e:
+        return Label(ext + (top_t,), tag[:-1], g.ideg)
+    return None
+
+
+def _on_a_cycle(succ: dict) -> Label | None:
+    """A node on a cycle of the directed graph succ (node -> successors),
+    by iterative depth-first search, or None."""
+    state: dict = {}                       # 1 on the path, 2 done
+    for root in succ:
+        stack = [] if root in state else [(root, iter(succ[root]))]
+        state.setdefault(root, 1)
+        while stack:
+            node, rest = stack[-1]
+            nxt = next(rest, None)
+            if nxt is None:
+                state[node] = 2
+                stack.pop()
+            elif state.get(nxt) == 1:
+                return nxt
+            elif nxt not in state:
+                state[nxt] = 1
+                stack.append((nxt, iter(succ[nxt])))
+    return None
+
+
+class MorseMatching:
+    """The max-rule acyclic matching on a complex t on the labels of
+    K (x) R/I for R/I^s (algebraic Morse theory: Joellenbeck-Welker,
+    Mem. AMS 197, 2009; Skoeldberg, Trans. AMS 358, 2006).
+
+    critical[n] lists the unmatched degree-n labels in module order: the
+    empty label and those with |m| = s - 1, S nonempty, max S >= max m.
+    pairs[n] counts the pairs matched from degree n down to n - 1.
+    failure is None if the certificate holds on t's own entries, else its
+    first failing label and check: each label is critical or its mate is
+    a label of t matched back to it, each matched entry is +-1, each
+    critical cell has zero differential, no zig-zag path is a cycle.
+    Then H(t) is free on the critical cells over Z and every field, and
+    d_n has rank pairs[n] and pairs[n] elementary divisors, all 1."""
+
+    __slots__ = ("t", "critical", "pairs", "failure", "_mate", "_memo")
+
+    def __init__(self, t: ChainComplex, s: int):
+        self.t, self._mate, self._memo = t, {}, {}
+        self.critical = [[] for _ in range(t.max_degree + 1)]
+        self.pairs = [0] * (t.max_degree + 1)
+        cells = {n: set(t.module(n)) for n in range(-1, t.max_degree + 2)}
+        one = Polynomial.one(t.n_vars, t.domain)
+        mate_of, fails = self._mate, []
+        # zig-zag graph: a label matched down points to the mate of each
+        # other label matched up that its differential meets
+        succ: dict[Label, list[Label]] = {}
+        for n in range(t.max_degree + 1):
+            cols = t.differential(n).columns()
+            for g in t.module(n):
+                mate = _max_rule_mate(g, s)
+                if mate is None:
+                    self.critical[n].append(g)
+                    if cols[g]:
+                        fails.append(f"{g}: critical, nonzero differential")
+                    continue
+                down = len(mate.exterior) < n
+                if mate not in cells[n - 1 if down else n + 1] or \
+                        _max_rule_mate(mate, s) != g:
+                    fails.append(f"{g}: mate {mate} not matched back")
+                    continue
+                mate_of[g] = mate
+                if down:
+                    self.pairs[n] += 1
+                    entry = dict(cols[g]).get(mate)
+                    if entry not in (one, -one):
+                        fails.append(f"{g}: matched entry {entry or 0} to "
+                                     f"{mate} is not +-1")
+                    succ[g] = [mate_of[h] for h, _ in cols[g] if h != mate
+                               and len(mate_of.get(h, h).exterior) == n]
+        cycle = None if fails else _on_a_cycle(succ)
+        if cycle is not None:
+            fails.append(f"{cycle}: on a zig-zag cycle")
+        self.failure = fails[0] if fails else None
+
+    def project(self, elt: Element) -> dict[Label, object]:
+        """pi: the class of a tensored cycle as its nonzero coordinates on
+        the critical cells; ValueError on a non-constant coefficient."""
+        fd = self.t.domain.rank_field
+        out: dict[Label, object] = {}
+        for g, p in elt.items():
+            if not p.is_constant():
+                raise ValueError(
+                    f"non-constant coefficient {p} in tensored element")
+            c = fd.coerce(p.constant_value())
+            for h, v in self._pi(g).items():
+                out[h] = fd.add(out.get(h, fd.zero()), fd.mul(c, v))
+        return {h: v for h, v in out.items() if v != fd.zero()}
+
+    def _pi(self, g: Label) -> dict[Label, object]:
+        """pi of one label, memoized: e_g on a critical cell, 0 on a label
+        matched down, and on a label matched up to sigma the class of
+        g - d(sigma) / e, e = [d sigma : g], which lies on other labels."""
+        got = self._memo.get(g)
+        if got is None:
+            mate = self._mate.get(g)
+            if mate is None:
+                got = {g: self.t.domain.rank_field.one()}
+            elif len(mate.exterior) < len(g.exterior):
+                got = {}
+            elif self.failure is not None:
+                raise ValueError(f"no Morse projection: {self.failure}")
+            else:
+                col = self.t.differential(len(mate.exterior)).columns()[mate]
+                e = dict(col)[g].constant_value()       # +-1, so 1/e = e
+                got = self.project({h: p.scale(-e) for h, p in col if h != g})
+            self._memo[g] = got
+        return got
 
 
 def dga_multiply(c: KRIsComplex, a: Element, b: Element) -> Element:

@@ -21,8 +21,7 @@ from .poly import RegularSequenceSpec
 from .linalg import sparse_rank, smith_normal_form, block_smith_form, dense_row
 from .chain import (FreeModule, SparseMap, ChainComplex, Label, zero_map,
                     constant_rows, EMPTY_MODULE, _nonzero_source)
-from .resolution import build_k_ris, tensor_mod_I_complex
-from .homology import homology_ranks
+from .resolution import MorseMatching, build_k_ris, tensor_mod_I_complex
 
 
 class DoubleComplex:
@@ -258,14 +257,16 @@ class CollapseReport:
 def collapse_check(spec: RegularSequenceSpec, s: int,
                    page2: SpectralPage | None = None) -> CollapseReport:
     """The page-2 column sums must equal the Tor ranks computed directly
-    from the tensored resolution, and nothing may survive off the
-    predicted support.  Exact integer equality, no tolerance.  page2, if
-    given, must be e2_page(spec, s); it is then not rebuilt."""
+    from the tensored resolution, the critical-cell counts of its
+    certified Morse matching, and nothing may survive off the predicted
+    support.  Exact integer equality, no tolerance.  page2, if given, must
+    be e2_page(spec, s); it is then not rebuilt."""
     page = e2_page(spec, s) if page2 is None else page2
-    tor_ranks = tuple(r for r, _ in homology_ranks(page.tensored))
+    m = MorseMatching(page.tensored, s)
+    tor_ranks = tuple(len(cells) for cells in m.critical)
     page_ranks = page.total_ranks()
     off = off_support_cells(page)
-    ok = page_ranks == tor_ranks and not off
+    ok = page_ranks == tor_ranks and not off and m.failure is None
     return CollapseReport(ok, s, page_ranks, tor_ranks, off)
 
 

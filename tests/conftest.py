@@ -6,20 +6,27 @@ import pytest
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """count_calls("module.function", ...) wraps each named koszulpow
-    function in every koszulpow module that binds it, and returns the dict
-    name -> number of calls, updated as the test runs."""
+    """count_calls("module.function", "module.Class.method", ...) wraps
+    each named koszulpow function in every koszulpow module that binds it
+    (a method on its class), and returns the dict name -> number of calls,
+    updated as the test runs."""
 
     def install(*names):
         calls = dict.fromkeys(names, 0)
         for name in names:
-            mod, fn = name.split(".")
-            orig = getattr(importlib.import_module(f"koszulpow.{mod}"), fn)
+            mod, *path = name.split(".")
+            owner = importlib.import_module(f"koszulpow.{mod}")
+            for part in path[:-1]:
+                owner = getattr(owner, part)
+            orig = getattr(owner, path[-1])
 
             def wrapper(*args, _name=name, _orig=orig, **kwargs):
                 calls[_name] += 1
                 return _orig(*args, **kwargs)
 
+            if len(path) > 1:
+                monkeypatch.setattr(owner, path[-1], wrapper)
+                continue
             for key, m in list(sys.modules.items()):
                 if key.startswith("koszulpow."):
                     for attr, val in list(vars(m).items()):

@@ -119,3 +119,15 @@ def betti_closed_form(n_vars: int, s: int) -> tuple[int, ...]:
     return (1,) + tuple(
         comb(n_vars + s - 1, s + q - 1) * comb(s + q - 2, q - 1)
         for q in range(1, n_vars + 1))
+
+
+def critical_cell_counts(n_gens: int, s: int) -> tuple[int, ...]:
+    """The critical cells of the max-rule matching on K (x) R/I, counted by
+    the largest index j of the exterior set S with |S| = q: S - {j} is a
+    (q-1)-subset of {1..j-1} and the tag a multiset of s-1 indices <= j,
+    so beta_q = sum_j C(j-1, q-1) * C(j+s-2, s-1), and beta_0 = 1 for the
+    empty label.  Hockey-stick summation turns it into betti_closed_form."""
+    return (1,) + tuple(
+        sum(comb(j - 1, q - 1) * comb(j + s - 2, s - 1)
+            for j in range(1, n_gens + 1))
+        for q in range(1, n_gens + 1))

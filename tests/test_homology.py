@@ -6,17 +6,15 @@ from oracles import betti_closed_form
 from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec, parse_poly, Polynomial
 from koszulpow.linalg import (Echelon, kernel_basis, rank_dense, solve,
                               smith_normal_form)
-from koszulpow.chain import (SparseMap, ChainMap, element_str, constant_rows,
+from koszulpow.chain import (SparseMap, ChainMap, element_str,
                              constant_matrix, tensor_mod_I)
 from koszulpow.koszul import koszul_complex
 from koszulpow.resolution import (build_k_ris, reduction_chain_map,
                                   dga_multiply, cut_top_level)
-from koszulpow.spectral import label_support
 from koszulpow.homology import (homology_ranks,
                                 tensor_mod_I_complex, tor, coker_transfer_ranks,
                                 tor_products, freeness_check, divisor_report,
-                                induced_tor_map, koszul_regularity_probe,
-                                direct_summands)
+                                induced_tor_map, koszul_regularity_probe)
 
 
 def tensored_matrices(t):
@@ -59,12 +57,6 @@ class TestHomologyRanks:
                     if n + 1 in mats else 0)
             assert t.module(n).dim == ranks[n][0] + r_out + r_in
 
-    def test_summands_compare_by_identity(self):
-        a, b = direct_summands(tensor_mod_I_complex(SPEC2, 2))[:2]
-        a2 = direct_summands(tensor_mod_I_complex(SPEC2, 2))[0]
-        assert a.index == a2.index and a.mats == a2.mats
-        assert a == a and a != a2 and a != b and len({a, a2, b}) == 3
-
     def test_untensored_entries_rejected(self):
         with pytest.raises(ValueError):
             homology_ranks(build_k_ris(SPEC2, 2))
@@ -77,68 +69,8 @@ class TestHomologyRanks:
         m0, m1 = FreeModule((t1, t2)), FreeModule((e1, e2))
         d1 = SparseMap(m1, m0, {(t1, e1): P("2"), (t2, e2): P("3")}, 2, QQ)
         t = ChainComplex(2, QQ, {0: m0, 1: m1}, {1: d1})
-        assert len(direct_summands(t)) == 2
         assert homology_ranks(t) == [(0, (6,)), (0, ())]
         assert smith_normal_form(tensored_matrices(t)[1]).torsion == (6,)
-
-    def test_each_block_ranked_once(self, monkeypatch):
-        import koszulpow.homology as homology
-        ranked = []
-
-        def counting(matrix, n_cols, dom):
-            ranked.append(id(matrix))
-            return rank_dense(matrix, n_cols, dom)
-
-        monkeypatch.setattr(homology, "rank_dense", counting)
-        t = tensor_mod_I_complex(SPEC3, 3)
-        homology_ranks(t)
-        # one call per (block, differential) pair, no matrix twice
-        assert len(ranked) == sum(len(b.mats)
-                                  for b in direct_summands(t))
-        assert len(set(ranked)) == len(ranked)
-
-
-class TestDirectSummands:
-    @pytest.mark.parametrize("n,s", [(2, 2), (3, 3), (4, 2)])
-    def test_partition_without_crossing_entries(self, n, s):
-        t = tensor_mod_I_complex(RegularSequenceSpec.variables(n), s)
-        block_of = {}
-        for k, b in enumerate(direct_summands(t)):
-            for d, idx in b.index.items():
-                assert idx == sorted(idx)
-                for i in idx:
-                    assert (d, i) not in block_of
-                    block_of[(d, i)] = k
-        assert len(block_of) == sum(t.dims())
-        for d in range(1, t.max_degree + 1):
-            for i, row in enumerate(constant_rows(t.differential(d))):
-                for j in row:
-                    assert block_of[(d - 1, i)] == block_of[(d, j)]
-
-    @pytest.mark.parametrize("n,s", [(2, 3), (3, 3)])
-    def test_blocks_reassemble_and_keep_support(self, n, s):
-        t = tensor_mod_I_complex(RegularSequenceSpec.variables(n), s)
-        mats = tensored_matrices(t)
-        seen = {d: [[0] * len(r) for r in m] for d, m in mats.items()}
-        for b in direct_summands(t):
-            labels = [t.module(d).labels[i]
-                      for d, idx in b.index.items() for i in idx]
-            assert len({label_support(g) for g in labels}) == 1
-            for d, m in b.mats.items():
-                for li, i in enumerate(b.index[d - 1]):
-                    for lj, j in enumerate(b.index[d]):
-                        seen[d][i][j] = m[li][lj]
-        assert seen == mats
-
-    def test_summands_compare_by_identity(self):
-        a, b = direct_summands(tensor_mod_I_complex(SPEC2, 2))[:2]
-        a2 = direct_summands(tensor_mod_I_complex(SPEC2, 2))[0]
-        assert a.index == a2.index and a.mats == a2.mats
-        assert a == a and a != a2 and a != b and len({a, a2, b}) == 3
-
-    def test_untensored_entries_rejected(self):
-        with pytest.raises(ValueError):
-            direct_summands(build_k_ris(SPEC2, 2))
 
 
 class TestTor:
@@ -327,8 +259,9 @@ def _freeness_cases():
 
 
 class TestFreenessFromBlocks:
-    """freeness_check reads the direct summands; the dense whole-matrix
-    divisor_report of the same tensored complex is the reference."""
+    """freeness_check reads the pair counts of the Morse matching; the
+    dense whole-matrix divisor_report of the same tensored complex is the
+    reference."""
 
     @pytest.mark.parametrize("spec,s", _freeness_cases(),
                              ids=lambda x: str(x) if isinstance(x, int)
@@ -341,26 +274,6 @@ class TestFreenessFromBlocks:
         assert got.rank_by_field == ref.rank_by_field
         assert got.offending == ref.offending
         assert got.summary() == ref.summary()
-
-    def test_smith_form_sees_only_blocks(self, monkeypatch):
-        import sys
-        orig = smith_normal_form
-        heights = []
-
-        def wrapper(matrix):
-            heights.append(len(matrix))
-            return orig(matrix)
-
-        for key, m in list(sys.modules.items()):
-            if key.startswith("koszulpow."):
-                for attr, val in list(vars(m).items()):
-                    if val is orig:
-                        monkeypatch.setattr(m, attr, wrapper)
-        spec = RegularSequenceSpec.variables(4)
-        largest = max(b.dim(n) for b in direct_summands(
-            tensor_mod_I_complex(spec, 3)) for n in b.index)
-        freeness_check(spec, 3)
-        assert heights and max(heights) <= largest
 
 
 def identity_chain_map(c):
@@ -542,8 +455,9 @@ class TestRegularityProbe:
 
 
 # ---------------------------------------------------------------------------
-# Reference: the whole-matrix elimination that tor() replaced by block-wise
-# elimination.  Kept here only, to pin that the blocks change no output.
+# Reference: the whole-matrix elimination that tor() replaced, first by
+# block-wise elimination and then by the Morse matching.  Kept here only,
+# to pin that the matching changes no output.
 
 def _primitive(v):
     from fractions import Fraction
@@ -645,7 +559,8 @@ def _assert_block_path_matches(spec, s):
 
 
 class TestBlockEquivalence:
-    """Block-wise elimination reproduces whole-matrix elimination."""
+    """The Morse matching reproduces whole-matrix elimination: generators,
+    torsion, product lines and the reduction map."""
 
     @pytest.mark.parametrize("dom", [QQ, ZZ, GF(5)], ids=str)
     @pytest.mark.parametrize("n", [1, 2, 3])

@@ -9,8 +9,7 @@ from koszulpow.poly import Domain, QQ, ZZ, GF
 from koszulpow.linalg import (rref, rank_dense, kernel_basis, solve,
                               mat_vec, sparse_rank, smith_normal_form,
                               merge_divisor_chains, block_smith_form,
-                              SmithForm, Echelon,
-                              class_coordinates, dense_row, _clear_row)
+                              SmithForm, Echelon, dense_row, _clear_row)
 
 
 def _det(m):
@@ -295,7 +294,7 @@ class TestBlockSmithForm:
 
 
 # ---------------------------------------------------------------------------
-# Routines that rref, Echelon, class_coordinates and _clear_row replaced,
+# Routines that rref, Echelon and _clear_row replaced,
 # kept as references.
 
 def reference_rref(matrix, n_cols, dom):
@@ -332,12 +331,6 @@ def reference_primitive_int_vector(v):
     if g > 1:
         w = [x // g for x in w]
     return w
-
-
-def reference_class_coordinates(basis, span_rows, vec, dom):
-    """Coordinates on basis from one solve on the columns [basis | span]."""
-    sol = solve([list(c) for c in zip(*(basis + span_rows))], vec, dom)
-    return None if sol is None else sol[:len(basis)]
 
 
 FIELDS = [QQ, GF(5), GF(7)]
@@ -382,34 +375,6 @@ class TestEchelonIsTheGaussJordan:
             want = {j: x for j, x in
                     enumerate(reference_primitive_int_vector(v)) if x}
             assert _clear_row(dict(enumerate(v))) == want
-
-    @pytest.mark.parametrize("dom", FIELDS, ids=str)
-    def test_class_coordinates_match_reference_solve(self, dom):
-        rng = random.Random(43)
-        for _ in range(200):
-            m, nc = random_dense(rng)
-            m = _coerced(m, dom)
-            cut = rng.randint(0, len(m))
-            span = Echelon(dom)
-            for row in m[:cut]:
-                span.insert(row)
-            seen, basis = span.copy(), []
-            for row in m[cut:]:
-                if seen.insert(row):
-                    basis.append(row)
-            span_rows = [row for _, row in span.rows]
-            coeffs = [dom.coerce(rng.randint(-3, 3))
-                      for _ in basis + span_rows]
-            vec = [dom.zero()] * nc
-            for c, row in zip(coeffs, basis + span_rows):
-                vec = [dom.add(x, dom.mul(c, y)) for x, y in zip(vec, row)]
-            if rng.random() < 0.3:
-                j = rng.randrange(nc)
-                vec[j] = dom.add(vec[j], dom.one())
-            got = class_coordinates(basis, span, vec)
-            assert got == reference_class_coordinates(basis, span_rows,
-                                                      vec, dom)
-            assert (got is None) == (not seen.contains(vec))
 
     def test_dense_row(self):
         assert dense_row({2: 5, 0: 1}, 4) == [1, 0, 5, 0]
