@@ -106,15 +106,9 @@ class GradedSES:
         """Multiplication by homogeneous f on the middle module's slices."""
         if not self.split:
             return self.mid.action(f, d)
-        a = self.sub.action(f, d)
-        b = self.quotient.action(f, d)
-        la, ca = len(a), self.sub.dim(d)
-        lb, cb = len(b), self.quotient.dim(d)
-        zero = self.field.zero()
-        rows = [list(r) + [zero] * cb for r in a]
-        rows += [[zero] * ca + list(r) for r in b]
-        assert len(rows) == la + lb
-        return rows
+        ca, cb, zero = self.sub.dim(d), self.quotient.dim(d), self.field.zero()
+        return ([list(r) + [zero] * cb for r in self.sub.action(f, d)]
+                + [[zero] * ca + list(r) for r in self.quotient.action(f, d)])
 
     def verify(self, max_internal: int) -> SESReport:
         """Slicewise rank conditions: injective, surjective, composite
@@ -246,10 +240,8 @@ def splice(P: ChainComplex, Q: ChainComplex,
         modules[n] = FreeModule(tuple(labels))
     diffs = {}
     for n in range(1, top + 1):
-        ent = {}
-        ent.update(P.differential(n).entries)
-        ent.update(Q.differential(n).entries)
-        ent.update(delta.component(n).entries)
+        ent = {**P.differential(n).entries, **Q.differential(n).entries,
+               **delta.component(n).entries}
         diffs[n] = SparseMap(modules[n], modules[n - 1], ent,
                              P.n_vars, P.domain)
     out = ChainComplex(P.n_vars, P.domain, modules, diffs)

@@ -103,7 +103,7 @@ class TorReport:
         return len(set(self.routes.values())) == 1
 
     def generator_strings(self) -> list[list[str]]:
-        return [[element_str(g) for g in gens] for gens in self.generators]
+        return [[f"(1)*{g}" for g in c] for c in self.matching.critical]
 
 
 def coker_transfer_ranks(spec: RegularSequenceSpec, s: int) -> tuple[int, ...]:

@@ -598,16 +598,3 @@ class RegularSequenceSpec:
         gens = tuple(Polynomial(u.n_vars, domain, dict(u.terms)) for u in self.gens)
         return RegularSequenceSpec(self.n_vars, domain, gens, self.degrees,
                                    self.kind, self.powers)
-
-
-def random_polynomial(rng, n_vars: int, domain: Domain, max_degree: int = 3,
-                      n_terms: int = 4) -> Polynomial:
-    """Small random polynomial for property tests (deterministic given rng)."""
-    terms: dict[Exponents, object] = {}
-    for _ in range(rng.randrange(n_terms + 1)):
-        d = rng.randrange(max_degree + 1)
-        monos = monomials_of_degree(n_vars, d)
-        m = monos[rng.randrange(len(monos))]
-        c = rng.randrange(-9, 10)
-        terms[m] = terms.get(m, 0) + c
-    return Polynomial(n_vars, domain, terms)

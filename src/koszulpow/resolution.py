@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from itertools import count
 from math import gcd
+from operator import add, mul
 
 from .poly import (Polynomial, QQ, GF, RegularSequenceSpec, _MR_BASES,
                    _MR_BOUND, _is_prime)
@@ -192,14 +193,16 @@ def _rho_factor(m: int) -> int:
 
 def verify_exactness(spec: RegularSequenceSpec, s: int,
                      max_internal: int | None = None) -> ExactnessReport:
-    """Check the complex resolves R/I^s, slice by slice.
+    """Check the complex resolves R/I^s, slice by slice, on the Morse
+    complex M of K, which has K's homology (README, "Why `verify` ranks
+    the Morse complex"); a failed certificate on K is the one mismatch.
 
     Positive homological degrees must vanish in every internal degree up
     to the bound; the degree-0 cokernel dims must equal the independent
     Hilbert function.  Over ZZ the check runs over QQ and the prime fields
     F_p for p = 2, 3, 5 and every prime dividing a coefficient of a
-    generator.  The integral resolution is built once and each of its
-    graded slices assembled once; the F_p runs rank that slice mod p.
+    generator.  K and M are built once and each slice of M assembled
+    once; the F_p runs rank that slice mod p.
     Tensoring the integral resolution with F_p gives
     H_n = Tor_n^Z(R/I^s, F_p) (universal coefficients): H_0 has the
     Hilbert function of the sequence mod p, H_1 is the p-torsion of R/I^s,
@@ -214,12 +217,16 @@ def verify_exactness(spec: RegularSequenceSpec, s: int,
     if not spec.domain.is_field:
         primes = sorted({2, 3, 5} | _coefficient_primes(spec))
         run_domains = [QQ] + [GF(p) for p in primes]
-    mismatches: list[str] = []
-    all_dims = homology_slice_dims(build_k_ris(spec, s), max_internal,
-                                   run_domains)
     hfs = [{d: hilbert_function(spec.with_domain(dom), s, d)
             for d in range(max_internal + 1)} for dom in run_domains]
     hilbert = hfs[0]
+    morse = MorseMatching(build_k_ris(spec, s), s, tensored=False)
+    if morse.failure is not None:
+        return ExactnessReport(False, s, max_internal, {}, hilbert,
+                               [f"Morse matching on K: {morse.failure}"],
+                               list(map(str, run_domains)))
+    mismatches: list[str] = []
+    all_dims = homology_slice_dims(morse.complex(), max_internal, run_domains)
     for dom, dims, hf in zip(run_domains, all_dims, hfs):
         for (n, d), h in sorted(dims.items()):
             if n == 0:
@@ -258,7 +265,7 @@ def cut(s: int, p: int, q: int) -> bool:
     return p + q >= s
 
 
-# -- Morse matching on K (x) R/I --------------------------------------------
+# -- Morse matching on K and on K (x) R/I -----------------------------------
 
 def _max_rule_mate(g: Label, s: int) -> Label | None:
     """g = (S, m) is matched down to (S - max S, m + max S) if S is
@@ -295,28 +302,35 @@ def _on_a_cycle(succ: dict) -> Label | None:
 
 
 class MorseMatching:
-    """The max-rule acyclic matching on a complex t on the labels of
-    K (x) R/I for R/I^s (algebraic Morse theory: Joellenbeck-Welker,
-    Mem. AMS 197, 2009; Skoeldberg, Trans. AMS 358, 2006).
+    """The max-rule acyclic matching on a complex t on the labels of K, the
+    resolution of R/I^s, or of K (x) R/I if tensored (algebraic Morse theory:
+    Joellenbeck-Welker, Mem. AMS 197, 2009; Skoeldberg, Trans. AMS 358, 2006).
 
     critical[n] lists the unmatched degree-n labels in module order: the
     empty label and those with |m| = s - 1, S nonempty, max S >= max m.
     pairs[n] counts the pairs matched from degree n down to n - 1.
     failure is None if the certificate holds on t's own entries, else its
     first failing label and check: each label is critical or its mate is
-    a label of t matched back to it, each matched entry is +-1, each
-    critical cell has zero differential, no zig-zag path is a cycle.
-    Then H(t) is free on the critical cells over Z and every field, and
-    d_n has rank pairs[n] and pairs[n] elementary divisors, all 1."""
+    a label of t matched back to it, each matched entry is +-1, no
+    zig-zag path is a cycle (so t ~ complex(), for every input), and,
+    when tensored, each critical cell has zero differential.  Then H(t)
+    is free on the critical cells over Z and every field, and d_n has
+    rank pairs[n] and pairs[n] elementary divisors, all 1."""
 
-    __slots__ = ("t", "critical", "pairs", "failure", "_mate", "_memo")
+    __slots__ = ("t", "critical", "pairs", "failure", "_mate", "_memo",
+                 "_ring")
 
-    def __init__(self, t: ChainComplex, s: int):
+    def __init__(self, t: ChainComplex, s: int, tensored: bool = True):
         self.t, self._mate, self._memo = t, {}, {}
         self.critical = [[] for _ in range(t.max_degree + 1)]
         self.pairs = [0] * (t.max_degree + 1)
         cells = {n: set(t.module(n)) for n in range(-1, t.max_degree + 2)}
         one = Polynomial.one(t.n_vars, t.domain)
+        fd = t.domain.rank_field
+        # pi's (add, mul, zero, one, lift field): rank-field scalars lifted
+        # from constants if tensored, else polynomials as they are
+        self._ring = (fd.add, fd.mul, fd.zero(), fd.one(), fd) if tensored \
+            else (add, mul, Polynomial.zero(t.n_vars, t.domain), one, None)
         mate_of, fails = self._mate, []
         # zig-zag graph: a label matched down points to the mate of each
         # other label matched up that its differential meets
@@ -327,7 +341,7 @@ class MorseMatching:
                 mate = _max_rule_mate(g, s)
                 if mate is None:
                     self.critical[n].append(g)
-                    if cols[g]:
+                    if tensored and cols[g]:
                         fails.append(f"{g}: critical, nonzero differential")
                     continue
                 down = len(mate.exterior) < n
@@ -350,18 +364,19 @@ class MorseMatching:
         self.failure = fails[0] if fails else None
 
     def project(self, elt: Element) -> dict[Label, object]:
-        """pi: the class of a tensored cycle as its nonzero coordinates on
-        the critical cells; ValueError on a non-constant coefficient."""
-        fd = self.t.domain.rank_field
+        """pi: elt as its nonzero coordinates on the critical cells; when
+        tensored, ValueError on a non-constant coefficient."""
+        plus, times, zero, _, fd = self._ring
         out: dict[Label, object] = {}
         for g, p in elt.items():
-            if not p.is_constant():
-                raise ValueError(
-                    f"non-constant coefficient {p} in tensored element")
-            c = fd.coerce(p.constant_value())
+            if fd is not None:
+                if not p.is_constant():
+                    raise ValueError(
+                        f"non-constant coefficient {p} in tensored element")
+                p = fd.coerce(p.constant_value())
             for h, v in self._pi(g).items():
-                out[h] = fd.add(out.get(h, fd.zero()), fd.mul(c, v))
-        return {h: v for h, v in out.items() if v != fd.zero()}
+                out[h] = plus(out.get(h, zero), times(p, v))
+        return {h: v for h, v in out.items() if v != zero}
 
     def _pi(self, g: Label) -> dict[Label, object]:
         """pi of one label, memoized: e_g on a critical cell, 0 on a label
@@ -371,7 +386,7 @@ class MorseMatching:
         if got is None:
             mate = self._mate.get(g)
             if mate is None:
-                got = {g: self.t.domain.rank_field.one()}
+                got = {g: self._ring[3]}
             elif len(mate.exterior) < len(g.exterior):
                 got = {}
             elif self.failure is not None:
@@ -382,6 +397,16 @@ class MorseMatching:
                 got = self.project({h: p.scale(-e) for h, p in col if h != g})
             self._memo[g] = got
         return got
+
+    def complex(self) -> ChainComplex:
+        """The Morse complex on the critical cells, d(c) = pi(d c), with t's
+        coefficients; ValueError if the certificate failed."""
+        t, mods = self.t, [FreeModule(tuple(c)) for c in self.critical]
+        return ChainComplex(t.n_vars, t.domain, dict(enumerate(mods)), {
+            n: SparseMap(mods[n], mods[n - 1], {
+                (h, c): v for c in mods[n] for h, v in
+                self.project(dict(t.differential(n).columns()[c])).items()},
+                t.n_vars, t.domain) for n in range(1, len(mods))})
 
 
 def dga_multiply(c: KRIsComplex, a: Element, b: Element) -> Element:

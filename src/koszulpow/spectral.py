@@ -136,10 +136,8 @@ def total_complex(dc: DoubleComplex) -> ChainComplex:
         modules[q] = FreeModule(tuple(labels))
     diffs = {}
     for q in range(1, n + 1):
-        ent = {}
-        for p in range(s):
-            ent.update(dc.v_map(p, q).entries)
-            ent.update(dc.h_map(p, q).entries)
+        ent = {k: v for p in range(s) for f in (dc.v_map(p, q), dc.h_map(p, q))
+               for k, v in f.entries.items()}
         diffs[q] = SparseMap(modules[q], modules[q - 1], ent,
                              spec.n_vars, spec.domain)
     return ChainComplex(spec.n_vars, spec.domain, modules, diffs)
@@ -216,11 +214,9 @@ def e2_page(spec: RegularSequenceSpec, s: int,
     # each d1 map leaves one cell and enters another; rank it once
     d1_rank = {k: sparse_rank(constant_rows(f), fd)
                for k, f in page1.d1.items()}
-    cells = {}
-    for p in range(s):
-        for q in range(spec.n_gens + 1):
-            cells[(p, q)] = (page1.rank(p, q) - d1_rank.get((p, q), 0)
-                             - d1_rank.get((p - 1, q + 1), 0))
+    cells = {(p, q): page1.rank(p, q) - d1_rank.get((p, q), 0)
+             - d1_rank.get((p - 1, q + 1), 0)
+             for p in range(s) for q in range(spec.n_gens + 1)}
     return SpectralPage(2, s, spec.n_gens, cells, page1.tensored)
 
 

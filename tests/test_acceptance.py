@@ -15,7 +15,8 @@ from time import perf_counter
 import pytest
 
 from oracles import tor_ranks as oracle_tor_ranks
-from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec, random_polynomial
+from test_poly import random_polynomial
+from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec
 from koszulpow.chain import element_add, verify_complex
 from koszulpow.koszul import verify_identities
 from koszulpow.resolution import (build_k_ris, verify_exactness,

@@ -167,6 +167,38 @@ def test_broken_pair_exits_one_without_traceback(doubled_pair, command,
         assert line in doc["report"]["freeness"]["offending"]
 
 
+def k_with_d1(monkeypatch, edit):
+    """Make resolution.build_k_ris return K for two variables at s = 2
+    with its d_1 entries passed through edit."""
+    spec = RegularSequenceSpec.variables(2)
+    k = resolution.build_k_ris(spec, 2)
+    d1 = k.differential(1)
+    broken = resolution.KRIsComplex(spec, 2, k.modules, {
+        **k.diffs, 1: SparseMap(d1.source, d1.target, edit(dict(d1.entries)),
+                                2, QQ)})
+    monkeypatch.setattr(resolution, "build_k_ris", lambda *_: broken)
+    return spec
+
+
+@pytest.mark.parametrize("edit,line", [
+    (lambda ent: {**ent, (T1, E1): ent[(T1, E1)].scale(2)},
+     "e{1}: matched entry 2 to t(1) is not +-1"),
+    # e{1} -> t(2) ~ e{2} -> t(1) ~ e{1}, beside the boundary entries
+    (lambda ent: {**ent, (T2, E1): ONE, (T1, E2): ONE},
+     "e{1}: on a zig-zag cycle")], ids=["doubled transfer", "zig-zag cycle"])
+def test_failed_certificate_on_k_fails_exactness(monkeypatch, edit, line):
+    rep = resolution.verify_exactness(k_with_d1(monkeypatch, edit), 2)
+    assert not rep.ok and rep.homology == {}
+    assert rep.mismatches == [f"Morse matching on K: {line}"]
+
+
+def test_k_certificate_skips_only_the_critical_cycle_check():
+    k = resolution.build_k_ris(RegularSequenceSpec.variables(3), 2)
+    assert MorseMatching(k, 2).failure.endswith(
+        ": critical, nonzero differential")
+    assert MorseMatching(k, 2, tensored=False).failure is None
+
+
 # ---------------------------------------------------------------------------
 # No elimination on the tensored complex.
 

@@ -6,8 +6,19 @@ import pytest
 from koszulpow.poly import (Domain, QQ, ZZ, GF, parse_domain, Polynomial,
                             _is_prime,
                             parse_poly, ParseError, RegularSequenceSpec,
-                            monomials_of_degree, count_monomials,
-                            random_polynomial)
+                            monomials_of_degree, count_monomials)
+
+
+def random_polynomial(rng, n_vars, domain, max_degree=3, n_terms=4):
+    """Small random polynomial for property tests (deterministic given rng);
+    the other test modules import it from here."""
+    terms = {}
+    for _ in range(rng.randrange(n_terms + 1)):
+        d = rng.randrange(max_degree + 1)
+        monos = monomials_of_degree(n_vars, d)
+        m = monos[rng.randrange(len(monos))]
+        terms[m] = terms.get(m, 0) + rng.randrange(-9, 10)
+    return Polynomial(n_vars, domain, terms)
 
 
 def P(text, n=2, dom=QQ):

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from oracles import betti_closed_form
+from test_poly import random_polynomial
 from koszulpow.poly import (QQ, ZZ, GF, RegularSequenceSpec, parse_poly,
-                            Polynomial, random_polynomial)
+                            Polynomial)
 from koszulpow.ideals import PowerReducer, hilbert_function
 from koszulpow.chain import (make_label, verify_complex, element_add,
                              tensor_mod_I)
@@ -12,7 +14,8 @@ from koszulpow.resolution import (build_k_ris, augment, verify_exactness,
                                   dga_multiply, dga_differential,
                                   reduction_chain_map, default_internal_bound,
                                   homology_slice_dims, tensor_mod_I_complex,
-                                  ExactnessReport, _coefficient_primes)
+                                  ExactnessReport, MorseMatching,
+                                  _coefficient_primes)
 
 
 def P(text, n=2):
@@ -404,3 +407,47 @@ class TestHomologySliceDims:
         dims, = homology_slice_dims(c, 4)
         assert dims[(0, 0)] == 1
         assert dims[(1, 1)] == 0  # resolution: no homology upstairs
+
+
+# ---------------------------------------------------------------------------
+# verify ranks the Morse complex M of K; ranking K's slices is the oracle.
+
+def _fields(spec):
+    if spec.domain.is_field:
+        return [spec.domain]
+    return [QQ] + [GF(p) for p in sorted({2, 3, 5} | _coefficient_primes(spec))]
+
+
+MORSE_CASES = (
+    INTEGRAL_CASES
+    + [(RegularSequenceSpec.variables(n, dom), s)
+       for dom in (QQ, GF(31991)) for n in (1, 2, 3) for s in (1, 2, 3)]
+    + [(RegularSequenceSpec.variable_powers((1, 2, 2), dom), s)
+       for dom in (QQ, GF(7)) for s in (1, 2, 3)]
+    + [(_explicit(["x1*x2", "x1*x2"], 2, dom), s)
+       for dom in (QQ, ZZ) for s in (1, 2)])
+
+
+class TestMorseComplex:
+    @pytest.mark.parametrize(
+        "spec,s", MORSE_CASES,
+        ids=[f"{sp.domain}:" + ",".join(map(str, sp.gens)) + f"-s{s}"
+             for sp, s in MORSE_CASES])
+    def test_slices_of_m_have_the_homology_of_k(self, spec, s):
+        k = build_k_ris(spec, s)
+        morse = MorseMatching(k, s, tensored=False)
+        assert morse.failure is None
+        m = morse.complex()
+        bound, fields = default_internal_bound(spec, s), _fields(spec)
+        assert homology_slice_dims(m, bound, fields) == \
+            homology_slice_dims(k, bound, fields)
+        assert verify_complex(m).ok
+        assert m.dims() == betti_closed_form(spec.n_gens, s)
+        # minimal: every entry of d_M lies in the maximal ideal
+        assert all(not p.constant_value() for f in m.diffs.values()
+                   for p in f.entries.values())
+
+    def test_verify_builds_m_from_k_once(self, count_calls):
+        calls = count_calls("resolution.MorseMatching.complex")
+        assert verify_exactness(SPEC2, 2).ok
+        assert calls == {"resolution.MorseMatching.complex": 1}
