@@ -8,19 +8,18 @@ Tor ranks: the sequence collapses, and the code certifies that by exact
 rank accounting rather than by trust.
 """
 
-from koszulpow import (RegularSequenceSpec, build_double_complex,
-                       verify_double_complex, e1_page, e2_page,
-                       collapse_check, support_blocks)
+from koszulpow import (RegularSequenceSpec, q_module, verify_identities,
+                       e1_page, e2_page, collapse_check, support_blocks)
 from koszulpow.spectral import off_support_cells
 
 spec = RegularSequenceSpec.variables(2)
 s = 3
 
-dc = build_double_complex(spec, s)
 print("double complex cells (tag level p, wedge degree q) -> dim:")
-for (p, q), m in sorted(dc.cells.items()):
-    print(f"  ({p},{q}): {m.dim}")
-print("squares and anticommutation:", verify_double_complex(dc).summary())
+for p in range(s):
+    for q in range(spec.n_gens + 1):
+        print(f"  ({p},{q}): {q_module(spec, p, q).dim}")
+print("transfer identities:", verify_identities(spec, s).summary())
 
 print()
 p1 = e1_page(spec, s)

@@ -22,9 +22,7 @@ from .resolution import (build_k_ris, tensor_mod_I_complex, augment,
 from .homology import (tor, TorReport, tor_products, homology_ranks,
                        freeness_check, divisor_report, induced_tor_map,
                        koszul_regularity_probe)
-from .spectral import (build_double_complex, verify_double_complex,
-                       total_complex, e1_page, e2_page, collapse_check,
-                       support_blocks)
+from .spectral import e1_page, e2_page, collapse_check, support_blocks
 from .extensions import (GradedSES, power_ses, split_power_ses,
                          ConnectingMap, verify_connecting, splice,
                          power_connecting, iterated_splice,

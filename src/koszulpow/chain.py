@@ -12,9 +12,9 @@ row); its dense form is built only on request.
 
 One routine, _nonzero_source, decides whether a sum of signed composites
 f after g vanishes and names the least source label where it does not.
-verify_complex, ChainMap.verify, koszul.verify_identities,
-spectral.verify_double_complex and extensions.verify_connecting all read
-their witnesses from it; compose builds its map from the same sum.
+verify_complex, ChainMap.verify, koszul.verify_identities and
+extensions.verify_connecting all read their witnesses from it; compose
+builds its map from the same sum.
 """
 
 from __future__ import annotations
@@ -145,14 +145,21 @@ class SparseMap:
         self.n_vars = n_vars
         self.domain = domain
         clean = {}
-        src_set, tgt_set = set(source.labels), set(target.labels)
-        for (tgt, src), p in entries.items():
+        # keyed on the modules' own labels, so later lookups (columns,
+        # map_slice) match by identity and skip Label.__eq__
+        own_src = {g: g for g in source.labels}
+        own_tgt = {g: g for g in target.labels}
+        for (tgt_key, src_key), p in entries.items():
             if p.is_zero():
                 continue
-            if src not in src_set:
-                raise ValueError(f"entry source {src} not a source generator")
-            if tgt not in tgt_set:
-                raise ValueError(f"entry target {tgt} not a target generator")
+            src = own_src.get(src_key)
+            if src is None:
+                raise ValueError(
+                    f"entry source {src_key} not a source generator")
+            tgt = own_tgt.get(tgt_key)
+            if tgt is None:
+                raise ValueError(
+                    f"entry target {tgt_key} not a target generator")
             if p.n_vars != n_vars or p.domain != domain:
                 raise ValueError("entry polynomial in the wrong ring")
             if p.homogeneous_degree() != src.ideg - tgt.ideg:

@@ -47,12 +47,12 @@ SETTINGS = (
     Setting("sequence", "sequence", str, "vars", None,
             "vars | powers:a1,a2,.. | file:PATH"),
     Setting("max_degree", "max_degree", int, None, 0,
-            "cap reported homological degrees"),
+            "build only: cap reported homological degrees"),
     Setting("max_internal", "max_internal", int, None, 1,
-            "internal-degree bound for slice checks"),
+            "verify only: internal-degree bound for slice checks"),
     Setting("workers", "workers", int, 1, 1,
-            "accepted for compatibility (must be >= 1); "
-            "slices are ranked sequentially"),
+            "read by no command; accepted for compatibility (must be "
+            ">= 1); slices are ranked sequentially"),
     Setting("out", "out", str, None, None,
             "write the report here, not stdout"),
 )

@@ -1,146 +1,25 @@
-"""Tag-level double complex and its column-filtration spectral sequence.
+"""The column-filtration spectral sequence of the tag-level double complex.
 
 Cell (p, q) of the resolution of R/I^s is the free module on generators
-with tag length p and exterior degree q.  The boundary is the vertical
-map (q drops), the transfer is the horizontal map (p rises, q drops); they
-anticommute.  The double complex is a view of build_k_ris, its entries
-split by whether they keep or raise the tag length.  Page 1 is the
-tensored resolution K (x) R/I split the same way: every vertical entry is
-+-u_i, which R/I kills, so the vertical maps vanish, and d1 is the +-1
-transfer.  Page 2 is the homology of those transfer chains; it is
-supported only at the unit cell (0,0) and in the last column p = s-1, and
-the column sums at fixed q reproduce the Tor ranks of the same tensored
-complex, which is the collapse statement checked here by exact rank
-accounting.  No later differential can move between the surviving cells,
-so no page-2 differential is built.
+with tag length p and exterior degree q; koszul builds the double complex
+(q_module, q_complex, del_map) and checks its identities
+(verify_identities).  Page 1 splits the tensored resolution K (x) R/I by
+tag length: every entry that keeps the tag length is +-u_i, which R/I
+kills, so page 1 is the full cell grid and d1 is the +-1 transfer.  Page 2
+is the homology of those transfer chains; it is supported only at the
+unit cell (0,0) and in the last column p = s-1, and the column sums at
+fixed q reproduce the Tor ranks of the same tensored complex, which is
+the collapse statement checked here by exact rank accounting.  No later
+differential can move between the surviving cells, so no page-2
+differential is built.
 """
 
 from __future__ import annotations
 
 from .poly import RegularSequenceSpec
 from .linalg import sparse_rank, smith_normal_form, block_smith_form, dense_row
-from .chain import (FreeModule, SparseMap, ChainComplex, Label, zero_map,
-                    constant_rows, EMPTY_MODULE, _nonzero_source)
-from .resolution import MorseMatching, build_k_ris, tensor_mod_I_complex
-
-
-class DoubleComplex:
-    """Bigraded cells with anticommuting boundary (vertical) and transfer
-    (horizontal) maps.  Columns are tag levels 0..s-1; rows are exterior
-    degrees 0..n_gens."""
-
-    __slots__ = ("spec", "s", "cells", "vertical", "horizontal")
-
-    def __init__(self, spec: RegularSequenceSpec, s: int, cells: dict,
-                 vertical: dict, horizontal: dict):
-        self.spec = spec
-        self.s = s
-        self.cells = cells              # (p, q) -> FreeModule
-        self.vertical = vertical        # (p, q) -> SparseMap into (p, q-1)
-        self.horizontal = horizontal    # (p, q) -> SparseMap into (p+1, q-1)
-
-    def cell(self, p: int, q: int) -> FreeModule:
-        return self.cells.get((p, q), EMPTY_MODULE)
-
-    def v_map(self, p: int, q: int) -> SparseMap:
-        f = self.vertical.get((p, q))
-        if f is not None:
-            return f
-        return zero_map(self.cell(p, q), self.cell(p, q - 1),
-                        self.spec.n_vars, self.spec.domain)
-
-    def h_map(self, p: int, q: int) -> SparseMap:
-        f = self.horizontal.get((p, q))
-        if f is not None:
-            return f
-        return zero_map(self.cell(p, q), self.cell(p + 1, q - 1),
-                        self.spec.n_vars, self.spec.domain)
-
-
-def build_double_complex(spec: RegularSequenceSpec, s: int) -> DoubleComplex:
-    """The resolution of R/I^s split by tag length."""
-    return _split_by_tag_length(build_k_ris(spec, s), spec, s)
-
-
-def _split_by_tag_length(c: ChainComplex, spec: RegularSequenceSpec,
-                         s: int) -> DoubleComplex:
-    """Cells and maps of a complex on resolution labels: an entry that
-    keeps the tag length is vertical, one that raises it is horizontal.
-    Each cell keeps the order of its module; resolution modules, like
-    the q_module cells, are sorted by Label.sort_key."""
-    cells, parts = {}, {}
-    for q, m in c.modules.items():
-        for g in m:
-            cells.setdefault((len(g.tag), q), []).append(g)
-    cells = {k: FreeModule(tuple(v)) for k, v in cells.items()}
-    for q, f in c.diffs.items():
-        for (tgt, src), poly in f.entries.items():
-            key = (len(tgt.tag) - len(src.tag), len(src.tag), q)
-            parts.setdefault(key, {})[(tgt, src)] = poly
-    maps = ({}, {})                     # shift 0 vertical, 1 horizontal
-    for (shift, p, q), ent in parts.items():
-        maps[shift][(p, q)] = SparseMap(cells[(p, q)],
-                                        cells[(p + shift, q - 1)], ent,
-                                        spec.n_vars, spec.domain)
-    return DoubleComplex(spec, s, cells, *maps)
-
-
-class SquareReport:
-    __slots__ = ("ok", "checked", "failures")
-
-    def __init__(self, ok: bool, checked: int, failures: list):
-        self.ok = ok
-        self.checked = checked
-        self.failures = failures        # (identity name, (p, q), witness Label)
-
-    def summary(self) -> str:
-        if self.ok:
-            return f"double complex ok ({self.checked} squares checked)"
-        name, cell, w = self.failures[0]
-        return f"{name} fails at cell {cell}, witness {w}"
-
-
-def verify_double_complex(dc: DoubleComplex) -> SquareReport:
-    """Symbolic checks: both maps square to zero and they anticommute."""
-    failures = []
-    checked = 0
-
-    for (p, q) in sorted(dc.cells):
-        if q < 1:
-            continue
-        for name, terms in (
-                ("vertical square",
-                 [(dc.v_map(p, q - 1), dc.v_map(p, q))]),
-                ("horizontal square",
-                 [(dc.h_map(p + 1, q - 1), dc.h_map(p, q))]),
-                ("anticommute",
-                 [(dc.v_map(p + 1, q - 1), dc.h_map(p, q)),
-                  (dc.h_map(p, q - 1), dc.v_map(p, q))])):
-            checked += 1
-            witness = _nonzero_source(*terms)
-            if witness is not None:
-                failures.append((name, (p, q), witness))
-    return SquareReport(not failures, checked, failures)
-
-
-def total_complex(dc: DoubleComplex) -> ChainComplex:
-    """Collapse the columns: degree n is the direct sum of cells (p, n)
-    over p, with differential vertical + horizontal.  Equals the glued
-    resolution label-for-label."""
-    spec, s = dc.spec, dc.s
-    n = spec.n_gens
-    modules = {}
-    for q in range(n + 1):
-        labels = [g for p in range(s) for g in dc.cell(p, q)]
-        labels.sort(key=lambda g: g.sort_key)
-        modules[q] = FreeModule(tuple(labels))
-    diffs = {}
-    for q in range(1, n + 1):
-        ent = {k: v for p in range(s) for f in (dc.v_map(p, q), dc.h_map(p, q))
-               for k, v in f.entries.items()}
-        diffs[q] = SparseMap(modules[q], modules[q - 1], ent,
-                             spec.n_vars, spec.domain)
-    return ChainComplex(spec.n_vars, spec.domain, modules, diffs)
+from .chain import FreeModule, SparseMap, ChainComplex, Label, constant_rows
+from .resolution import MorseMatching, tensor_mod_I_complex
 
 
 # ---------------------------------------------------------------------------
@@ -190,18 +69,29 @@ def e1_page(spec: RegularSequenceSpec, s: int) -> SpectralPage:
 
 
 def _page_one(t: ChainComplex, spec: RegularSequenceSpec,
-             s: int) -> SpectralPage:
-    """Page 1 read off t, the tensored resolution of R/I^s: tensoring with
-    R/I kills the vertical maps (checked), so the page is the full cell
-    grid and d1 is the transfer with +-1 entries."""
-    dc = _split_by_tag_length(t, spec, s)
-    for f in dc.vertical.values():
+              s: int) -> SpectralPage:
+    """Page 1 read off t, the tensored resolution of R/I^s: cell (p, q)
+    holds t's degree-q labels of tag length p, in module order, and d1 out
+    of it is t's entries that raise the tag length.  Tensoring with R/I
+    kills every entry that keeps it (checked), so the page is the full
+    cell grid and d1 has +-1 entries."""
+    cells, parts = {}, {}
+    for q, m in t.modules.items():
+        for g in m:
+            cells.setdefault((len(g.tag), q), []).append(g)
+    cells = {k: FreeModule(tuple(v)) for k, v in cells.items()}
+    for q, f in t.diffs.items():
         for (tgt, src), poly in f.entries.items():
-            raise ValueError(
-                f"vertical entry {tgt} <- {src} : {poly} survives mod I")
-    cells = {(p, q): dc.cell(p, q).dim
-             for p in range(s) for q in range(spec.n_gens + 1)}
-    return SpectralPage(1, s, spec.n_gens, cells, t, dc.horizontal)
+            if len(tgt.tag) == len(src.tag):
+                raise ValueError(
+                    f"vertical entry {tgt} <- {src} : {poly} survives mod I")
+            parts.setdefault((len(src.tag), q), {})[(tgt, src)] = poly
+    d1 = {(p, q): SparseMap(cells[(p, q)], cells[(p + 1, q - 1)], ent,
+                            spec.n_vars, spec.domain)
+          for (p, q), ent in parts.items()}
+    dims = {(p, q): cells[(p, q)].dim if (p, q) in cells else 0
+            for p in range(s) for q in range(spec.n_gens + 1)}
+    return SpectralPage(1, s, spec.n_gens, dims, t, d1)
 
 
 def e2_page(spec: RegularSequenceSpec, s: int,

@@ -99,8 +99,23 @@ class TestSparseMap:
     def test_rejects_foreign_labels(self):
         m1 = FreeModule((E1,))
         m0 = FreeModule((UNIT,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"source e\{2\} not a source"):
             SparseMap(m1, m0, {(UNIT, E2): P("x2")}, 2, QQ)
+        with pytest.raises(ValueError, match=r"target e\{1\} not a target"):
+            SparseMap(m1, m0, {(E1, E1): P("1")}, 2, QQ)
+
+    def test_entries_keyed_on_module_labels(self):
+        # equal labels built apart are replaced by the modules' own ones
+        from koszulpow.resolution import MorseMatching
+        spec = RegularSequenceSpec.variables(3)
+        for c in (build_k_ris(spec, 3),
+                  MorseMatching(build_k_ris(spec, 3), 3, False).complex()):
+            assert c.diffs
+            for f in c.diffs.values():
+                own_src = {g: g for g in f.source}
+                own_tgt = {g: g for g in f.target}
+                for tgt, src in f.entries:
+                    assert src is own_src[src] and tgt is own_tgt[tgt]
 
     def test_drops_zero_entries(self):
         m1 = FreeModule((E1,))

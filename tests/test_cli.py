@@ -468,6 +468,15 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("command", ["tor", "spectral"])
+    def test_max_degree_read_by_build_only(self, command, capsys):
+        _, default = capture(capsys, [command, "--n", "3", "--s", "3"])
+        _, capped = capture(capsys, [command, "--n", "3", "--s", "3",
+                                     "--max-degree", "0"])
+        assert capped["config"].pop("max_degree") == 0
+        assert default["config"].pop("max_degree") is None
+        assert capped == default
+
     def test_worker_count_semantics_stable(self, capsys):
         _, one = capture(capsys, ["verify", "--n", "2", "--s", "2",
                                   "--max-internal", "6", "--workers", "1"])

@@ -362,16 +362,15 @@ class TestSharedPass:
 
     def test_one_resolution_per_power(self, count_calls):
         calls = count_calls("resolution.build_k_ris", "chain.tensor_mod_I",
-                            "koszul.del_map", "spectral.build_double_complex",
-                            "koszul.q_module", "koszul.transfer_entries")
+                            "koszul.del_map", "koszul.q_module",
+                            "koszul.transfer_entries")
         tor(RegularSequenceSpec.variables(4, GF(31991)), 3)
         # pages 1 and 2 and the transfer cokernels are read off the
         # tensored resolution of R/I^3; nothing rebuilds a piece of it
         assert calls.pop("koszul.q_module") <= 25
         assert calls.pop("koszul.transfer_entries") <= 8
         assert calls == {"resolution.build_k_ris": 0, "chain.tensor_mod_I": 0,
-                         "koszul.del_map": 0,
-                         "spectral.build_double_complex": 0}
+                         "koszul.del_map": 0}
 
     def test_each_d1_map_ranked_once(self, count_calls):
         from koszulpow.spectral import e1_page

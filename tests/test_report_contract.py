@@ -139,11 +139,11 @@ options:
   --field FIELD         coefficient domain: Q, Z, or Fp:p
   --sequence SEQUENCE   vars | powers:a1,a2,.. | file:PATH
   --max-degree MAX_DEGREE
-                        cap reported homological degrees
+                        build only: cap reported homological degrees
   --max-internal MAX_INTERNAL
-                        internal-degree bound for slice checks
-  --workers WORKERS     accepted for compatibility (must be >= 1); slices are
-                        ranked sequentially
+                        verify only: internal-degree bound for slice checks
+  --workers WORKERS     read by no command; accepted for compatibility (must
+                        be >= 1); slices are ranked sequentially
   --out OUT             write the report here, not stdout
 """
 

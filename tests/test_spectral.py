@@ -3,14 +3,11 @@ import pytest
 from oracles import e1_rank_formula
 from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec, parse_poly
 from koszulpow.chain import SparseMap, constant_matrix, make_label
-from koszulpow.koszul import (koszul_complex, del_map, q_module,
-                              boundary_entries, transfer_entries)
+from koszulpow.koszul import del_map, q_module
 from koszulpow.resolution import build_k_ris
-from koszulpow.spectral import (DoubleComplex, build_double_complex,
-                                verify_double_complex, total_complex,
-                                e1_page, e2_page,
-                                off_support_cells, collapse_check,
-                                support_blocks, label_support, _page_one)
+from koszulpow.spectral import (e1_page, e2_page, off_support_cells,
+                                collapse_check, support_blocks,
+                                label_support, _page_one)
 
 
 def P(text, n=2):
@@ -21,84 +18,24 @@ SPEC2 = RegularSequenceSpec.variables(2)
 SPEC3 = RegularSequenceSpec.variables(3)
 
 
-class TestDoubleComplex:
-    def test_cell_dims_two_vars_square(self):
-        dc = build_double_complex(SPEC2, 2)
-        dims = {k: m.dim for k, m in dc.cells.items()}
-        assert dims == {(0, 0): 1, (0, 1): 2, (0, 2): 1,
-                        (1, 0): 2, (1, 1): 4, (1, 2): 2}
-
-    def test_squares_and_anticommute(self):
-        for spec, s in ((SPEC2, 2), (SPEC2, 4), (SPEC3, 3),
-                        (RegularSequenceSpec.variable_powers((2, 3)), 3)):
-            rep = verify_double_complex(build_double_complex(spec, s))
-            assert rep.ok, rep.summary()
-            assert rep.checked > 0
-
-    def test_total_equals_glued_resolution(self):
-        for n in (1, 2, 3):
-            spec = RegularSequenceSpec.variables(n)
-            for s in (1, 2, 3):
-                tot = total_complex(build_double_complex(spec, s))
-                assert tot.equal_maps(build_k_ris(spec, s))
-
-    def test_total_dims_two_vars_square(self):
-        assert total_complex(build_double_complex(SPEC2, 2)).dims() == (3, 6, 3)
-
-    def test_single_column_is_exterior_complex(self):
-        tot = total_complex(build_double_complex(SPEC2, 1))
-        assert tot.equal_maps(koszul_complex(SPEC2))
-
-    def test_bad_power(self):
-        with pytest.raises(ValueError):
-            build_double_complex(SPEC2, 0)
-
-    def test_sign_corruption_caught(self):
-        dc = build_double_complex(SPEC2, 2)
-        horiz = dict(dc.horizontal)
-        horiz[(0, 2)] = horiz[(0, 2)].scale(-1)
-        broken = DoubleComplex(dc.spec, dc.s, dc.cells, dc.vertical, horiz)
-        rep = verify_double_complex(broken)
-        assert not rep.ok
-        assert rep.failures[0][0] == "anticommute"
-        assert "anticommute" in rep.summary()
-
-
-def _per_cell_double_complex(spec, s):
-    """Reference: the double complex built cell by cell from the Koszul
-    pieces, as it was before it became a split of the resolution."""
-    n = spec.n_gens
-    cells = {(p, q): q_module(spec, p, q)
-             for p in range(s) for q in range(n + 1)}
-    vertical, horizontal = {}, {}
-    for (p, q), src in cells.items():
-        if q >= 1:
-            vertical[(p, q)] = SparseMap(
-                src, cells[(p, q - 1)], boundary_entries(spec, src),
-                spec.n_vars, spec.domain)
-            if p + 1 <= s - 1:
-                horizontal[(p, q)] = SparseMap(
-                    src, cells[(p + 1, q - 1)], transfer_entries(spec, src),
-                    spec.n_vars, spec.domain)
-    return DoubleComplex(spec, s, cells, vertical, horizontal)
-
-
 def _linear_forms(dom):
     return RegularSequenceSpec.explicit(
         [parse_poly(p, 3, dom) for p in ("x1+2*x2-x3", "x2-x3", "x3")])
 
 
 class TestSplitEquivalence:
-    """The split of the resolution is the per-cell construction."""
+    """Page 1's split of the tensored resolution is koszul's double
+    complex: its cells are the q_module cells and d1 is the del_map
+    family."""
 
     @staticmethod
     def check(spec, s):
-        dc = build_double_complex(spec, s)
-        ref = _per_cell_double_complex(spec, s)
-        assert dc.cells == ref.cells
-        assert dc.vertical == ref.vertical
-        assert dc.horizontal == ref.horizontal
-        assert verify_double_complex(dc).ok
+        n = spec.n_gens
+        page = e1_page(spec, s)
+        assert page.d1 == {(p, q): del_map(spec, p)[q]
+                           for p in range(s - 1) for q in range(1, n + 1)}
+        assert page.cells == {(p, q): q_module(spec, p, q).dim
+                              for p in range(s) for q in range(n + 1)}
 
     @pytest.mark.parametrize("dom", [QQ, ZZ, GF(5)], ids=str)
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -236,15 +173,13 @@ class TestCollapse:
 
     def test_spectral_command_builds_one_resolution(self, count_calls, capsys):
         from koszulpow import cli
-        calls = count_calls("resolution.build_k_ris", "chain.tensor_mod_I",
-                            "spectral.build_double_complex")
+        calls = count_calls("resolution.build_k_ris", "chain.tensor_mod_I")
         assert cli.run(["spectral", "--n", "4", "--s", "3",
                         "--field", "Fp:31991"]) == 0
         assert '"ok": true' in capsys.readouterr().out
         # pages 1 and 2 and the collapse check's direct ranks all read the
         # one tensored resolution, written from its labels
-        assert calls == {"resolution.build_k_ris": 0, "chain.tensor_mod_I": 0,
-                         "spectral.build_double_complex": 0}
+        assert calls == {"resolution.build_k_ris": 0, "chain.tensor_mod_I": 0}
 
 
 class TestSupportBlocks:
