@@ -18,6 +18,7 @@ import sys
 from collections import namedtuple
 
 from .poly import Domain, RegularSequenceSpec, parse_domain, parse_poly
+from .ideals import regularity_defect
 from .chain import verify_complex
 from .koszul import koszul_complex, verify_identities
 from .resolution import build_k_ris, verify_exactness
@@ -427,7 +428,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args)
         payload, ok = _COMMANDS[cfg.command](cfg)
-        defect = cfg.spec().length_defect()
+        defect = regularity_defect(cfg.spec())
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

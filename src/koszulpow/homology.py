@@ -4,11 +4,12 @@ torsion certificates, product triviality, freeness, and induced maps.
 The tensored resolution t = K (x) R/I has the +-1 transfer entries as
 its differentials and carries the max-rule acyclic matching
 (resolution.MorseMatching).  Once its certificate holds, it settles Tor
-with no elimination: the generators are the critical cells, each with
-coefficient 1 and zero differential, so Tor is free on them over Z and
-every field; d_n has pairs[n] elementary divisors, all 1, so there is no
-torsion; and class coordinates, of products and of images under a chain
-map, are the Morse projection onto the critical cells.  tor and
+with no elimination: the generators are the matching's critical labels,
+each standing for the cycle with coefficient 1 on it (zero differential),
+so Tor is free on them over Z and every field; d_n has pairs[n]
+elementary divisors, all 1, so there is no torsion; and class
+coordinates, of products and of images under a chain map, are the Morse
+projection onto the critical cells, with t's own coefficients.  tor and
 freeness_check report a failed certificate as a failed check;
 induced_tor_map raises on it.  tor(spec, s) builds t once, and no
 polynomial resolution; its other two rank routes read one page 2 off t
@@ -26,8 +27,8 @@ from .chain import (ChainComplex, ChainMap, Element, constant_matrix,
 from .koszul import koszul_complex
 from .resolution import (MorseMatching, cut, cut_top_level,
                          dga_multiply, homology_slice_dims,
-                         default_internal_bound, tag_floor,
-                         tensor_mod_I_complex)
+                         default_internal_bound, tensor_mod_I_complex)
+from .spectral import _page_one, e2_page
 
 
 def homology_ranks(t: ChainComplex) -> list[tuple[int, tuple[int, ...]]]:
@@ -73,18 +74,17 @@ class ProductTable:
 
 class TorReport:
     """Tor of (R/I, R/I^s) read off the max-rule matching on t = K (x) R/I:
-    per degree the generators are its critical cells with coefficient 1.
-    tor() fills in the rest; failure is None when every matching it read
-    is certified, else the first failing label and check."""
+    generators[n] is its list of critical labels, each standing for the
+    cycle with coefficient 1 on it.  tor() fills in the rest; failure is
+    None when every matching it read is certified, else the first failing
+    label and check."""
 
     __slots__ = ("generators", "t", "matching", "failure", "torsion",
                  "routes", "products", "induced_reduction")
 
     def __init__(self, matching: MorseMatching):
         self.t = matching.t              # K (x) R/I, K resolving R/I^s
-        one = Polynomial.one(self.t.n_vars, self.t.domain)
-        self.generators = [[{g: one} for g in cells]
-                           for cells in matching.critical]
+        self.generators = matching.critical
         self.matching = matching
         self.failure = matching.failure
         # every elementary divisor is 1 (MorseMatching): no torsion
@@ -95,7 +95,7 @@ class TorReport:
 
     @property
     def ranks(self) -> tuple[int, ...]:
-        """Free ranks: over the rank field the generators are a basis."""
+        """Free ranks: the critical labels counted per degree."""
         return tuple(len(gens) for gens in self.generators)
 
     @property
@@ -103,12 +103,11 @@ class TorReport:
         return len(set(self.routes.values())) == 1
 
     def generator_strings(self) -> list[list[str]]:
-        return [[f"(1)*{g}" for g in c] for c in self.matching.critical]
+        return [[f"(1)*{g}" for g in c] for c in self.generators]
 
 
 def coker_transfer_ranks(spec: RegularSequenceSpec, s: int) -> tuple[int, ...]:
     """Tor ranks via the cokernel of the last transfer map."""
-    from .spectral import e2_page
     return _coker_ranks(e2_page(spec, s))
 
 
@@ -131,7 +130,6 @@ def tor(spec: RegularSequenceSpec, s: int) -> TorReport:
     if s < 1:
         raise ValueError("power must be >= 1")
     report = _tor_basis(spec, s)
-    from .spectral import _page_one, e2_page
     page2 = e2_page(spec, s, _page_one(report.t, spec, s))
     report.routes = {"direct": report.ranks,
                      "transfer-cokernel": _coker_ranks(page2),
@@ -153,14 +151,13 @@ def _tor_basis(spec: RegularSequenceSpec, s: int) -> TorReport:
 def tor_products(report: TorReport) -> ProductTable:
     """Pairwise products of the report's positive-degree Tor generators on
     the labels of its tensored complex, each residue its Morse projection.
-    A pair whose tag floors cut every term is zero unmultiplied: for s >= 2
-    every pair (certificate "tag-length"); for s = 1 none, d = 0, the
-    projection is the identity and the table is genuinely nonzero."""
-    t = report.t
-    fone = Polynomial.one(t.n_vars, t.domain.rank_field)
-    flat = [(n, i) for n in range(1, len(report.generators))
-            for i in range(len(report.generators[n]))]
-    tau = [tag_floor(report.generators[n][i]) for n, i in flat]
+    A pair whose tag lengths cut every term is zero unmultiplied: for
+    s >= 2 every pair (certificate "tag-length"); for s = 1 none, d = 0,
+    the projection is the identity and the table is genuinely nonzero."""
+    t, gens = report.t, report.generators
+    one = Polynomial.one(t.n_vars, t.domain)
+    flat = [(n, i) for n in range(1, len(gens)) for i in range(len(gens[n]))]
+    tau = [len(gens[n][i].tag) for n, i in flat]
     least = min(tau, default=0)
     entries = {}
     certificate = "tag-length"
@@ -172,10 +169,9 @@ def tor_products(report: TorReport) -> ProductTable:
                 continue
             certificate = "reduced"
             resid = report.matching.project(dga_multiply(
-                t, report.generators[na][ia], report.generators[nb][ib]))
+                t, {gens[na][ia]: one}, {gens[nb][ib]: one}))
             if resid:
-                entries[(ai, bi)] = {g: fone.scale(c)
-                                     for g, c in resid.items()}
+                entries[(ai, bi)] = resid
     return ProductTable(flat, entries, not entries, certificate)
 
 
@@ -265,17 +261,18 @@ def _induced_matrices(f: ChainMap, src: TorReport,
     """induced_tor_map of a chain map f, given the Tor reports of its ends:
     column j in degree n is the Morse projection of f(g_j) onto the
     target's critical cells."""
+    one = Polynomial.one(f.source.n_vars, f.source.domain)
     out = {}
     for n in range(max(len(src.ranks), len(tgt.ranks))):
         src_gens = src.generators[n] if n < len(src.generators) else []
-        cells = tgt.matching.critical[n] if n < len(tgt.generators) else []
+        cells = tgt.generators[n] if n < len(tgt.generators) else []
         row_of = {g: i for i, g in enumerate(cells)}
         comp = f.component(n)
         cols = []
         for g in src_gens:
             col = [0] * len(cells)
-            for h, x in tgt.matching.project(comp.apply(g)).items():
-                col[row_of[h]] = int(x) if x.denominator == 1 else x
+            for h, x in tgt.matching.project(comp.apply({g: one})).items():
+                col[row_of[h]] = x.constant_value()
             cols.append(col)
         out[n] = [[col[i] for col in cols] for i in range(len(cells))]
     return out

@@ -500,7 +500,8 @@ class RegularSequenceSpec:
 
     The built-in monomial shapes (variables, prime-power variables) are
     regular.  Explicit sequences are accepted as asserted-by-user;
-    length_defect rejects one that is too long, and the Koszul homology
+    ideals.regularity_defect rejects one that is too long or, with as many
+    generators as variables, not regular over Q, and the Koszul homology
     probe (homology module) offers a necessary-condition check.  Equal and
     hashed by all six fields.
     """
@@ -541,14 +542,6 @@ class RegularSequenceSpec:
     @property
     def max_degree(self) -> int:
         return max(self.degrees)
-
-    def length_defect(self) -> str | None:
-        """Why the sequence is too long to be regular, else None: it lies
-        in (x1..xn), of grade n over Q, F_p and Z, so at most n long."""
-        if self.n_gens > self.n_vars:
-            return (f"not regular: {self.n_gens} generators, more than the "
-                    f"{self.n_vars} variables")
-        return None
 
     @classmethod
     def variables(cls, n_vars: int, domain: Domain = QQ) -> RegularSequenceSpec:

@@ -1,6 +1,7 @@
 """The free resolution of R/I^s: direct sum of tag-level complexes glued
 by the transfer maps, with augmentation, graded exactness verification,
-the truncated DGA product, and the reduction map to the s-1 resolution.
+the truncated DGA product, the reduction map to the s-1 resolution, and
+the max-rule Morse matching whose critical labels are the Tor generators.
 
 Degree-n generators are e_S t_m with |S| = n and tag length p < s.  The
 differential sends a tag-level-p generator to its Koszul boundary (still
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 from itertools import count
 from math import gcd
-from operator import add, mul
 
 from .poly import (Polynomial, QQ, GF, RegularSequenceSpec, _MR_BASES,
                    _MR_BOUND, _is_prime)
@@ -254,14 +254,9 @@ def _shuffle_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def tag_floor(a: Element) -> int:
-    """tau(a): the least tag length among the labels of a nonzero a."""
-    return min(len(g.tag) for g in a)
-
-
 def cut(s: int, p: int, q: int) -> bool:
     """dga_multiply's cut rule for merged tags of lengths p + q; it cuts
-    every term of a * b when cut(s, tag_floor(a), tag_floor(b))."""
+    every term of a * b when it cuts the least tag lengths of a and b."""
     return p + q >= s
 
 
@@ -315,22 +310,19 @@ class MorseMatching:
     zig-zag path is a cycle (so t ~ complex(), for every input), and,
     when tensored, each critical cell has zero differential.  Then H(t)
     is free on the critical cells over Z and every field, and d_n has
-    rank pairs[n] and pairs[n] elementary divisors, all 1."""
+    rank pairs[n] and pairs[n] elementary divisors, all 1.  The Morse
+    projection keeps t's own coefficients, polynomials in t.domain, on K
+    and on K (x) R/I alike; tensored, it rejects a non-constant one."""
 
-    __slots__ = ("t", "critical", "pairs", "failure", "_mate", "_memo",
-                 "_ring")
+    __slots__ = ("t", "tensored", "critical", "pairs", "failure", "_mate",
+                 "_memo")
 
     def __init__(self, t: ChainComplex, s: int, tensored: bool = True):
-        self.t, self._mate, self._memo = t, {}, {}
+        self.t, self.tensored, self._mate, self._memo = t, tensored, {}, {}
         self.critical = [[] for _ in range(t.max_degree + 1)]
         self.pairs = [0] * (t.max_degree + 1)
         cells = {n: set(t.module(n)) for n in range(-1, t.max_degree + 2)}
         one = Polynomial.one(t.n_vars, t.domain)
-        fd = t.domain.rank_field
-        # pi's (add, mul, zero, one, lift field): rank-field scalars lifted
-        # from constants if tensored, else polynomials as they are
-        self._ring = (fd.add, fd.mul, fd.zero(), fd.one(), fd) if tensored \
-            else (add, mul, Polynomial.zero(t.n_vars, t.domain), one, None)
         mate_of, fails = self._mate, []
         # zig-zag graph: a label matched down points to the mate of each
         # other label matched up that its differential meets
@@ -363,22 +355,19 @@ class MorseMatching:
             fails.append(f"{cycle}: on a zig-zag cycle")
         self.failure = fails[0] if fails else None
 
-    def project(self, elt: Element) -> dict[Label, object]:
-        """pi: elt as its nonzero coordinates on the critical cells; when
-        tensored, ValueError on a non-constant coefficient."""
-        plus, times, zero, _, fd = self._ring
-        out: dict[Label, object] = {}
+    def project(self, elt: Element) -> Element:
+        """pi: elt as its nonzero coordinates on the critical cells, in t's
+        ring; when tensored, ValueError on a non-constant coefficient."""
+        out: Element = {}
         for g, p in elt.items():
-            if fd is not None:
-                if not p.is_constant():
-                    raise ValueError(
-                        f"non-constant coefficient {p} in tensored element")
-                p = fd.coerce(p.constant_value())
+            if self.tensored and not p.is_constant():
+                raise ValueError(
+                    f"non-constant coefficient {p} in tensored element")
             for h, v in self._pi(g).items():
-                out[h] = plus(out.get(h, zero), times(p, v))
-        return {h: v for h, v in out.items() if v != zero}
+                out[h] = out[h] + p * v if h in out else p * v
+        return {h: v for h, v in out.items() if not v.is_zero()}
 
-    def _pi(self, g: Label) -> dict[Label, object]:
+    def _pi(self, g: Label) -> Element:
         """pi of one label, memoized: e_g on a critical cell, 0 on a label
         matched down, and on a label matched up to sigma the class of
         g - d(sigma) / e, e = [d sigma : g], which lies on other labels."""
@@ -386,7 +375,7 @@ class MorseMatching:
         if got is None:
             mate = self._mate.get(g)
             if mate is None:
-                got = {g: self._ring[3]}
+                got = {g: Polynomial.one(self.t.n_vars, self.t.domain)}
             elif len(mate.exterior) < len(g.exterior):
                 got = {}
             elif self.failure is not None:

@@ -332,8 +332,10 @@ class TestReports:
         f.write_text('["x1", "x1"]')
         code, doc = capture(capsys, ["build", "--n", "2", "--s", "2",
                                      "--sequence", f"file:{f}"])
-        assert code == 0                             # d^2 and identities hold
+        # d^2 and the identities hold, but (R/I)_1 = k x2 is not 0
+        assert code == 1
         r = doc["report"]
+        assert r["regularity"] == "not regular: (R/I)_1 has dimension 1, not 0"
         assert r["warning"] is True
         assert not r["regularity_probe"]["ok"]
         assert "NOT regular" in r["regularity_probe"]["summary"]
@@ -414,6 +416,30 @@ class TestReports:
         assert doc["ok"] is False
         assert doc["report"]["regularity"] == \
             "not regular: 3 generators, more than the 2 variables"
+
+    @pytest.mark.parametrize("command", ["build", "verify", "tor",
+                                         "spectral", "splice"])
+    @pytest.mark.parametrize("seq,reason", [
+        ('["x1*x2", "x1*x2"]', "(R/I)_3 has dimension 2, not 0"),
+        ('["x1", "x1"]', "(R/I)_1 has dimension 1, not 0")],
+        ids=["x1x2-twice", "x1-twice"])
+    def test_square_nonregular_sequence_is_one(self, command, seq, reason,
+                                               capsys):
+        code, doc = capture(capsys, [command, "--n", "2", "--s", "2",
+                                     "--sequence", f"explicit:{seq}"])
+        assert code == 1 and doc["ok"] is False
+        assert doc["report"]["regularity"] == f"not regular: {reason}"
+
+    @pytest.mark.parametrize("command", ["build", "verify", "tor",
+                                         "spectral", "splice"])
+    @pytest.mark.parametrize("seq", [
+        "powers:1,2,2", 'explicit:["x1+2*x2-x3", "x2-x3", "x3"]'],
+        ids=["powers122", "linear3"])
+    def test_square_regular_sequence_passes(self, command, seq, capsys):
+        code, doc = capture(capsys, [command, "--n", "3", "--s", "2",
+                                     "--field", "Z", "--sequence", seq])
+        assert code == 0 and doc["ok"] is True
+        assert "regularity" not in doc["report"]
 
     @pytest.mark.parametrize("command", ["build", "verify", "tor",
                                          "spectral", "splice"])

@@ -85,8 +85,12 @@ class TestTor:
         assert rep.ranks == (1, 3, 2)
         # every positive-degree generator sits at tag length one
         for n in (1, 2):
-            for g in rep.generators[n]:
-                assert all(len(lbl.tag) == 1 for lbl in g)
+            assert all(len(g.tag) == 1 for g in rep.generators[n])
+
+    def test_generators_are_the_critical_labels(self):
+        rep = tor(SPEC3, 2)
+        for n in range(len(rep.generators)):
+            assert rep.generators[n] is rep.matching.critical[n]
 
     def test_square_power_one_var(self):
         assert tor(SPEC1, 2).ranks == (1, 1)
@@ -182,6 +186,14 @@ class TestProducts:
         assert [str(lbl) for lbl in prod] == ["e{1,2}"]
         assert [str(lbl) for lbl in anti] == ["e{1,2}"]
         assert next(iter(prod.values())) == -next(iter(anti.values()))
+
+    def test_residues_keep_the_complex_ring(self):
+        # over Z the s = 1 residues are integer polynomials, not rationals
+        table = tor(RegularSequenceSpec.variables(3, ZZ), 1).products
+        assert table.entries
+        for res in table.entries.values():
+            for p in res.values():
+                assert p.domain == ZZ and type(p.constant_value()) is int
 
     def test_lines_format(self):
         lines = tor(SPEC2, 1).products.lines()

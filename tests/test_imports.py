@@ -6,7 +6,9 @@ syntax tree with ``ast``: every name bound by an import must appear as a
 name somewhere else in the module.  ``__init__.py`` is left out of that
 check because its imports are the package's re-exports.  The runtime has
 no dependencies, so every absolute import must name a module of
-``sys.stdlib_module_names`` or the package.
+``sys.stdlib_module_names`` or the package.  The Tor oracle
+(``tests/oracles.py``) is an independent route, so it may import the
+standard library only, not the package.
 
 Every CLI job starts a fresh interpreter, so what ``import koszulpow.cli``
 loads is paid per job: it must load every module the benchmark tracer
@@ -24,6 +26,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "koszulpow"
 TRACER = PACKAGE.parents[1] / "perfbench" / "tracer.py"
+ORACLE = PACKAGE.parents[1] / "tests" / "oracles.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALLOWED = sys.stdlib_module_names | {PACKAGE.name}
 
@@ -53,19 +56,19 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def foreign_imports(source: str) -> list[str]:
-    """Absolute imports of modules neither in the standard library nor in
-    the package; relative imports are the package's own."""
+def foreign_imports(source: str, allowed=ALLOWED) -> list[str]:
+    """Imports of modules outside allowed (by default the standard library
+    and the package); a relative import is the package's own."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module if node.level == 0 else PACKAGE.name]
         else:
             continue
         out += [f"line {node.lineno}: {name}" for name in names
-                if name.split(".")[0] not in ALLOWED]
+                if name.split(".")[0] not in allowed]
     return out
 
 
@@ -74,12 +77,19 @@ def test_checker_flags_a_foreign_module():
            "from . import poly\nfrom koszulpow.chain import compose\n"
            "from sympy.core import Symbol\n")
     assert foreign_imports(src) == ["line 2: numpy", "line 5: sympy.core"]
+    assert foreign_imports(src, sys.stdlib_module_names) == [
+        "line 2: numpy", f"line 3: {PACKAGE.name}",
+        f"line 4: {PACKAGE.name}.chain", "line 5: sympy.core"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_standard_library_only(path):
     assert foreign_imports(path.read_text()) == []
+
+
+def test_oracle_imports_only_the_standard_library():
+    assert foreign_imports(ORACLE.read_text(), sys.stdlib_module_names) == []
 
 
 def test_cli_import_loads_traced_layers_and_no_dataclasses():

@@ -50,6 +50,11 @@ CONTRACT = [
     (["verify", "--n", "3", "--s", "2", "--field", "Z", "--sequence",
       "powers:1,2,2"], 0,
      "a990cde736665b08bcd013d92397fbef5aab578abf2bf1b16c809d36f6c8ff6b"),
+    # s = 1: nonzero product tables, residues in the tensored complex's ring
+    (["tor", "--n", "3", "--s", "1", "--field", "Z"], 0,
+     "ec482da9dbf40a612788229956c75dc6c1a54e2138dcd6175f553142c67a44f3"),
+    (["tor", "--n", "2", "--s", "1", "--field", "Fp:5"], 0,
+     "d6767b17c1ab362105970004c65160314e1c69f7b596bf3a1a3da3d0878457b4"),
 ]
 
 
