@@ -24,6 +24,8 @@ for s in (1, 2, 3):
 
 print()
 print("== what failure looks like ==")
-print("SNF of [[2,4],[6,8]]:", smith_normal_form([[2, 4], [6, 8]]).diagonal)
+# the Smith form reads sparse rows (column -> entry); divisor_report dense ones
+print("SNF of [[2,4],[6,8]]:",
+      smith_normal_form([{0: 2, 1: 4}, {0: 6, 1: 8}]).diagonal)
 bad = divisor_report({1: [[2, 0], [0, 3]]})
 print("certificate verdict:", bad.summary())

@@ -206,8 +206,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _check_out(path: str) -> None:
-    """Reject an --out path the report could not be written to (a
+    """Reject an --out path the report could not be written to (empty, a
     directory, or a file in a missing directory) before any computation."""
+    if not path:
+        raise ConfigError("cannot write report: the out path is empty")
     if os.path.isdir(path):
         raise ConfigError(f"cannot write report: {path!r} is a directory")
     parent = os.path.dirname(path) or "."
@@ -227,11 +229,11 @@ def _int_keys(d: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.  Each returns (payload, ok); its docstring is its help.
+# Subcommands.  Each takes the configuration and the sequence it names,
+# parsed once per run, and returns (payload, ok); its docstring is its help.
 
-def cmd_build(cfg: RunConfig):
+def cmd_build(cfg: RunConfig, spec: RegularSequenceSpec):
     """construct the resolution and check its identities"""
-    spec = cfg.spec()
     c = build_k_ris(spec, cfg.s)
     squared = verify_complex(c)
     ids = verify_identities(spec, cfg.s)
@@ -251,9 +253,8 @@ def cmd_build(cfg: RunConfig):
     return payload, squared.ok and ids.ok
 
 
-def cmd_verify(cfg: RunConfig):
+def cmd_verify(cfg: RunConfig, spec: RegularSequenceSpec):
     """exactness grid, Hilbert comparison, divisor certificate"""
-    spec = cfg.spec()
     try:
         exact = verify_exactness(spec, cfg.s, cfg.max_internal)
     except ValueError as e:              # a coefficient it cannot factor
@@ -290,9 +291,8 @@ def cmd_verify(cfg: RunConfig):
     return payload, ok
 
 
-def cmd_tor(cfg: RunConfig):
+def cmd_tor(cfg: RunConfig, spec: RegularSequenceSpec):
     """Tor ranks, generators, product table, reduction map"""
-    spec = cfg.spec()
     rep = tor(spec, cfg.s)
     payload = {
         "ranks": list(rep.ranks),
@@ -326,9 +326,8 @@ def cmd_tor(cfg: RunConfig):
     return payload, ok
 
 
-def cmd_spectral(cfg: RunConfig):
+def cmd_spectral(cfg: RunConfig, spec: RegularSequenceSpec):
     """page grids, collapse verdict, block decomposition"""
-    spec = cfg.spec()
     p1 = e1_page(spec, cfg.s)
     p2 = e2_page(spec, cfg.s, p1)
     collapse = collapse_check(spec, cfg.s, p2)
@@ -363,9 +362,8 @@ def cmd_spectral(cfg: RunConfig):
     return payload, ok
 
 
-def cmd_splice(cfg: RunConfig):
+def cmd_splice(cfg: RunConfig, spec: RegularSequenceSpec):
     """iterated splice reconstruction and extension class"""
-    spec = cfg.spec()
     rebuilt = iterated_splice(spec, cfg.s)
     direct = build_k_ris(spec, cfg.s)
     identical = rebuilt.equal_maps(direct)
@@ -427,8 +425,9 @@ def run(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-        payload, ok = _COMMANDS[cfg.command](cfg)
-        defect = regularity_defect(cfg.spec())
+        spec = cfg.spec()
+        payload, ok = _COMMANDS[cfg.command](cfg, spec)
+        defect = regularity_defect(spec)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -11,18 +11,18 @@ elementary divisors, all 1, so there is no torsion; and class
 coordinates, of products and of images under a chain map, are the Morse
 projection onto the critical cells, with t's own coefficients.  tor and
 freeness_check report a failed certificate as a failed check;
-induced_tor_map raises on it.  tor(spec, s) builds t once, and no
-polynomial resolution; its other two rank routes read one page 2 off t
-by real elimination (transfer-cokernel: its last column; page2: its
-column sums).
+induced_tor_map raises on it.  tor(spec, s) builds t once, and for
+s >= 2 the tensored complex of R/I^{s-1} once more (the target of the
+reduction map), but no polynomial resolution; its other two rank routes
+read one page 2 off t by real elimination (transfer-cokernel: its last
+column; page2: its column sums).
 """
 
 from __future__ import annotations
 
 from .poly import Polynomial, GF, RegularSequenceSpec
-from .linalg import (kernel_basis, rank_dense, smith_normal_form,
-                     sparse_rank, Echelon)
-from .chain import (ChainComplex, ChainMap, Element, constant_matrix,
+from .linalg import kernel_basis, smith_normal_form, sparse_rank, Echelon
+from .chain import (ChainComplex, ChainMap, Element, constant_rows,
                     element_str, element_add, map_slice)
 from .koszul import koszul_complex
 from .resolution import (MorseMatching, cut, cut_top_level,
@@ -34,15 +34,16 @@ from .spectral import _page_one, e2_page
 def homology_ranks(t: ChainComplex) -> list[tuple[int, tuple[int, ...]]]:
     """Per homological degree: (free rank, torsion divisors > 1), for a
     complex with constant integer entries.  Rank by rank-nullity, each
-    whole differential ranked once over the rank field; torsion of H_n
-    from the Smith form of d_{n+1} (none over F_p)."""
+    differential read once as sparse integer rows and ranked once over the
+    rank field; torsion of H_n from the Smith form of d_{n+1} (none over
+    F_p)."""
     fd = t.domain.rank_field
-    mats = {n: constant_matrix(t.differential(n))
+    rows = {n: constant_rows(t.differential(n))
             for n in range(1, t.max_degree + 1)}
-    rank = {n: rank_dense(m, t.module(n).dim, fd) for n, m in mats.items()}
+    rank = {n: sparse_rank(r, fd) for n, r in rows.items()}
     return [(t.module(n).dim - rank.get(n, 0) - rank.get(n + 1, 0),
-             smith_normal_form(mats[n + 1]).torsion
-             if n + 1 in mats and fd.kind != "Fp" else ())
+             smith_normal_form(rows[n + 1]).torsion
+             if n + 1 in rows and fd.kind != "Fp" else ())
             for n in range(t.max_degree + 1)]
 
 
@@ -199,19 +200,18 @@ _PROBE_PRIMES = (2, 3, 5)
 
 
 def divisor_report(matrices: dict[int, list[list[int]]]) -> FreenessReport:
-    """Divisor certificate of integer matrices, one per degree: each
-    matrix's Smith form, and its rank again modulo each probe prime."""
+    """Divisor certificate of dense integer matrices, one per degree, each
+    read once as sparse rows: their Smith form, and their rank again
+    modulo each probe prime."""
     divisors = {}
-    rank_by_field: dict = {"QQ": {}}
     offending = []
-    for p in _PROBE_PRIMES:
-        rank_by_field[f"F{p}"] = {}
+    rank_by_field = {f: {} for f in ["QQ"] + [f"F{p}" for p in _PROBE_PRIMES]}
     for n, m in sorted(matrices.items()):
-        snf = smith_normal_form(m)
+        rows = [{j: v for j, v in enumerate(r) if v} for r in m]
+        snf = smith_normal_form(rows)
         divisors[n] = snf.diagonal
         for d in snf.torsion:
             offending.append(f"degree {n}: elementary divisor {d} != 1")
-        rows = [{j: v for j, v in enumerate(r) if v} for r in m]
         rank_by_field["QQ"][n] = snf.rank
         for p in _PROBE_PRIMES:
             rp = rank_by_field[f"F{p}"][n] = sparse_rank(rows, GF(p))
@@ -268,13 +268,10 @@ def _induced_matrices(f: ChainMap, src: TorReport,
         cells = tgt.generators[n] if n < len(tgt.generators) else []
         row_of = {g: i for i, g in enumerate(cells)}
         comp = f.component(n)
-        cols = []
-        for g in src_gens:
-            col = [0] * len(cells)
+        out[n] = [[0] * len(src_gens) for _ in cells]
+        for j, g in enumerate(src_gens):
             for h, x in tgt.matching.project(comp.apply({g: one})).items():
-                col[row_of[h]] = x.constant_value()
-            cols.append(col)
-        out[n] = [[col[i] for col in cols] for i in range(len(cells))]
+                out[n][row_of[h]][j] = x.constant_value()
     return out
 
 

@@ -7,8 +7,9 @@ kernel_basis and solve read rref.  Large graded slices and the
 spanning sets of ideal powers only need rank, so those go through a
 sparse row elimination that stays in integers (_clear_row clears
 denominators up front and gives the primitive integer row; rows are
-renormalized by gcd) to avoid Fraction overhead.  dense_row expands a
-sparse row.
+renormalized by gcd) to avoid Fraction overhead.  The Smith normal form
+reads the same sparse rows, with integer entries, and pivots on stored
+entries.  dense_row expands a sparse row.
 
 Matrices are lists of rows; a row is a list of scalars (dense) or a dict
 col->scalar with no stored zeros (sparse).
@@ -16,6 +17,7 @@ col->scalar with no stored zeros (sparse).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
@@ -248,92 +250,74 @@ def sparse_rank(rows: list[dict[int, object]], dom: Domain = QQ) -> int:
 # ---------------------------------------------------------------------------
 # Smith normal form over the integers.
 
-class SmithForm:
-    """Nonzero elementary divisors of an integer matrix, d1 | d2 | ... .
-    Equal and hashed by (diagonal, rank)."""
+class SmithForm(namedtuple("SmithForm", "diagonal rank")):
+    """Nonzero elementary divisors of an integer matrix, d1 | d2 | ..., and
+    its rank.  Equal and hashed by (diagonal, rank)."""
 
-    __slots__ = ("diagonal", "rank")
-
-    def __init__(self, diagonal: tuple[int, ...], rank: int):
-        self.diagonal = diagonal
-        self.rank = rank
-
-    def __eq__(self, other):
-        if other.__class__ is not SmithForm:
-            return NotImplemented
-        return self.diagonal == other.diagonal and self.rank == other.rank
-
-    def __hash__(self):
-        return hash((self.diagonal, self.rank))
+    __slots__ = ()
 
     @property
     def torsion(self) -> tuple[int, ...]:
         return tuple(d for d in self.diagonal if d > 1)
 
 
-def _snf_pivot(m: list[list[int]], t: int, nr: int, nc: int):
-    """Smallest-magnitude nonzero entry of the trailing submatrix, scanning
-    rows then columns so ties resolve deterministically."""
-    best = None
-    for i in range(t, nr):
-        row = m[i]
-        for j in range(t, nc):
-            v = row[j]
-            if v and (best is None or abs(v) < best[0]):
-                best = (abs(v), i, j)
-                if best[0] == 1:
-                    return best[1], best[2]
-    return (best[1], best[2]) if best else None
+def _reduce(lines: dict, cross: dict, i: int, j: int) -> None:
+    """Take multiples of line i off every other line meeting position j,
+    leaving there its remainder modulo the pivot lines[i][j].  lines are
+    the rows and cross the columns (row steps), or the other way round
+    (column steps); both are kept in step, and emptied lines dropped."""
+    piv = lines[i]
+    p = piv[j]
+    for k in [k for k in cross[j] if k != i]:
+        line = lines[k]
+        q = line[j] // p
+        for c, v in piv.items():
+            w = line.get(c, 0) - q * v
+            if w:
+                line[c] = cross[c][k] = w
+            else:
+                line.pop(c, None)
+                cross[c].pop(k, None)
+        if not line:
+            del lines[k]
 
 
-def smith_normal_form(matrix: list[list[int]]) -> SmithForm:
-    """Euclidean row/column diagonalization, smallest pivot first; the
-    divisors d1 | d2 | ... of the diagonal come from merge_divisor_chains.
+def smith_normal_form(rows: list[dict[int, int]]) -> SmithForm:
+    """Smith normal form of a sparse integer matrix, given as row dicts
+    col -> entry; the rows are not mutated and stored zeros are ignored.
 
-    Returns the nonzero divisors only; rank equals their count.  Transform
-    matrices are not tracked (nothing downstream needs them).
+    Each pivot is a stored +-1 if there is one, else an entry of least
+    magnitude.  Row steps reduce its column modulo the pivot, then column
+    steps its row; a remainder left becomes the next, smaller pivot, and a
+    pivot alone in its row and column is one diagonal entry.  The divisors
+    d1 | d2 | ... come from merge_divisor_chains, the rank is their count.
+    Transform matrices are not tracked (nothing downstream needs them).
     """
-    m = [[int(x) for x in row] for row in matrix]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    for row in m:
-        if len(row) != nc:
-            raise ValueError("ragged matrix")
+    m = {i: {c: int(v) for c, v in r.items() if v} for i, r in enumerate(rows)}
+    m = {i: r for i, r in m.items() if r}
+    cols: dict[int, dict[int, int]] = {}
+    for i, r in m.items():
+        for c, v in r.items():
+            cols.setdefault(c, {})[i] = v
     diag: list[int] = []
-    for t in range(min(nr, nc)):
-        loc = _snf_pivot(m, t, nr, nc)
-        if loc is None:
-            break
-        i, j = loc
-        m[t], m[i] = m[i], m[t]
-        for row in m:
-            row[t], row[j] = row[j], row[t]
-        while True:
-            # knock down the pivot column, then the pivot row
-            reduced = False
-            for i in range(t + 1, nr):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    if q:
-                        m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-                        reduced = True
-                    if m[i][t]:          # remainder smaller than pivot: swap up
-                        m[t], m[i] = m[i], m[t]
-                        reduced = True
-            for j in range(t + 1, nc):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    if q:
-                        for row in m:
-                            row[j] -= q * row[t]
-                        reduced = True
-                    if m[t][j]:
-                        for row in m:
-                            row[t], row[j] = row[j], row[t]
-                        reduced = True
-            if not reduced:
-                break
-        diag.append(abs(m[t][t]))
+    while m:
+        i, j = next(((i, j) for i, r in m.items() for j, v in r.items()
+                     if v in (1, -1)), (None, None))
+        if i is None:
+            _, i, j = min((abs(v), i, j) for i, r in m.items()
+                          for j, v in r.items())
+        while len(m[i]) > 1 or len(cols[j]) > 1:
+            _reduce(m, cols, i, j)
+            if len(cols[j]) > 1:
+                i = min((k for k in cols[j] if k != i),
+                        key=lambda k: abs(cols[j][k]))
+                continue
+            _reduce(cols, m, j, i)
+            if len(m[i]) > 1:
+                j = min((c for c in m[i] if c != j),
+                        key=lambda c: abs(m[i][c]))
+        diag.append(abs(m[i][j]))
+        del m[i], cols[j]
     return SmithForm(merge_divisor_chains([diag]), len(diag))
 
 
@@ -360,9 +344,10 @@ def merge_divisor_chains(chains: list[tuple[int, ...]]) -> tuple[int, ...]:
     return (1,) * units + tuple(ds)
 
 
-def block_smith_form(blocks: list[list[list[int]]]) -> SmithForm:
+def block_smith_form(blocks: list[list[dict[int, int]]]) -> SmithForm:
     """Smith normal form of a block-diagonal matrix from its diagonal
-    blocks: their divisor chains merged, their ranks added."""
+    blocks, each given as sparse rows: their divisor chains merged, their
+    ranks added."""
     forms = [smith_normal_form(b) for b in blocks]
     return SmithForm(merge_divisor_chains([f.diagonal for f in forms]),
                      sum(f.rank for f in forms))

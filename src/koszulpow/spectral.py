@@ -17,7 +17,7 @@ differential is built.
 from __future__ import annotations
 
 from .poly import RegularSequenceSpec
-from .linalg import sparse_rank, smith_normal_form, block_smith_form, dense_row
+from .linalg import sparse_rank, smith_normal_form, block_smith_form
 from .chain import FreeModule, SparseMap, ChainComplex, Label, constant_rows
 from .resolution import MorseMatching, tensor_mod_I_complex
 
@@ -171,7 +171,7 @@ class SupportBlock:
         self.support = support
         self.row_labels = row_labels
         self.col_labels = col_labels
-        self.matrix = matrix            # integer rows
+        self.matrix = matrix            # sparse integer rows
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -213,13 +213,11 @@ def support_blocks(f: SparseMap) -> SupportBlockReport:
     for g, sup, row in zip(f.target, row_sup, rows):
         b = blocks[sup]
         b.row_labels.append(g)
-        b.matrix.append([0] * len(b.col_labels))
-        for j, v in row.items():
+        for j in row:
             if col_sup[j] != sup:
                 raise ValueError(f"entry {g} <- {f.source.labels[j]} "
                                  f"crosses support blocks")
-            b.matrix[-1][col_at[j]] = v
-    whole = [dense_row(row, f.source.dim) for row in rows]
+        b.matrix.append({col_at[j]: v for j, v in row.items()})
     return SupportBlockReport(
-        list(blocks.values()), smith_normal_form(whole).diagonal,
+        list(blocks.values()), smith_normal_form(rows).diagonal,
         block_smith_form([b.matrix for b in blocks.values()]).diagonal)

@@ -13,7 +13,7 @@ from koszulpow.cli import (ConfigError, parse_field, parse_sequence,
                            explicit_spec, run)
 
 
-def _never_run(cfg):
+def _never_run(cfg, spec):
     raise AssertionError("the command ran despite a bad --out")
 
 
@@ -50,6 +50,17 @@ class TestConfigParsing:
         spec = parse_sequence(f"file:{f}", 2, QQ)
         assert spec.n_gens == 2
         assert [str(p) for p in spec.gens] == ["x1^2", "x2^2"]
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_sequence_file_read_once_per_run(self, command, tmp_path,
+                                             count_calls, capsys):
+        f = tmp_path / "seq.json"
+        f.write_text('["x1", "x2"]')
+        calls = count_calls("cli._read_sequence_file")
+        assert run([command, "--n", "2", "--s", "2",
+                    "--sequence", f"file:{f}"]) == 0
+        assert '"ok": true' in capsys.readouterr().out
+        assert calls == {"cli._read_sequence_file": 1}
 
     def test_sequence_file_lines(self, tmp_path):
         f = tmp_path / "seq.txt"
@@ -158,6 +169,17 @@ class TestExitCodes:
         monkeypatch.setitem(cli._COMMANDS, "tor", _never_run)
         self.assert_config_error(["tor", "--n", "2", "--s", "1",
                                   "--out", str(tmp_path / out)], capsys)
+
+    def test_empty_out_is_two_before_any_computation(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # an empty path is not "no --out": the report would go to stdout
+        # while the config echoed "out": ""
+        monkeypatch.setitem(cli._COMMANDS, "tor", _never_run)
+        self.assert_config_error(["tor", "--n", "2", "--s", "1",
+                                  "--out", ""], capsys)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"out": ""}))
+        self.assert_config_error(["tor", "--config", str(cfg)], capsys)
 
     def test_bad_out_from_config_is_two_before_any_computation(
             self, tmp_path, capsys, monkeypatch):

@@ -48,6 +48,12 @@ def rand_matrix(rng, nr, nc, lo=-4, hi=4):
     return [[rng.randint(lo, hi) for _ in range(nc)] for _ in range(nr)]
 
 
+def sparse(m):
+    """The sparse rows (col -> nonzero entry) of a dense matrix, the form
+    the Smith form reads."""
+    return [{j: v for j, v in enumerate(r) if v} for r in m]
+
+
 class TestDense:
     def test_rref_known(self):
         red, piv = rref([[1, 2, 3], [2, 4, 7]], 3, QQ)
@@ -158,27 +164,28 @@ class TestSparseRank:
 
 class TestSmithNormalForm:
     def test_identity(self):
-        assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).diagonal == (1, 1, 1)
+        assert smith_normal_form(
+            sparse([[1, 0, 0], [0, 1, 0], [0, 0, 1]])).diagonal == (1, 1, 1)
 
     def test_pinned_example(self):
-        s = smith_normal_form([[2, 4], [6, 8]])
+        s = smith_normal_form(sparse([[2, 4], [6, 8]]))
         assert s.diagonal == (2, 4)
         assert s.rank == 2
 
     def test_zero_matrix(self):
-        s = smith_normal_form([[0, 0], [0, 0]])
+        s = smith_normal_form(sparse([[0, 0], [0, 0]]))
         assert s.diagonal == () and s.rank == 0
         assert smith_normal_form([]).diagonal == ()
 
     def test_single_entry(self):
-        assert smith_normal_form([[2]]).diagonal == (2,)
-        assert smith_normal_form([[-6]]).diagonal == (6,)
+        assert smith_normal_form(sparse([[2]])).diagonal == (2,)
+        assert smith_normal_form(sparse([[-6]])).diagonal == (6,)
 
     def test_divisibility_chain_random(self):
         rng = random.Random(21)
         for _ in range(200):
             m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), -6, 6)
-            d = smith_normal_form(m).diagonal
+            d = smith_normal_form(sparse(m)).diagonal
             assert all(d[i + 1] % d[i] == 0 for i in range(len(d) - 1))
             assert all(x > 0 for x in d)
 
@@ -186,13 +193,14 @@ class TestSmithNormalForm:
         rng = random.Random(22)
         for _ in range(150):
             m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), -5, 5)
-            assert smith_normal_form(m).diagonal == snf_divisors_by_minors(m)
+            assert (smith_normal_form(sparse(m)).diagonal
+                    == snf_divisors_by_minors(m))
 
     def test_rank_matches_rational_rank(self):
         rng = random.Random(23)
         for _ in range(100):
             m = rand_matrix(rng, 4, 5)
-            assert smith_normal_form(m).rank == rank_dense(m, 5, QQ)
+            assert smith_normal_form(sparse(m)).rank == rank_dense(m, 5, QQ)
 
     def test_sparse_unit_entries_against_minors_oracle(self):
         # mostly 0 and +-1 entries, as in the tensored differentials, on
@@ -202,7 +210,30 @@ class TestSmithNormalForm:
             nr, nc = rng.randint(1, 5), rng.randint(1, 6)
             m = [[rng.choice((0, 0, 0, 1, -1)) for _ in range(nc)]
                  for _ in range(nr)]
-            assert smith_normal_form(m).diagonal == snf_divisors_by_minors(m)
+            assert (smith_normal_form(sparse(m)).diagonal
+                    == snf_divisors_by_minors(m))
+
+    def test_pivot_row_reduced_only_once_its_column_is_clear(self):
+        # reducing the first row modulo 2 before the 3 below it is cleared
+        # is not a column operation, and would give (1, 7)
+        m = [[2, 3], [3, 0]]
+        assert smith_normal_form(sparse(m)) == SmithForm((1, 9), 2)
+        assert snf_divisors_by_minors(m) == (1, 9)
+
+    def test_input_rows_unchanged(self):
+        rng = random.Random(25)
+        for _ in range(100):
+            m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), -5, 5)
+            rows = [dict(enumerate(r)) for r in m]     # stored zeros too
+            before = [dict(r) for r in rows]
+            got = smith_normal_form(rows).diagonal
+            assert got == snf_divisors_by_minors(m)
+            assert rows == before
+
+    def test_empty_rows_and_stored_zeros(self):
+        assert smith_normal_form([{}, {}]) == SmithForm((), 0)
+        assert smith_normal_form([{0: 0, 3: 0}, {}]) == SmithForm((), 0)
+        assert block_smith_form([[{}], [{1: 0}, {}]]) == SmithForm((), 0)
 
     def test_torsion_property(self):
         assert SmithForm((1, 1, 2, 6), 4).torsion == (2, 6)
@@ -224,13 +255,14 @@ class TestMergeDivisorChains:
     def test_against_snf_of_block_diagonal(self):
         rng = random.Random(31)
         for _ in range(100):
-            a = smith_normal_form(rand_matrix(rng, 3, 3, -4, 4)).diagonal
-            b = smith_normal_form(rand_matrix(rng, 2, 3, -4, 4)).diagonal
+            a = smith_normal_form(sparse(rand_matrix(rng, 3, 3))).diagonal
+            b = smith_normal_form(sparse(rand_matrix(rng, 2, 3))).diagonal
             n = len(a) + len(b)
             block = [[0] * n for _ in range(n)]
             for i, d in enumerate(a + b):
                 block[i][i] = d
-            assert merge_divisor_chains([a, b]) == smith_normal_form(block).diagonal
+            assert (merge_divisor_chains([a, b])
+                    == smith_normal_form(sparse(block)).diagonal)
 
     def test_units_set_aside(self):
         # diag(1, 1, 2, 1, 3) has rank 5 and invariant factors (1,1,1,1,6)
@@ -268,9 +300,10 @@ class TestBlockSmithForm:
 
     def test_all_zero_blocks(self):
         zero = [[[0, 0], [0, 0]], [[0], [0], [0]], [[0, 0, 0]]]
-        assert block_smith_form(zero) == SmithForm((), 0)
-        assert block_smith_form(zero) == smith_normal_form(
-            block_diagonal(zero))
+        blocks = [sparse(b) for b in zero]
+        assert block_smith_form(blocks) == SmithForm((), 0)
+        assert block_smith_form(blocks) == smith_normal_form(
+            sparse(block_diagonal(zero)))
 
     def test_against_assembled_matrix(self):
         rng = random.Random(33)
@@ -282,15 +315,16 @@ class TestBlockSmithForm:
                     blocks.append([[0] * nc for _ in range(nr)])
                 else:
                     blocks.append(rand_matrix(rng, nr, nc, -4, 4))
-            assert block_smith_form(blocks) == smith_normal_form(
-                block_diagonal(blocks))
+            assert block_smith_form([sparse(b) for b in blocks]) == \
+                smith_normal_form(sparse(block_diagonal(blocks)))
 
     def test_blocks_with_an_empty_side(self):
         # a block of rows without columns adds neither rank nor divisors
         blocks = [[[2]], [[], []], [[3, 0], [0, 4]]]
-        assert block_smith_form(blocks) == smith_normal_form(
-            block_diagonal(blocks))
-        assert block_smith_form(blocks) == SmithForm((1, 2, 12), 3)
+        assert block_smith_form([sparse(b) for b in blocks]) == \
+            smith_normal_form(sparse(block_diagonal(blocks)))
+        assert block_smith_form([sparse(b) for b in blocks]) == \
+            SmithForm((1, 2, 12), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -166,8 +166,9 @@ class TestCollapse:
         count("e1_page", spectral.e1_page, spectral, cli)
         count("e2_page", spectral.e2_page, spectral, cli)
         count("tor", homology.tor, homology, cli)
-        payload, ok = cli.cmd_spectral(cli.build_config(
-            cli.make_parser().parse_args(["spectral", "--n", "3", "--s", "3"])))
+        cfg = cli.build_config(
+            cli.make_parser().parse_args(["spectral", "--n", "3", "--s", "3"]))
+        payload, ok = cli.cmd_spectral(cfg, cfg.spec())
         assert ok and payload["collapse"]["tor_ranks"] == [1, 10, 15, 6]
         assert calls == {"e1_page": 1, "e2_page": 1}
 
@@ -199,9 +200,17 @@ class TestSupportBlocks:
         rep = support_blocks(f)
         assert sum(b.shape[0] for b in rep.blocks) == f.target.dim
         assert sum(b.shape[1] for b in rep.blocks) == f.source.dim
-        total = sum(sum(1 for row in b.matrix for v in row if v)
-                    for b in rep.blocks)
+        total = sum(len(row) for b in rep.blocks for row in b.matrix)
         assert total == len(f.entries)
+
+    def test_integer_path_densifies_no_matrix(self, count_calls, capsys):
+        from koszulpow import cli
+        calls = count_calls("linalg.dense_row")
+        assert cli.run(["spectral", "--n", "3", "--s", "3",
+                        "--field", "Z"]) == 0
+        assert '"ok": true' in capsys.readouterr().out
+        # the block and global Smith forms read the transfer maps' rows
+        assert calls == {"linalg.dense_row": 0}
 
     def test_each_label_support_read_once(self, count_calls):
         f = del_map(RegularSequenceSpec.variables(4), 1)[2]
