@@ -19,7 +19,6 @@ builds its map from the same sum.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import ge, gt
 
 from .poly import (Polynomial, Domain, monomials_of_degree, mono_mul,
@@ -218,38 +217,47 @@ def zero_map(source: FreeModule, target: FreeModule, n_vars: int,
     return SparseMap(source, target, {}, n_vars, domain)
 
 
-def _composite_sum(terms) -> dict:
-    """(target, source) -> the sum of sign * f[target, mid] * g[mid, source]
-    over the terms (f, g) or (f, g, sign).  A map given as None counts as
-    zero.  Entries that cancel stay in the dict as zero polynomials."""
+def _composite_sum(terms):
+    """(target, source) -> the raw terms {monomial: int or Fraction} of the
+    sum of sign * f[target, mid] * g[mid, source] over the terms (f, g) or
+    (f, g, sign), not yet reduced mod p, and the maps' ring (domain,
+    n_vars), None if no term counts.  A map given as None counts as zero."""
     ent: dict = {}
+    ring = None
     for f, g, *sign in terms:
         if f is None or g is None:
             continue
         if g.target != f.source:
             raise ValueError("compose shape mismatch: target(g) != source(f)")
+        ring = ring or (f.domain, f.n_vars)
+        if {(f.domain, f.n_vars), (g.domain, g.n_vars)} != {ring}:
+            raise ValueError("composite of maps over different rings")
+        sg = sign[0] if sign else 1
         f_cols = f.columns()
         for (mid, src), p in g.entries.items():
             for tgt, q in f_cols[mid]:
-                r = q * p if not sign else (q * p).scale(sign[0])
-                key = (tgt, src)
-                old = ent.get(key)
-                ent[key] = r if old is None else old + r
-    return ent
+                acc = ent.setdefault((tgt, src), {})
+                for ma, ca in q.terms.items():
+                    for mb, cb in p.terms.items():
+                        m = mono_mul(ma, mb)
+                        acc[m] = acc.get(m, 0) + sg * ca * cb
+    return ent, ring
 
 
 def _nonzero_source(*terms) -> Label | None:
     """The least source label on which the sum of sign * (f after g) over
     the terms (f, g) or (f, g, sign) is nonzero, or None if the sum
     vanishes.  Every symbolic check reads its witness here."""
-    return min((src for (_, src), p in _composite_sum(terms).items()
-                if not p.is_zero()), default=None)
+    ent, ring = _composite_sum(terms)
+    return min((src for (_, src), raw in ent.items()
+                if any(map(ring[0].coerce, raw.values()))), default=None)
 
 
 def compose(f: SparseMap, g: SparseMap) -> SparseMap:
     """f after g."""
-    return SparseMap(g.source, f.target, _composite_sum([(f, g)]),
-                     f.n_vars, f.domain)
+    ent, (dom, n_vars) = _composite_sum([(f, g)])
+    return SparseMap(g.source, f.target, {
+        k: Polynomial(n_vars, dom, raw) for k, raw in ent.items()}, n_vars, dom)
 
 
 # -- elements ---------------------------------------------------------------
@@ -399,11 +407,9 @@ def constant_rows(f: SparseMap) -> list[dict[int, int]]:
         if not p.is_constant():
             raise ValueError(f"non-constant entry {p} at {tgt} <- {src}")
         v = p.constant_value()
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
-                raise ValueError(f"non-integer entry {p} at {tgt} <- {src}")
-            v = v.numerator
-        rows[row_of[tgt]][col_of[src]] = int(v)
+        if v.__class__ is not int:           # a proper fraction over Q
+            raise ValueError(f"non-integer entry {p} at {tgt} <- {src}")
+        rows[row_of[tgt]][col_of[src]] = v
     return rows
 
 

@@ -23,7 +23,7 @@ from .linalg import rank_dense, solve, mat_mul, mat_vec
 from .chain import (FreeModule, SparseMap, ChainComplex, zero_map,
                     verify_complex, _nonzero_source)
 from .ideals import SubquotientModule
-from .koszul import q_complex, q_module, transfer_entries, koszul_complex
+from .koszul import q_complex, transfer_entries, koszul_complex
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +264,20 @@ def power_connecting(spec: RegularSequenceSpec, P: ChainComplex,
         top = FreeModule(tuple(g for g in src_mod
                                if len(g.tag) == level - 1))
         ent = transfer_entries(spec, top)
-        maps[n] = SparseMap(src_mod, q_module(spec, level, n - 1), ent,
+        maps[n] = SparseMap(src_mod, Q.module(n - 1), ent,
                             spec.n_vars, spec.domain)
     return ConnectingMap(P, Q, maps)
 
 
 def iterated_splice(spec: RegularSequenceSpec, s: int) -> ChainComplex:
     """Rebuild the glued resolution by splicing one tag column at a time,
-    starting from the exterior-algebra complex."""
+    starting from the exterior-algebra complex; each column is built once."""
     if s < 1:
         raise ValueError("power must be >= 1")
     c = koszul_complex(spec)
     for j in range(1, s):
-        c = splice(c, q_complex(spec, j), power_connecting(spec, c, j))
+        delta = power_connecting(spec, c, j)
+        c = splice(c, delta.target, delta)
     return c
 
 

@@ -79,15 +79,18 @@ def koszul_complex(spec: RegularSequenceSpec) -> ChainComplex:
     return q_complex(spec, 0)
 
 
-def del_map(spec: RegularSequenceSpec, s: int) -> dict[int, SparseMap]:
+def del_map(spec: RegularSequenceSpec, s: int,
+            source: ChainComplex | None = None,
+            target: ChainComplex | None = None) -> dict[int, SparseMap]:
     """The transfer family out of tag-level s: homological degree p maps
-    to degree p-1 at tag-level s+1, for p = 1..n."""
+    to degree p-1 at tag-level s+1, for p = 1..n, on the modules of source
+    = q_complex(spec, s) and target = q_complex(spec, s + 1) if given."""
     if s < 0:
         raise ValueError("tag level must be >= 0")
     out = {}
     for p in range(1, spec.n_gens + 1):
-        src = q_module(spec, s, p)
-        tgt = q_module(spec, s + 1, p - 1)
+        src = source.module(p) if source else q_module(spec, s, p)
+        tgt = target.module(p - 1) if target else q_module(spec, s + 1, p - 1)
         out[p] = SparseMap(src, tgt, transfer_entries(spec, src),
                            spec.n_vars, spec.domain)
     return out
@@ -111,12 +114,14 @@ class IdentityReport:
 
 def verify_identities(spec: RegularSequenceSpec, s_max: int) -> IdentityReport:
     """Check, symbolically, that the transfer anticommutes with the
-    boundary and squares to zero across tag levels below s_max."""
+    boundary and squares to zero across tag levels below s_max.  Each
+    (tag level, degree) module is built once per call."""
     failures = []
     checked = 0
     n = spec.n_gens
-    dels = {r: del_map(spec, r) for r in range(s_max + 1)}
     bnds = {r: q_complex(spec, r) for r in range(s_max + 1)}
+    dels = {r: del_map(spec, r, bnds[r], bnds.get(r + 1))
+            for r in range(s_max + 1)}
     for r in range(s_max):
         for p in range(1, n + 1):
             # boundary after transfer + transfer after boundary = 0

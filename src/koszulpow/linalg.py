@@ -1,13 +1,14 @@
 """Exact linear algebra: dense field routines, sparse rank, Smith normal form.
 
 Two regimes.  Small matrices (kernels, solving, membership) use dense
-reduced row echelon over a field with Fraction or mod-p scalars, and
-Echelon is the one Gauss-Jordan: rref feeds it the rows, and rank_dense,
-kernel_basis and solve read rref.  Large graded slices and the
-spanning sets of ideal powers only need rank, so those go through a
-sparse row elimination that stays in integers (_clear_row clears
-denominators up front and gives the primitive integer row; rows are
-renormalized by gcd) to avoid Fraction overhead.  The Smith normal form
+reduced row echelon over a field with the domain's scalars (over Q an
+int unless a proper Fraction, mod-p ints over F_p), and Echelon is the
+one Gauss-Jordan: rref feeds it the rows, and rank_dense, kernel_basis
+and solve read rref.  Large graded slices and the spanning sets of ideal
+powers only need rank, so those go through a sparse row elimination that
+stays in integers (_clear_row gives the primitive integer row, clearing
+the denominators of proper fractions, which the +-1 and +-u_i slices
+never have; rows are renormalized by gcd).  The Smith normal form
 reads the same sparse rows, with integer entries, and pivots on stored
 entries.  dense_row expands a sparse row.
 
@@ -93,15 +94,15 @@ def solve(matrix: list[list], rhs: list, dom: Domain):
 
 
 def mat_vec(matrix: list[list], v: list, dom: Domain) -> list:
-    return [sum((dom.mul(a, b) for a, b in zip(row, v)),
-                start=dom.zero()) for row in matrix]
+    return [dom.coerce(sum(dom.mul(a, b) for a, b in zip(row, v)))
+            for row in matrix]
 
 
 def mat_mul(a: list[list], b: list[list], dom: Domain) -> list[list]:
     if not a or not b:
         return [[] for _ in a]
     bt = list(zip(*b))
-    return [[sum((dom.mul(x, y) for x, y in zip(row, col)), start=dom.zero())
+    return [[dom.coerce(sum(dom.mul(x, y) for x, y in zip(row, col)))
              for col in bt] for row in a]
 
 
@@ -169,10 +170,7 @@ def _clear_row(row: dict[int, object]) -> dict[int, int]:
     """The primitive integer row proportional to a row of rationals (int or
     Fraction), with zero entries dropped."""
     mult = lcm(*(v.denominator for v in row.values()))
-    if mult == 1:
-        out = {c: v.numerator for c, v in row.items() if v}
-    else:
-        out = {c: (v * mult).numerator for c, v in row.items() if v}
+    out = {c: (v * mult).numerator for c, v in row.items() if v}
     g = gcd(*out.values()) if out else 1
     if g > 1:
         out = {c: v // g for c, v in out.items()}

@@ -1,9 +1,11 @@
 """Exact coefficient domains and sparse multivariate polynomials.
 
-Coefficients are exact: ``Fraction`` over the rationals, Python ints over
-the integers, and canonical residues ``0..p-1`` over a prime field.  A
-polynomial is a dict mapping exponent tuples to nonzero coefficients; the
-zero polynomial is the empty dict.  Terms serialize in descending graded
+Coefficients are exact: over the rationals an ``int`` if integral and a
+``Fraction`` only if not, Python ints over the integers, and canonical
+residues ``0..p-1`` over a prime field.  Every Domain operation returns
+that form, so +-1 and +-u_i entries stay in native ints.  A polynomial
+is a dict mapping exponent tuples to nonzero coefficients; the zero
+polynomial is the empty dict.  Terms serialize in descending graded
 lexicographic order, so printing is canonical and ``parse(str(p)) == p``.
 """
 
@@ -37,6 +39,11 @@ def _is_prime(p: int) -> bool:
         if xs[0] != 1 and p - 1 not in xs:
             return False
     return True
+
+
+def _rational(v):
+    """Q's canonical form of an int or Fraction: an int when integral."""
+    return v.numerator if v.__class__ is Fraction and v.denominator == 1 else v
 
 
 class Domain:
@@ -76,23 +83,15 @@ class Domain:
 
     def coerce(self, value):
         """Bring an int/Fraction into this domain's canonical form."""
-        if type(value) is int:
-            if self.kind == "Fp":
-                return value % self.p
-            return Fraction(value) if self.kind == "Q" else value
-        if self.kind == "Q":
-            return Fraction(value)
-        if self.kind == "Fp":
-            if isinstance(value, Fraction):
+        if type(value) is not int:
+            value = _rational(Fraction(value))
+            if value.__class__ is Fraction and self.kind != "Q":
+                if self.kind == "Z":
+                    raise ValueError(f"{value} is not an integer")
                 if value.denominator % self.p == 0:
                     raise ZeroDivisionError(f"denominator divisible by {self.p}")
                 return value.numerator * pow(value.denominator, -1, self.p) % self.p
-            return value % self.p
-        if isinstance(value, Fraction):
-            if value.denominator != 1:
-                raise ValueError(f"{value} is not an integer")
-            return value.numerator
-        return int(value)
+        return value % self.p if self.kind == "Fp" else value
 
     def zero(self):
         return self.coerce(0)
@@ -101,13 +100,13 @@ class Domain:
         return self.coerce(1)
 
     def add(self, a, b):
-        return (a + b) % self.p if self.kind == "Fp" else a + b
+        return (a + b) % self.p if self.kind == "Fp" else _rational(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "Fp" else a - b
+        return (a - b) % self.p if self.kind == "Fp" else _rational(a - b)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "Fp" else a * b
+        return (a * b) % self.p if self.kind == "Fp" else _rational(a * b)
 
     def neg(self, a):
         return (-a) % self.p if self.kind == "Fp" else -a
@@ -116,7 +115,7 @@ class Domain:
         if self.kind == "Fp":
             return a * pow(b, -1, self.p) % self.p
         if self.kind == "Q":
-            return Fraction(a) / b
+            return _rational(Fraction(a) / b)
         if a % b != 0:
             raise ValueError(f"{a} not divisible by {b} over Z")
         return a // b

@@ -1,14 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from koszulpow.poly import (QQ, ZZ, GF, Polynomial, parse_poly,
-                            RegularSequenceSpec, mono_mul)
+                            RegularSequenceSpec, mono_mul, monomials_of_degree)
 from koszulpow.chain import (Label, make_label, FreeModule, SparseMap,
                              zero_map, compose, ChainComplex, verify_complex,
                              tensor_mod_I, graded_slice, map_slice,
                              slice_basis, ChainMap, element_add,
-                             element_str)
+                             element_str, _nonzero_source)
 from koszulpow.koszul import koszul_complex
 from koszulpow.linalg import rank_dense
 from koszulpow.resolution import build_k_ris
@@ -166,6 +167,94 @@ class TestCompose:
         capsys.readouterr()
         # every symbolic check sums its composites through _nonzero_source
         assert calls == {"chain.compose": 0}
+
+
+def reference_sum(terms) -> dict:
+    """(target, source) -> sum of sign * f[target, mid] * g[mid, source] as
+    Polynomial products and sums: the kernel's reference."""
+    out = {}
+    for f, g, *sign in terms:
+        if f is None or g is None:
+            continue
+        for (mid, src), p in g.entries.items():
+            for (tgt, mid2), q in f.entries.items():
+                if mid2 == mid:
+                    r = (q * p).scale(sign[0] if sign else 1)
+                    out[(tgt, src)] = out[(tgt, src)] + r \
+                        if (tgt, src) in out else r
+    return {k: p for k, p in out.items() if not p.is_zero()}
+
+
+def random_module(rng, first, size):
+    return FreeModule(tuple(Label((first + i,), (), rng.randrange(4))
+                            for i in range(size)))
+
+
+def random_homogeneous(rng, n_vars, dom, d):
+    """Often zero; over Q sometimes with proper fractions."""
+    monos = monomials_of_degree(n_vars, d)
+    terms = {}
+    for _ in range(rng.randrange(3)):
+        c = rng.randrange(-3, 4)
+        if dom == QQ and rng.random() < 0.3:
+            c = Fraction(c, rng.randrange(1, 4))
+        m = rng.choice(monos)
+        terms[m] = terms.get(m, 0) + c
+    return Polynomial(n_vars, dom, terms)
+
+
+def random_map(rng, source, target, dom):
+    return SparseMap(source, target, {
+        (t, s): random_homogeneous(rng, 2, dom, s.ideg - t.ideg)
+        for s in source for t in target if s.ideg >= t.ideg
+        and rng.random() < 0.6}, 2, dom)
+
+
+class TestCompositeKernel:
+    """_nonzero_source and compose sum raw integer terms; they must agree
+    with Polynomial products and sums."""
+
+    @pytest.mark.parametrize("dom", [QQ, ZZ, GF(3)], ids=str)
+    def test_matches_polynomial_reference(self, dom):
+        rng = random.Random(5)
+        for _ in range(60):
+            a, b = random_module(rng, 1, 3), random_module(rng, 4, 4)
+            c = random_module(rng, 8, 3)
+            f1, f2 = random_map(rng, b, a, dom), random_map(rng, b, a, dom)
+            g1, g2 = random_map(rng, c, b, dom), random_map(rng, c, b, dom)
+            assert compose(f1, g1).entries == reference_sum([(f1, g1)])
+            for terms in ([(f1, g1)], [(f1, g1), (f2, g2, -1)],
+                          [(f1, g1), (f1, g1, -1)], [(f1, None), (f2, g2)]):
+                ref = reference_sum(terms)
+                assert _nonzero_source(*terms) == \
+                    min((src for _, src in ref), default=None)
+
+    def test_cancels_only_mod_p(self):
+        # a <- b <- c with composites 2 * 3 + 4 * 1 = 10, zero mod 5 only
+        a, b, c = (Label((i,), (), 0) for i in (1, 2, 3))
+        ma, mb, mc = FreeModule((a,)), FreeModule((b,)), FreeModule((c,))
+        for dom, witness in ((GF(5), None), (QQ, c), (ZZ, c)):
+            def f(v):
+                return SparseMap(mb, ma, {(a, b): Polynomial.constant(
+                    2, dom, v)}, 2, dom)
+
+            def g(v):
+                return SparseMap(mc, mb, {(b, c): Polynomial.constant(
+                    2, dom, v)}, 2, dom)
+
+            assert _nonzero_source((f(2), g(3)), (f(4), g(1))) == witness
+            assert compose(f(2), g(3)).entries == {
+                (a, c): Polynomial.constant(2, dom, 6)}
+
+    def test_rejects_maps_over_different_rings(self):
+        m = FreeModule((UNIT,))
+        f = SparseMap(m, m, {(UNIT, UNIT): P("1")}, 2, QQ)
+        g = SparseMap(m, m, {(UNIT, UNIT): parse_poly("1", 2, GF(5))}, 2,
+                      GF(5))
+        with pytest.raises(ValueError, match="different rings"):
+            _nonzero_source((f, g))
+        with pytest.raises(ValueError, match="different rings"):
+            _nonzero_source((f, f), (g, g))
 
 
 class TestVerifyComplex:

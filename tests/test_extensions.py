@@ -1,6 +1,7 @@
 import pytest
 
-from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec, Polynomial
+from koszulpow.poly import (QQ, ZZ, GF, RegularSequenceSpec, Polynomial,
+                            parse_poly)
 from koszulpow.ideals import SubquotientModule
 from koszulpow.linalg import mat_vec
 from koszulpow.chain import SparseMap, make_label, verify_complex, slice_basis
@@ -71,6 +72,13 @@ class TestGradedSES:
         ses = power_ses(RegularSequenceSpec.variables(2, domain=GF(5)), 2)
         assert ses.field.kind == "Fp"
         assert ses.verify(6).ok
+        # the composite's entries sum past p, so they are reduced mod p
+        # before they are compared with zero
+        spec = RegularSequenceSpec.explicit([
+            parse_poly("x1 + 2*x2", 2, GF(5)),
+            parse_poly("3*x1^2 + x2^2", 2, GF(5))])
+        assert power_ses(spec, 2).verify(4).ok
+        assert power_ses(spec, 3).verify(5).ok
 
     def test_split_action_is_block_diagonal(self):
         ses = split_power_ses(SPEC2, 2)

@@ -88,6 +88,27 @@ def test_standard_library_only(path):
     assert foreign_imports(path.read_text()) == []
 
 
+def imported_modules(source: str) -> set[str]:
+    """Absolute module names a module imports (relative imports left out)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module)
+    return out
+
+
+def test_only_poly_imports_fractions():
+    """Over Q a scalar is an int unless it is a proper fraction; poly.Domain
+    alone decides that form, so no other module handles Fraction."""
+    assert imported_modules("import os, fractions as f\nfrom . import x\n"
+                            "from fractions import Fraction\n") == \
+        {"os", "fractions"}
+    assert [p.name for p in sorted(PACKAGE.glob("*.py"))
+            if "fractions" in imported_modules(p.read_text())] == ["poly.py"]
+
+
 def test_oracle_imports_only_the_standard_library():
     assert foreign_imports(ORACLE.read_text(), sys.stdlib_module_names) == []
 

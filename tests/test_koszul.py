@@ -175,6 +175,40 @@ class TestIdentities:
             "anticommute fails at tag level 0, degree 2, witness e{1,2}"
 
 
+class TestOneBuildPerCall:
+    """verify_identities and iterated_splice build each (tag level, degree)
+    module once per call, and keep nothing between calls."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        import koszulpow.koszul as koszul
+        calls = []
+
+        def counting(spec, s, p):
+            calls.append((s, p))
+            return q_module(spec, s, p)
+
+        monkeypatch.setattr(koszul, "q_module", counting)
+        return calls
+
+    def test_verify_identities(self, built, monkeypatch):
+        import koszulpow.koszul as koszul
+        spec = RegularSequenceSpec.variables(3)
+        assert verify_identities(spec, 4).ok
+        # levels 0..4 in degrees 0..3, and level 5 as the last target
+        assert len(built) == len(set(built)) == 5 * 4 + 3
+        one = Polynomial.one(3, QQ)
+        monkeypatch.setattr(
+            koszul, "transfer_entries",
+            lambda spec, src: {k: one for k in transfer_entries(spec, src)})
+        assert not verify_identities(spec, 4).ok
+
+    def test_iterated_splice(self, built):
+        from koszulpow.extensions import iterated_splice
+        iterated_splice(RegularSequenceSpec.variables(4), 3)
+        assert len(built) == len(set(built)) == 3 * 5
+
+
 class TestModuleOrdering:
     def test_exterior_subsets(self):
         assert exterior_subsets(3, 2) == [(1, 2), (1, 3), (2, 3)]

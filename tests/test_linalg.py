@@ -7,7 +7,7 @@ import pytest
 
 from koszulpow.poly import Domain, QQ, ZZ, GF
 from koszulpow.linalg import (rref, rank_dense, kernel_basis, solve,
-                              mat_vec, sparse_rank, smith_normal_form,
+                              mat_vec, mat_mul, sparse_rank, smith_normal_form,
                               merge_divisor_chains, block_smith_form,
                               SmithForm, Echelon, dense_row, _clear_row)
 
@@ -91,6 +91,13 @@ class TestDense:
     def test_solve_fp(self):
         x = solve([[2]], [1], GF(5))
         assert x == [3]
+
+    def test_products_in_canonical_form(self):
+        # 3*3 + 4*4 = 25: a residue mod 5, an int over Q even from halves
+        assert mat_vec([[3, 4]], [3, 4], GF(5)) == [0]
+        assert mat_mul([[3, 4]], [[3], [4]], GF(5)) == [[0]]
+        half = Fraction(1, 2)
+        assert [type(x) for x in mat_vec([[half, half]], [1, 1], QQ)] == [int]
 
 class TestSparseRank:
     def test_matches_dense_qq(self):

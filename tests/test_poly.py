@@ -59,6 +59,37 @@ class TestDomain:
         assert ZZ.coerce(True) == 1 and type(ZZ.coerce(True)) is int
         assert GF(5).coerce(Fraction(1, 2)) == 3  # 1/2 = 3 mod 5
 
+    def test_q_scalars_are_ints_unless_proper_fractions(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        cases = [(QQ.coerce(3), 3), (QQ.coerce(Fraction(4, 2)), 2),
+                 (QQ.coerce(True), 1), (QQ.coerce(half), half),
+                 (QQ.add(half, half), 1), (QQ.add(1, 2), 3),
+                 (QQ.add(third, 1), Fraction(4, 3)),
+                 (QQ.sub(Fraction(3, 2), half), 1), (QQ.sub(half, 1), -half),
+                 (QQ.mul(Fraction(2, 3), Fraction(3, 2)), 1),
+                 (QQ.mul(2, Fraction(1, 4)), half), (QQ.mul(-3, 5), -15),
+                 (QQ.div(4, 2), 2), (QQ.div(1, 2), half),
+                 (QQ.div(half, Fraction(1, 4)), 2),
+                 (QQ.div(third, 2), Fraction(1, 6)),
+                 (QQ.zero(), 0), (QQ.one(), 1), (QQ.neg(half), -half)]
+        for got, want in cases:
+            assert got == want
+            assert type(got) is (int if Fraction(want).denominator == 1
+                                 else Fraction), (got, want)
+
+    def test_q_operations_never_leave_int_or_fraction(self):
+        rng = random.Random(11)
+        values = [0, 1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-3, 4),
+                  Fraction(5, 3), Fraction(-7, 6)]
+        ops = (QQ.add, QQ.sub, QQ.mul, QQ.div, lambda a, b: QQ.coerce(a))
+        for _ in range(500):
+            a, b = rng.choice(values), rng.choice(values[1:])
+            for op in ops:
+                got = op(a, b)
+                exact = Fraction(got)
+                assert type(got) is (int if exact.denominator == 1
+                                     else Fraction)
+
     def test_fp_ops(self):
         F = GF(7)
         assert F.add(5, 4) == 2
@@ -181,6 +212,18 @@ class TestPrinting:
         p = P("1/2*x1 + 3/4")
         assert str(p) == "1/2*x1 + 3/4"
         assert parse_poly(str(p), 2) == p
+        assert type(p.coefficient((1, 0))) is Fraction
+
+    def test_integral_literal_is_an_int(self):
+        p = P("4/2*x1 - 6/3 + 1/3*x2")
+        assert p.terms == {(1, 0): 2, (0, 0): -2, (0, 1): Fraction(1, 3)}
+        assert {m: type(c) for m, c in p.terms.items()} == \
+            {(1, 0): int, (0, 0): int, (0, 1): Fraction}
+        assert str(p) == "2*x1 + 1/3*x2 - 2"
+        assert parse_poly(str(p), 2) == p
+        q = P("1/2*x1") * P("2*x2") + P("3/2") - P("1/2")
+        assert q.terms == {(1, 1): 1, (0, 0): 1}
+        assert all(type(c) is int for c in q.terms.values())
 
     def test_fp_prints_residues(self):
         assert str(P("-x1", 1, GF(5))) == "4*x1"
