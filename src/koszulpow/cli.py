@@ -250,7 +250,8 @@ def cmd_build(cfg: RunConfig, spec: RegularSequenceSpec):
         "differentials": {str(n): c.differential(n).entry_lines()
                           for n in range(1, top + 1)},
     }
-    return payload, squared.ok and ids.ok
+    # probe homology proves non-regularity (over Z too: Z-regular => Q-regular)
+    return payload, squared.ok and ids.ok and probe.ok
 
 
 def cmd_verify(cfg: RunConfig, spec: RegularSequenceSpec):

@@ -11,11 +11,12 @@ elementary divisors, all 1, so there is no torsion; and class
 coordinates, of products and of images under a chain map, are the Morse
 projection onto the critical cells, with t's own coefficients.  tor and
 freeness_check report a failed certificate as a failed check;
-induced_tor_map raises on it.  tor(spec, s) builds t once, and for
-s >= 2 the tensored complex of R/I^{s-1} once more (the target of the
-reduction map), but no polynomial resolution; its other two rank routes
-read one page 2 off t by real elimination (transfer-cokernel: its last
-column; page2: its column sums).
+induced_tor_map raises on it.  tor(spec, s) builds t and its matching
+once and no polynomial resolution: the matching at s also certifies its
+restriction below tag length s - 1, whose critical cells are the Tor
+generators of R/I^{s-1}, the target of the reduction map.  Its other
+two rank routes read one page 2 off t by real elimination
+(transfer-cokernel: its last column; page2: its column sums).
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .linalg import kernel_basis, smith_normal_form, sparse_rank, Echelon
 from .chain import (ChainComplex, ChainMap, Element, constant_rows,
                     element_str, element_add, map_slice)
 from .koszul import koszul_complex
-from .resolution import (MorseMatching, cut, cut_top_level,
-                         dga_multiply, homology_slice_dims,
-                         default_internal_bound, tensor_mod_I_complex)
+from .resolution import (MorseMatching, _max_rule_mate, cut, dga_multiply,
+                         homology_slice_dims, default_internal_bound,
+                         tensor_mod_I_complex)
 from .spectral import _page_one, e2_page
 
 
@@ -77,8 +78,8 @@ class TorReport:
     """Tor of (R/I, R/I^s) read off the max-rule matching on t = K (x) R/I:
     generators[n] is its list of critical labels, each standing for the
     cycle with coefficient 1 on it.  tor() fills in the rest; failure is
-    None when every matching it read is certified, else the first failing
-    label and check."""
+    None when the matching is certified, else its first failing label and
+    check."""
 
     __slots__ = ("generators", "t", "matching", "failure", "torsion",
                  "routes", "products", "induced_reduction")
@@ -127,6 +128,10 @@ def tor(spec: RegularSequenceSpec, s: int) -> TorReport:
     Ranks are cross-checked against two further routes, both read off
     one page 2 of the column filtration: the cokernel of the last
     transfer map (page 2's last column) and page 2's column sums.
+    The reduction map sends the unit to the unit and every positive-degree
+    generator, of tag length s - 1, to zero; its rows are t's labels below
+    that length left critical by the max rule at s - 1 (README, "Why Tor
+    needs no elimination").
     """
     if s < 1:
         raise ValueError("power must be >= 1")
@@ -137,10 +142,10 @@ def tor(spec: RegularSequenceSpec, s: int) -> TorReport:
                      "page2": page2.total_ranks()}
     report.products = tor_products(report)
     if s >= 2:
-        lower = _tor_basis(spec, s - 1)
-        report.failure = report.failure or lower.failure
-        report.induced_reduction = _induced_matrices(
-            cut_top_level(report.t, lower.t), report, lower)
+        report.induced_reduction = {
+            n: [[int(n == 0)] * len(gens) for g in report.t.module(n)
+                if len(g.tag) < s - 1 and _max_rule_mate(g, s - 1) is None]
+            for n, gens in enumerate(report.generators)}
     return report
 
 
@@ -253,14 +258,8 @@ def induced_tor_map(f: ChainMap) -> dict[int, list[list]]:
     src, tgt = (_tor_basis(c.spec, c.s) for c in (f.source, f.target))
     if src.failure or tgt.failure:
         raise ValueError(f"uncertified basis: {src.failure or tgt.failure}")
-    return _induced_matrices(f, src, tgt)
-
-
-def _induced_matrices(f: ChainMap, src: TorReport,
-                      tgt: TorReport) -> dict[int, list[list]]:
-    """induced_tor_map of a chain map f, given the Tor reports of its ends:
-    column j in degree n is the Morse projection of f(g_j) onto the
-    target's critical cells."""
+    # column j in degree n: the Morse projection of f(g_j) onto the
+    # target's critical cells
     one = Polynomial.one(f.source.n_vars, f.source.domain)
     out = {}
     for n in range(max(len(src.ranks), len(tgt.ranks))):

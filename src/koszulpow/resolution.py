@@ -437,13 +437,7 @@ def reduction_chain_map(spec: RegularSequenceSpec, s: int) -> ChainMap:
     """The projection covering R/I^s -> R/I^{s-1}: cut the top tag level."""
     if s < 2:
         raise ValueError("reduction needs s >= 2")
-    return cut_top_level(build_k_ris(spec, s), build_k_ris(spec, s - 1))
-
-
-def cut_top_level(big: KRIsComplex, small: KRIsComplex) -> ChainMap:
-    """reduction_chain_map between complexes built on the labels (two
-    resolutions, or two tensored complexes) of R/I^s and R/I^{s-1}."""
-    spec, s = big.spec, big.s
+    big, small = build_k_ris(spec, s), build_k_ris(spec, s - 1)
     one = Polynomial.one(spec.n_vars, spec.domain)
     comps = {}
     for n in range(big.max_degree + 1):

@@ -362,6 +362,22 @@ class TestReports:
         assert not r["regularity_probe"]["ok"]
         assert "NOT regular" in r["regularity_probe"]["summary"]
 
+    @pytest.mark.parametrize("field", ["Q", "Z"])
+    def test_build_fails_on_probe_homology(self, capsys, field):
+        # two generators in three variables: no regularity defect, but
+        # Koszul homology proves x1*x2, x1*x3 is not regular
+        code, doc = capture(capsys, [
+            "build", "--n", "3", "--s", "2", "--field", field,
+            "--sequence", 'explicit:["x1*x2","x1*x3"]'])
+        assert code == 1 and not doc["ok"]
+        r = doc["report"]
+        assert r["warning"] is True and not r["regularity_probe"]["ok"]
+        assert r["d_squared"]["ok"] and r["identities"]["ok"]
+        code, doc = capture(capsys, [
+            "build", "--n", "3", "--s", "2", "--field", field,
+            "--sequence", 'explicit:["x1*x2","x3^2"]'])
+        assert code == 0 and doc["ok"] and doc["report"]["warning"] is False
+
     def test_verify_over_integers(self, capsys):
         code, doc = capture(capsys, ["verify", "--n", "2", "--s", "2",
                                      "--field", "Z", "--max-internal", "6"])

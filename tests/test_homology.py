@@ -10,7 +10,7 @@ from koszulpow.chain import (SparseMap, ChainMap, element_str,
                              constant_matrix, constant_rows, tensor_mod_I)
 from koszulpow.koszul import koszul_complex
 from koszulpow.resolution import (build_k_ris, reduction_chain_map,
-                                  dga_multiply, cut_top_level)
+                                  dga_multiply)
 from koszulpow.homology import (homology_ranks,
                                 tensor_mod_I_complex, tor, coker_transfer_ranks,
                                 tor_products, freeness_check, divisor_report,
@@ -346,8 +346,8 @@ class TestSharedPass:
                             "chain.tensor_mod_I")
         rep = homology.tor(SPEC2, 2)
         assert rep.induced_reduction is not None and rep.products.all_zero
-        # the tensored complexes of R/I^2 and R/I are written from their
-        # labels, and the reduction map is read on them: no polynomial
+        # the tensored complex of R/I^2 is written from its labels, and
+        # the reduction map is read off its matching: no polynomial
         # resolution is built and nothing is tensored
         assert calls == {"homology.tor": 1, "resolution.build_k_ris": 0,
                          "chain.tensor_mod_I": 0}
@@ -374,15 +374,27 @@ class TestSharedPass:
 
     def test_one_resolution_per_power(self, count_calls):
         calls = count_calls("resolution.build_k_ris", "chain.tensor_mod_I",
+                            "resolution.tensor_mod_I_complex",
                             "koszul.del_map", "koszul.q_module",
                             "koszul.transfer_entries")
         tor(RegularSequenceSpec.variables(4, GF(31991)), 3)
-        # pages 1 and 2 and the transfer cokernels are read off the
-        # tensored resolution of R/I^3; nothing rebuilds a piece of it
-        assert calls.pop("koszul.q_module") <= 25
-        assert calls.pop("koszul.transfer_entries") <= 8
+        # pages 1 and 2, the transfer cokernels and the reduction map are
+        # read off the tensored resolution of R/I^3, built once; nothing
+        # builds R/I^2 or rebuilds a piece of R/I^3
         assert calls == {"resolution.build_k_ris": 0, "chain.tensor_mod_I": 0,
-                         "koszul.del_map": 0}
+                         "resolution.tensor_mod_I_complex": 1,
+                         "koszul.del_map": 0, "koszul.q_module": 15,
+                         "koszul.transfer_entries": 4}
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_one_complex_one_matching_no_chain_map(self, s, count_calls):
+        calls = count_calls("resolution.tensor_mod_I_complex",
+                            "resolution.MorseMatching.__init__",
+                            "chain.ChainMap.__init__")
+        tor(SPEC3, s)
+        assert calls == {"resolution.tensor_mod_I_complex": 1,
+                         "resolution.MorseMatching.__init__": 1,
+                         "chain.ChainMap.__init__": 0}
 
     def test_each_d1_map_ranked_once(self, count_calls):
         from koszulpow.spectral import e1_page
@@ -402,24 +414,32 @@ class TestSharedPass:
         assert tor(SPEC3, 3).induced_reduction is not None
 
     @pytest.mark.parametrize("dom", [QQ, ZZ, GF(5)], ids=str)
-    @pytest.mark.parametrize("n,s", [(2, 2), (3, 3)])
+    @pytest.mark.parametrize("n,s", [(n, s) for n in (1, 2, 3, 4)
+                                     for s in (2, 3, 4)])
     def test_reduction_matches_public_wrapper(self, n, s, dom):
         spec = RegularSequenceSpec.variables(n, dom)
         assert tor(spec, s).induced_reduction == \
             induced_tor_map(reduction_chain_map(spec, s))
 
+    @pytest.mark.parametrize("dom", [QQ, ZZ, GF(5)], ids=str)
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_reduction_matches_public_wrapper_linear_forms(self, s, dom):
+        spec = RegularSequenceSpec.explicit(
+            [parse_poly(p, 3, dom) for p in ("x1+2*x2-x3", "x2-x3", "x3")])
+        assert tor(spec, s).induced_reduction == \
+            induced_tor_map(reduction_chain_map(spec, s))
+
 
 class TestCutTopLevel:
-    """The reduction map tor() builds is a chain map; tor() relies on it
-    without checking."""
+    """The reference reduction map, which cuts the top tag level, is a
+    chain map; induced_tor_map reads tor()'s reduction matrices off it."""
 
     @pytest.mark.parametrize("dom", [QQ, ZZ, GF(5)], ids=str)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("s", [2, 3, 4])
     def test_chain_map(self, n, s, dom):
         spec = RegularSequenceSpec.variables(n, dom)
-        f = cut_top_level(build_k_ris(spec, s), build_k_ris(spec, s - 1))
-        assert f.verify().ok
+        assert reduction_chain_map(spec, s).verify().ok
 
 
 class TestClosedForm:

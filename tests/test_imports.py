@@ -13,11 +13,16 @@ standard library only, not the package.
 Every CLI job starts a fresh interpreter, so what ``import koszulpow.cli``
 loads is paid per job: it must load every module the benchmark tracer
 wraps, and neither ``dataclasses`` nor ``inspect``.
+
+No module-level function or class of the package is dead: each is named
+in the package, the tests, the demos or the benchmark outside its own
+definition, so a deletion leaves no orphan behind.
 """
 
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +32,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "koszulpow"
 TRACER = PACKAGE.parents[1] / "perfbench" / "tracer.py"
 ORACLE = PACKAGE.parents[1] / "tests" / "oracles.py"
+SEARCHED = [PACKAGE.parents[1] / d for d in ("src", "tests", "demos",
+                                              "perfbench")]
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALLOWED = sys.stdlib_module_names | {PACKAGE.name}
 
@@ -129,3 +136,42 @@ def test_cli_import_loads_traced_layers_and_no_dataclasses():
     loaded = set(out.split())
     assert {f"koszulpow.{m}" for m in tracer.LAYERS} <= loaded
     assert not {"dataclasses", "inspect"} & loaded
+
+
+def unreferenced(sources: dict[str, str], defining: list[str]) -> list[str]:
+    """The module-level functions and classes of the defining files (keys
+    of sources) whose name, as a word, appears in no source outside the
+    lines of its own definition, decorators included."""
+    out = []
+    for path in defining:
+        for node in ast.parse(sources[path]).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            lines = sources[path].splitlines()
+            rest = {**sources, path: "\n".join(lines[:first - 1]
+                                               + lines[node.end_lineno:])}
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(text) for text in rest.values()):
+                out.append(f"{path}: {node.name}")
+    return out
+
+
+def test_checker_flags_an_unreferenced_function():
+    src = ("import functools\n\n\ndef used():\n    return 1\n\n\n"
+           "@functools.cache\ndef orphan():\n    return orphan()\n\n\n"
+           "class Kept:\n    x = used()\n")
+    other = "from m import Kept\nKept()\n"
+    assert unreferenced({"m.py": src, "t.py": other}, ["m.py"]) == \
+        ["m.py: orphan"]
+    assert unreferenced({"m.py": src}, ["m.py"]) == \
+        ["m.py: orphan", "m.py: Kept"]
+
+
+def test_no_unreferenced_definitions():
+    root = PACKAGE.parents[1]
+    sources = {str(p.relative_to(root)): p.read_text()
+               for d in SEARCHED for p in sorted(d.rglob("*.py"))}
+    assert unreferenced(sources, [str(p.relative_to(root)) for p in
+                                  sorted(PACKAGE.glob("*.py"))]) == []

@@ -55,6 +55,11 @@ CONTRACT = [
      "ec482da9dbf40a612788229956c75dc6c1a54e2138dcd6175f553142c67a44f3"),
     (["tor", "--n", "2", "--s", "1", "--field", "Fp:5"], 0,
      "d6767b17c1ab362105970004c65160314e1c69f7b596bf3a1a3da3d0878457b4"),
+    # s = 4, and a sequence of variable powers
+    (["tor", "--n", "3", "--s", "4", "--field", "Fp:7"], 0,
+     "640dc2c69837f67664585294e22b2c0be1a8691306ef0e80d7937a428305c15d"),
+    (["tor", "--n", "3", "--s", "3", "--sequence", "powers:2,1,3"], 0,
+     "21538ee93f7a8b9d5092427d60d28657b80e9a3ac2a972a2e75f1d3a16f95ebe"),
 ]
 
 
