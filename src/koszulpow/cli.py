@@ -18,11 +18,11 @@ import sys
 from collections import namedtuple
 
 from .poly import Domain, RegularSequenceSpec, parse_domain, parse_poly
-from .ideals import regularity_defect
 from .chain import verify_complex
 from .koszul import koszul_complex, verify_identities
 from .resolution import build_k_ris, verify_exactness
-from .homology import tor, freeness_check, koszul_regularity_probe
+from .homology import (tor, freeness_check, koszul_regularity_probe,
+                       regularity_defect)
 from .spectral import e1_page, e2_page, off_support_cells, collapse_check, \
     support_blocks
 from .extensions import power_ses, split_power_ses, iterated_splice, \
@@ -250,8 +250,11 @@ def cmd_build(cfg: RunConfig, spec: RegularSequenceSpec):
         "differentials": {str(n): c.differential(n).entry_lines()
                           for n in range(1, top + 1)},
     }
+    defect = regularity_defect(spec, probe)
+    if defect:
+        payload["regularity"] = defect
     # probe homology proves non-regularity (over Z too: Z-regular => Q-regular)
-    return payload, squared.ok and ids.ok and probe.ok
+    return payload, squared.ok and ids.ok and probe.ok and not defect
 
 
 def cmd_verify(cfg: RunConfig, spec: RegularSequenceSpec):
@@ -428,7 +431,8 @@ def run(argv: list[str] | None = None) -> int:
         cfg = build_config(args)
         spec = cfg.spec()
         payload, ok = _COMMANDS[cfg.command](cfg, spec)
-        defect = regularity_defect(spec)
+        # build reports the verdict of the probe it runs for its payload
+        defect = None if cfg.command == "build" else regularity_defect(spec)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

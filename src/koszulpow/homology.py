@@ -30,6 +30,7 @@ from .resolution import (MorseMatching, _max_rule_mate, cut, dga_multiply,
                          homology_slice_dims, default_internal_bound,
                          tensor_mod_I_complex)
 from .spectral import _page_one, e2_page
+from .ideals import hilbert_function
 
 
 def homology_ranks(t: ChainComplex) -> list[tuple[int, tuple[int, ...]]]:
@@ -312,6 +313,28 @@ def koszul_regularity_probe(spec: RegularSequenceSpec,
     if failures:
         witness = _slice_homology_witness(c, *failures[0])
     return ProbeReport(not failures, max_internal, failures, witness)
+
+
+def regularity_defect(spec: RegularSequenceSpec,
+                      probe: ProbeReport | None = None) -> str | None:
+    """Why the sequence is not regular, else None.  It lies in (x1..xn), of
+    grade n over Q, F_p and Z, so it is at most n long.  With n generators,
+    it is regular over a field iff R/I is Artinian, iff (R/I)_D = 0 at
+    D = sum(d_i - 1) + 1, the degree past the top of the Hilbert series
+    prod(1 + t + .. + t^(d_i - 1)) (Bruns-Herzog 1.5, Thm 2.1.2).  Over Z
+    that is checked over Q, a necessary condition: regular over Z implies
+    regular over Q by flat base change.  With fewer generators, homology
+    found by the Koszul probe (run here unless given) proves it; a clean
+    probe decides nothing, and None is returned."""
+    if spec.n_gens > spec.n_vars:
+        return (f"not regular: {spec.n_gens} generators, more than the "
+                f"{spec.n_vars} variables")
+    if spec.n_gens < spec.n_vars:
+        probe = probe or koszul_regularity_probe(spec)
+        return None if probe.ok else probe.summary()
+    top = sum(spec.degrees) - spec.n_gens + 1
+    h = hilbert_function(spec, 1, top)
+    return f"not regular: (R/I)_{top} has dimension {h}, not 0" if h else None
 
 
 def _slice_homology_witness(c: ChainComplex, n: int, d: int) -> str:

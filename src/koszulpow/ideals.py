@@ -94,25 +94,6 @@ def hilbert_function(spec: RegularSequenceSpec, s: int, d: int) -> int:
             - sparse_rank(cols, spec.domain.rank_field))
 
 
-def regularity_defect(spec: RegularSequenceSpec) -> str | None:
-    """Why the sequence is not regular, else None.  It lies in (x1..xn), of
-    grade n over Q, F_p and Z, so it is at most n long.  With n generators,
-    it is regular over a field iff R/I is Artinian, iff (R/I)_D = 0 at
-    D = sum(d_i - 1) + 1, the degree past the top of the Hilbert series
-    prod(1 + t + .. + t^(d_i - 1)) (Bruns-Herzog 1.5, Thm 2.1.2).  Over Z
-    that is checked over Q, a necessary condition: regular over Z implies
-    regular over Q by flat base change."""
-    if spec.n_gens > spec.n_vars:
-        return (f"not regular: {spec.n_gens} generators, more than the "
-                f"{spec.n_vars} variables")
-    if spec.n_gens == spec.n_vars:
-        top = sum(spec.degrees) - spec.n_gens + 1
-        h = hilbert_function(spec, 1, top)
-        if h:
-            return f"not regular: (R/I)_{top} has dimension {h}, not 0"
-    return None
-
-
 class PowerReducer:
     """Canonical residues modulo I^s.
 

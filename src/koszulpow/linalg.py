@@ -1,16 +1,16 @@
-"""Exact linear algebra: dense field routines, sparse rank, Smith normal form.
+"""Exact linear algebra: one sparse row elimination, Smith normal form.
 
-Two regimes.  Small matrices (kernels, solving, membership) use dense
-reduced row echelon over a field with the domain's scalars (over Q an
-int unless a proper Fraction, mod-p ints over F_p), and Echelon is the
-one Gauss-Jordan: rref feeds it the rows, and rank_dense, kernel_basis
-and solve read rref.  Large graded slices and the spanning sets of ideal
-powers only need rank, so those go through a sparse row elimination that
-stays in integers (_clear_row gives the primitive integer row, clearing
-the denominators of proper fractions, which the +-1 and +-u_i slices
-never have; rows are renormalized by gcd).  The Smith normal form
-reads the same sparse rows, with integer entries, and pivots on stored
-entries.  dense_row expands a sparse row.
+_insert is the one elimination: it adds a sparse row to an echelon basis
+kept as {pivot column: row}, clearing the row's least column against the
+row stored there until the row is zero or its least column is free.
+Over Q/Z rows are primitive integer rows (_clear_row clears the
+denominators of proper fractions, which the +-1 and +-u_i slices never
+have) and each step is fraction-free; over F_p rows are residues.
+sparse_rank counts the rows a basis keeps, Echelon keeps one for
+residues, and rref back-substitutes one into the reduced echelon form
+that rank_dense, kernel_basis and solve read.  The Smith normal form
+reads the same sparse rows, with integer entries.  dense_row expands a
+sparse row.
 
 Matrices are lists of rows; a row is a list of scalars (dense) or a dict
 col->scalar with no stored zeros (sparse).
@@ -19,10 +19,127 @@ col->scalar with no stored zeros (sparse).
 from __future__ import annotations
 
 from collections import namedtuple
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .poly import Domain, QQ
+
+
+# ---------------------------------------------------------------------------
+# One sparse row elimination.
+
+def _clear_row(row: dict[int, object]) -> dict[int, int]:
+    """The primitive integer row proportional to a row of rationals (int or
+    Fraction), with zero entries dropped."""
+    mult = lcm(*(v.denominator for v in row.values()))
+    out = {c: (v * mult).numerator for c, v in row.items() if v}
+    g = gcd(*out.values()) if out else 1
+    if g > 1:
+        out = {c: v // g for c, v in out.items()}
+    return out
+
+
+def _insert(rows: dict[int, dict[int, int]], row: dict[int, object],
+            dom: Domain) -> int | None:
+    """Eliminate a sparse row (not mutated) against the basis rows, each
+    stored under its least column, and store the rest under its least
+    column; return that column, or None if the row lies in the span.
+    Over Q/Z a step is pivot*r - lead*row renormalized by the gcd.  Stored
+    rows are never edited."""
+    p = dom.p if dom.kind == "Fp" else None
+    if p is None:
+        r = _clear_row(row)
+    else:
+        r = {c: w for c, v in row.items() if (w := dom.coerce(v))}
+    while r:
+        col = min(r)
+        piv = rows.get(col)
+        if piv is None:
+            rows[col] = r
+            return col
+        f, pv = r[col], piv[col]
+        if p is not None:
+            f = f * pow(pv, -1, p) % p
+            for c, v in piv.items():
+                w = (r.get(c, 0) - f * v) % p
+                if w:
+                    r[c] = w
+                else:
+                    del r[c]
+            continue
+        if pv != 1:
+            r = {c: pv * v for c, v in r.items()}
+        for c, v in piv.items():
+            w = r.get(c, 0) - f * v
+            if w:
+                r[c] = w
+            else:
+                del r[c]
+        g = gcd(*r.values())
+        if g > 1:
+            r = {c: v // g for c, v in r.items()}
+    return None
+
+
+def sparse_rank(rows: list[dict[int, object]], dom: Domain = QQ) -> int:
+    """Rank of a sparse matrix given as row dicts (col -> nonzero scalar),
+    by inserting the rows, sparsest first, into an empty basis.  Input
+    dicts are not mutated."""
+    basis: dict[int, dict[int, int]] = {}
+    for r in sorted(rows, key=len):
+        _insert(basis, r, dom)
+    return len(basis)
+
+
+def _residue(rows: dict[int, dict], v: list, pivots: list[int],
+             dom: Domain) -> list:
+    """The dense vector v (edited in place) less the multiples of the
+    stored rows at pivots, taken in increasing order, that clear it there.
+    A stored row has no entry left of its pivot, so one pass leaves v zero
+    at every one of pivots."""
+    for pc in pivots:
+        f = v[pc]
+        if f:
+            row = rows[pc]
+            f = dom.div(f, row[pc])
+            for c, x in row.items():
+                v[c] = dom.sub(v[c], dom.mul(f, x))
+    return v
+
+
+class Echelon:
+    """Incrementally built echelon basis of a subspace, for residues.
+
+    rows maps each pivot column to the stored row (sparse, as _insert keeps
+    it) whose least column it is.  reduce() returns the canonical residue
+    of a vector modulo the span: unique, with zeros in every pivot position.
+    """
+
+    def __init__(self, dom: Domain):
+        _require_field(dom)
+        self.dom = dom
+        self.rows: dict[int, dict[int, int]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def copy(self) -> Echelon:
+        other = Echelon(self.dom)
+        other.rows = dict(self.rows)     # _insert never edits a stored row
+        return other
+
+    def reduce(self, v: list) -> list:
+        dom = self.dom
+        return _residue(self.rows, [dom.coerce(x) for x in v],
+                        sorted(self.rows), dom)
+
+    def insert(self, v: list) -> bool:
+        """Add v to the span. True if it enlarged the space."""
+        return _insert(self.rows, dict(enumerate(v)), self.dom) is not None
+
+    def contains(self, v: list) -> bool:
+        zero = self.dom.zero()
+        return all(x == zero for x in self.reduce(v))
 
 
 # ---------------------------------------------------------------------------
@@ -42,13 +159,26 @@ def dense_row(row: dict[int, object], n_cols: int, zero=0) -> list:
 
 
 def rref(matrix: list[list], n_cols: int, dom: Domain):
-    """Reduced row echelon form. Returns (rows, pivot_cols), zero rows dropped."""
-    ech = Echelon(dom)
+    """Reduced row echelon form. Returns (rows, pivot_cols), zero rows dropped.
+
+    The rows go into one basis; each basis row, divided by its pivot, is
+    reduced modulo the basis rows at the later pivots.
+    """
+    _require_field(dom)
+    basis: dict[int, dict] = {}
     for r in matrix:
         if len(r) != n_cols:
             raise ValueError("ragged matrix")
-        ech.insert(r)
-    return [row for _, row in ech.rows], [pc for pc, _ in ech.rows]
+        _insert(basis, dict(enumerate(r)), dom)
+    pivots = sorted(basis)
+    zero = dom.zero()
+    red = []
+    for i, pc in enumerate(pivots):
+        pv = basis[pc][pc]
+        v = {c: dom.div(x, pv) for c, x in basis[pc].items()}
+        red.append(_residue(basis, dense_row(v, n_cols, zero),
+                            pivots[i + 1:], dom))
+    return red, pivots
 
 
 def rank_dense(matrix: list[list], n_cols: int, dom: Domain) -> int:
@@ -104,145 +234,6 @@ def mat_mul(a: list[list], b: list[list], dom: Domain) -> list[list]:
     bt = list(zip(*b))
     return [[dom.coerce(sum(dom.mul(x, y) for x, y in zip(row, col)))
              for col in bt] for row in a]
-
-
-class Echelon:
-    """Incrementally built reduced echelon basis of a subspace.
-
-    Rows are kept fully reduced (Gauss-Jordan), so reduce() returns the
-    canonical residue of a vector modulo the span: unique, with zeros in
-    every pivot position.
-    """
-
-    def __init__(self, dom: Domain):
-        _require_field(dom)
-        self.dom = dom
-        self.rows: list[tuple[int, list]] = []   # (pivot_col, normalized row)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def copy(self) -> Echelon:
-        other = Echelon(self.dom)
-        other.rows = list(self.rows)     # insert() never edits a row in place
-        return other
-
-    def reduce(self, v: list) -> list:
-        dom = self.dom
-        zero = dom.zero()
-        v = [dom.coerce(x) for x in v]
-        for pc, row in self.rows:
-            f = v[pc]
-            if f != zero:
-                v = [dom.sub(x, dom.mul(f, y)) for x, y in zip(v, row)]
-        return v
-
-    def insert(self, v: list) -> bool:
-        """Add v to the span. True if it enlarged the space."""
-        dom = self.dom
-        zero = dom.zero()
-        r = self.reduce(v)
-        pc = next((i for i, x in enumerate(r) if x != zero), None)
-        if pc is None:
-            return False
-        pv = r[pc]
-        if pv != dom.one():
-            r = [dom.div(x, pv) for x in r]
-        # only rows with an entry in the new pivot column change
-        self.rows = [(p, row) if row[pc] == zero else
-                     (p, [dom.sub(x, dom.mul(row[pc], y))
-                          for x, y in zip(row, r)])
-                     for p, row in self.rows]
-        self.rows.append((pc, r))
-        self.rows.sort(key=lambda t: t[0])
-        return True
-
-    def contains(self, v: list) -> bool:
-        zero = self.dom.zero()
-        return all(x == zero for x in self.reduce(v))
-
-
-# ---------------------------------------------------------------------------
-# Sparse rank.
-
-def _clear_row(row: dict[int, object]) -> dict[int, int]:
-    """The primitive integer row proportional to a row of rationals (int or
-    Fraction), with zero entries dropped."""
-    mult = lcm(*(v.denominator for v in row.values()))
-    out = {c: (v * mult).numerator for c, v in row.items() if v}
-    g = gcd(*out.values()) if out else 1
-    if g > 1:
-        out = {c: v // g for c, v in out.items()}
-    return out
-
-
-def sparse_rank(rows: list[dict[int, object]], dom: Domain = QQ) -> int:
-    """Rank of a sparse matrix given as row dicts (col -> nonzero scalar).
-
-    Over Q/Z the elimination is fraction-free: each update is
-    pivot*row - entry*pivot_row followed by a gcd renormalization, so all
-    intermediate values stay integers.  Over F_p arithmetic is mod p.
-    Input dicts are not mutated.
-
-    Rows wait in buckets keyed by their leading column, and the columns
-    are taken in increasing order from a heap: only the rows of the
-    current bucket contain the pivot column, so only they are eliminated,
-    and each moves to the bucket of its new leading column.
-    """
-    modp = dom.p if dom.kind == "Fp" else None
-    buckets: dict[int, list[dict[int, int]]] = {}
-    for r in rows:
-        if modp is None:
-            r = _clear_row(r)
-        else:
-            r = {c: dom.coerce(v) for c, v in r.items()}
-            r = {c: v for c, v in r.items() if v}
-        if r:
-            buckets.setdefault(min(r), []).append(r)
-    heap = list(buckets)
-    heapify(heap)
-    rank = 0
-    while heap:
-        col = heappop(heap)
-        bucket = buckets.pop(col)
-        # sparsest pivot row limits fill-in; the first one keeps it stable
-        pi = min(range(len(bucket)), key=lambda i: len(bucket[i]))
-        piv = bucket.pop(pi)
-        pv = piv.pop(col)
-        rank += 1
-        if modp is not None:
-            inv = pow(pv, -1, modp)
-        for r in bucket:
-            f = r.pop(col)
-            if modp is not None:
-                f = f * inv % modp
-                out = r
-                for c, v in piv.items():
-                    w = (out.get(c, 0) - f * v) % modp
-                    if w:
-                        out[c] = w
-                    else:
-                        del out[c]
-            else:
-                out = {c: pv * v for c, v in r.items()}
-                for c, v in piv.items():
-                    w = out.get(c, 0) - f * v
-                    if w:
-                        out[c] = w
-                    else:
-                        del out[c]
-                g = gcd(*out.values()) if out else 1
-                if g > 1:
-                    out = {c: v // g for c, v in out.items()}
-            if out:
-                lead = min(out)
-                if lead in buckets:
-                    buckets[lead].append(out)
-                else:
-                    buckets[lead] = [out]
-                    heappush(heap, lead)
-    return rank
 
 
 # ---------------------------------------------------------------------------

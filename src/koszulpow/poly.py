@@ -499,9 +499,9 @@ class RegularSequenceSpec:
 
     The built-in monomial shapes (variables, prime-power variables) are
     regular.  Explicit sequences are accepted as asserted-by-user;
-    ideals.regularity_defect rejects one that is too long or, with as many
-    generators as variables, not regular over Q, and the Koszul homology
-    probe (homology module) offers a necessary-condition check.  Equal and
+    homology.regularity_defect rejects one that is too long, one with as
+    many generators as variables that is not regular over Q, and one with
+    fewer on which the Koszul homology probe finds homology.  Equal and
     hashed by all six fields.
     """
 

@@ -378,6 +378,29 @@ class TestReports:
             "--sequence", 'explicit:["x1*x2","x3^2"]'])
         assert code == 0 and doc["ok"] and doc["report"]["warning"] is False
 
+    @pytest.mark.parametrize("command", ["build", "verify", "tor",
+                                         "spectral", "splice"])
+    def test_every_command_acts_on_probe_homology(self, command, capsys,
+                                                  count_calls):
+        # fewer generators than variables: only the Koszul probe decides,
+        # and it runs once per run
+        calls = count_calls("homology.koszul_regularity_probe")
+        for seq, d, witness in (('["x1*x2","x1*x3"]', 3,
+                                 "(-x3)*e{1} + (x2)*e{2}"),
+                                ('["x1*x2","x1*x2"]', 2,
+                                 "(-1)*e{1} + (1)*e{2}")):
+            code, doc = capture(capsys, [command, "--n", "3", "--s", "2",
+                                         "--sequence", f"explicit:{seq}"])
+            assert code == 1 and not doc["ok"]
+            assert doc["report"]["regularity"] == (
+                f"homology detected at degree 1, internal degree {d} "
+                f"(witness {witness}): sequence is NOT regular")
+        code, doc = capture(capsys, [command, "--n", "3", "--s", "2",
+                                     "--sequence",
+                                     'explicit:["x1*x2","x3^2"]'])
+        assert code == 0 and "regularity" not in doc["report"]
+        assert calls == {"homology.koszul_regularity_probe": 3}
+
     def test_verify_over_integers(self, capsys):
         code, doc = capture(capsys, ["verify", "--n", "2", "--s", "2",
                                      "--field", "Z", "--max-internal", "6"])

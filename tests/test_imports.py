@@ -116,6 +116,13 @@ def test_only_poly_imports_fractions():
             if "fractions" in imported_modules(p.read_text())] == ["poly.py"]
 
 
+def test_linalg_keeps_no_heap():
+    """linalg eliminates by inserting rows into one basis keyed by pivot
+    column; no rows wait in a heap of leading columns."""
+    assert "heapq" not in imported_modules(
+        (PACKAGE / "linalg.py").read_text())
+
+
 def test_oracle_imports_only_the_standard_library():
     assert foreign_imports(ORACLE.read_text(), sys.stdlib_module_names) == []
 

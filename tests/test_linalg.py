@@ -106,7 +106,7 @@ class TestSparseRank:
             nr, nc = rng.randint(0, 6), rng.randint(1, 7)
             m = rand_matrix(rng, nr, nc)
             rows = [{j: v for j, v in enumerate(r) if v} for r in m]
-            assert sparse_rank(rows, QQ) == rank_dense(m, nc, QQ)
+            assert sparse_rank(rows, QQ) == len(reference_rref(m, nc, QQ)[1])
 
     def test_matches_dense_fp(self):
         rng = random.Random(12)
@@ -115,7 +115,7 @@ class TestSparseRank:
             nr, nc = rng.randint(1, 6), rng.randint(1, 7)
             m = rand_matrix(rng, nr, nc)
             rows = [{j: v % 3 for j, v in enumerate(r) if v % 3} for r in m]
-            assert sparse_rank(rows, F) == rank_dense(m, nc, F)
+            assert sparse_rank(rows, F) == len(reference_rref(m, nc, F)[1])
 
     def test_fraction_entries(self):
         rows = [{0: Fraction(1, 2), 1: Fraction(1, 3)},
@@ -158,7 +158,7 @@ class TestSparseRank:
         for _ in range(200):
             m, nc = self.sparse_matrix(rng)
             rows = [{j: v for j, v in enumerate(r) if v} for r in m]
-            assert sparse_rank(rows, QQ) == rank_dense(m, nc, QQ)
+            assert sparse_rank(rows, QQ) == len(reference_rref(m, nc, QQ)[1])
 
     @pytest.mark.parametrize("p", [2, 5, 7])
     def test_random_sparse_matches_dense_fp(self, p):
@@ -166,7 +166,8 @@ class TestSparseRank:
         for _ in range(200):
             m, nc = self.sparse_matrix(rng, p)
             rows = [{j: v for j, v in enumerate(r) if v} for r in m]
-            assert sparse_rank(rows, GF(p)) == rank_dense(m, nc, GF(p))
+            assert (sparse_rank(rows, GF(p))
+                    == len(reference_rref(m, nc, GF(p))[1]))
 
 
 class TestSmithNormalForm:
@@ -433,21 +434,61 @@ class _CountingQQ(Domain):
 
 
 class TestEchelonInsert:
-    def test_insert_leaves_other_rows_and_unit_pivots_alone(self):
+    def test_insert_over_q_never_divides(self):
         dom = _CountingQQ("Q")
         _CountingQQ.divisions.clear()
         ech = Echelon(dom)
-        ech.insert([1, 0, 2, 0])
-        ech.insert([0, 1, 0, 3])
-        first, second = [row for _, row in ech.rows]
-        ech.insert([0, 0, 1, 1])            # pivot 1 in column 2
-        rows = dict(ech.rows)
-        # only the row with an entry in column 2 is rebuilt
-        assert rows[1] is second
-        assert rows[0] is not first and rows[0] == [1, 0, 0, -2]
-        # a unit pivot row is not divided
+        for v in ([2, 0, 4, 0], [0, 3, 0, 6], [1, 1, 1, 1], [0, 0, 0, 5],
+                  [Fraction(1, 2), Fraction(1, 3), 0, 7]):
+            ech.insert(v)
+        assert ech.rank == 4
         assert _CountingQQ.divisions == []
-        ech.insert([0, 0, 0, 5])            # a non-unit pivot is
-        assert len(_CountingQQ.divisions) == 4
-        assert [row for _, row in ech.rows] == [[1, 0, 0, 0], [0, 1, 0, 0],
-                                                [0, 0, 1, 0], [0, 0, 0, 1]]
+
+    @pytest.mark.parametrize("dom", FIELDS, ids=str)
+    def test_insert_into_copy_leaves_original_alone(self, dom):
+        rng = random.Random(43)
+        for _ in range(100):
+            m, nc = random_dense(rng)
+            ech = Echelon(dom)
+            for v in m[:len(m) // 2]:
+                ech.insert(v)
+            rows = {pc: dict(row) for pc, row in ech.rows.items()}
+            probes = [[rng.choice((0, 1, -2, 3)) for _ in range(nc)]
+                      for _ in range(3)]
+            residues = [ech.reduce(v) for v in probes]
+            other = ech.copy()
+            for v in m[len(m) // 2:] + probes:
+                other.insert(v)
+            assert ech.rows == rows
+            assert ech.rank == len(rows)
+            assert [ech.reduce(v) for v in probes] == residues
+
+    @pytest.mark.parametrize("dom", FIELDS, ids=str)
+    def test_against_reference_rref(self, dom):
+        rng = random.Random(44)
+        for _ in range(200):
+            m, nc = random_dense(rng)
+            ech = Echelon(dom)
+            for k, v in enumerate(m):
+                before = len(reference_rref(m[:k], nc, dom)[1])
+                after = len(reference_rref(m[:k + 1], nc, dom)[1])
+                assert ech.insert(v) == (after > before)
+            _, pivots = reference_rref(m, nc, dom)
+            v = [rng.choice((0, 1, -1, 2, Fraction(1, 3))) for _ in range(nc)]
+            res = ech.reduce(v)
+            # zero at every pivot of the reference, and v - res adds no rank
+            assert all(res[pc] == dom.zero() for pc in pivots)
+            diff = [dom.sub(dom.coerce(x), y) for x, y in zip(v, res)]
+            assert len(reference_rref(m + [diff], nc, dom)[1]) == len(pivots)
+
+
+def test_one_eliminator(count_calls):
+    """sparse_rank, Echelon.insert and rref all eliminate through _insert,
+    and sparse_rank does not go through Echelon.insert."""
+    calls = count_calls("linalg._insert", "linalg.Echelon.insert")
+    assert sparse_rank([{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 3}], QQ) == 2
+    assert calls == {"linalg._insert": 3, "linalg.Echelon.insert": 0}
+    assert Echelon(GF(5)).insert([0, 2])
+    assert calls == {"linalg._insert": 4, "linalg.Echelon.insert": 1}
+    assert rref([[1, 2], [3, 4]], 2, QQ)[1] == [0, 1]
+    assert calls == {"linalg._insert": 6, "linalg.Echelon.insert": 1}
