@@ -90,12 +90,14 @@ def make_label(spec: RegularSequenceSpec, exterior: tuple[int, ...],
 
 class FreeModule:
     """A free module on distinct labels, in order.  Equal and hashed by its
-    label tuple."""
+    label tuple.  index maps each label to its position: the one label
+    index that membership, positions and map entries read."""
 
-    __slots__ = ("labels",)
+    __slots__ = ("labels", "index")
 
     def __init__(self, labels: tuple[Label, ...]):
-        if len(set(labels)) != len(labels):
+        self.index = {g: i for i, g in enumerate(labels)}
+        if len(self.index) != len(labels):
             raise ValueError("duplicate generator labels")
         self.labels = labels
 
@@ -113,15 +115,15 @@ class FreeModule:
 
     def index_of(self, label: Label) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self.index[label]
+        except KeyError:
             raise KeyError(f"label {label} not in module") from None
 
     def __iter__(self):
         return iter(self.labels)
 
     def __contains__(self, label: Label) -> bool:
-        return label in self.labels
+        return label in self.index
 
 
 EMPTY_MODULE = FreeModule(())
@@ -146,19 +148,18 @@ class SparseMap:
         clean = {}
         # keyed on the modules' own labels, so later lookups (columns,
         # map_slice) match by identity and skip Label.__eq__
-        own_src = {g: g for g in source.labels}
-        own_tgt = {g: g for g in target.labels}
         for (tgt_key, src_key), p in entries.items():
             if p.is_zero():
                 continue
-            src = own_src.get(src_key)
-            if src is None:
+            j = source.index.get(src_key)
+            if j is None:
                 raise ValueError(
                     f"entry source {src_key} not a source generator")
-            tgt = own_tgt.get(tgt_key)
-            if tgt is None:
+            i = target.index.get(tgt_key)
+            if i is None:
                 raise ValueError(
                     f"entry target {tgt_key} not a target generator")
+            src, tgt = source.labels[j], target.labels[i]
             if p.n_vars != n_vars or p.domain != domain:
                 raise ValueError("entry polynomial in the wrong ring")
             if p.homogeneous_degree() != src.ideg - tgt.ideg:
@@ -205,8 +206,7 @@ class SparseMap:
                 and self.entries == other.entries)
 
     def entry_lines(self) -> list[str]:
-        col_of = {g: j for j, g in enumerate(self.source.labels)}
-        row_of = {g: i for i, g in enumerate(self.target.labels)}
+        col_of, row_of = self.source.index, self.target.index
         items = sorted(self.entries.items(),
                        key=lambda kv: (col_of[kv[0][1]], row_of[kv[0][0]]))
         return [f"{tgt} <- {src} : {p}" for (tgt, src), p in items]
@@ -400,8 +400,7 @@ def constant_rows(f: SparseMap) -> list[dict[int, int]]:
     constants (tensored differentials, transfer maps): one dict
     column -> nonzero entry per row.  Rows follow target label order,
     columns source label order."""
-    row_of = {g: i for i, g in enumerate(f.target.labels)}
-    col_of = {g: j for j, g in enumerate(f.source.labels)}
+    row_of, col_of = f.target.index, f.source.index
     rows: list[dict[int, int]] = [{} for _ in range(f.target.dim)]
     for (tgt, src), p in f.entries.items():
         if not p.is_constant():

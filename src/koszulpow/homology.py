@@ -26,9 +26,9 @@ from .linalg import kernel_basis, smith_normal_form, sparse_rank, Echelon
 from .chain import (ChainComplex, ChainMap, Element, constant_rows,
                     element_str, element_add, map_slice)
 from .koszul import koszul_complex
-from .resolution import (MorseMatching, _max_rule_mate, cut, dga_multiply,
-                         homology_slice_dims, default_internal_bound,
-                         tensor_mod_I_complex)
+from .resolution import (MorseMatching, PROBE_PRIMES, _max_rule_mate, cut,
+                         dga_multiply, homology_slice_dims,
+                         default_internal_bound, tensor_mod_I_complex)
 from .spectral import _page_one, e2_page
 from .ideals import hilbert_function
 
@@ -201,17 +201,13 @@ class FreenessReport:
         return "; ".join(self.offending)
 
 
-# the primes at which a divisor certificate re-ranks every matrix
-_PROBE_PRIMES = (2, 3, 5)
-
-
 def divisor_report(matrices: dict[int, list[list[int]]]) -> FreenessReport:
     """Divisor certificate of dense integer matrices, one per degree, each
     read once as sparse rows: their Smith form, and their rank again
     modulo each probe prime."""
     divisors = {}
     offending = []
-    rank_by_field = {f: {} for f in ["QQ"] + [f"F{p}" for p in _PROBE_PRIMES]}
+    rank_by_field = {f: {} for f in ["QQ"] + [f"F{p}" for p in PROBE_PRIMES]}
     for n, m in sorted(matrices.items()):
         rows = [{j: v for j, v in enumerate(r) if v} for r in m]
         snf = smith_normal_form(rows)
@@ -219,7 +215,7 @@ def divisor_report(matrices: dict[int, list[list[int]]]) -> FreenessReport:
         for d in snf.torsion:
             offending.append(f"degree {n}: elementary divisor {d} != 1")
         rank_by_field["QQ"][n] = snf.rank
-        for p in _PROBE_PRIMES:
+        for p in PROBE_PRIMES:
             rp = rank_by_field[f"F{p}"][n] = sparse_rank(rows, GF(p))
             if rp != snf.rank:
                 offending.append(
@@ -239,7 +235,7 @@ def freeness_check(spec: RegularSequenceSpec, s: int) -> FreenessReport:
     ranks = {n: r for n, r in enumerate(m.pairs) if n}
     return FreenessReport(
         m.failure is None, {n: (1,) * r for n, r in ranks.items()},
-        {f: dict(ranks) for f in ["QQ"] + [f"F{p}" for p in _PROBE_PRIMES]},
+        {f: dict(ranks) for f in ["QQ"] + [f"F{p}" for p in PROBE_PRIMES]},
         [m.failure] if m.failure else [])
 
 

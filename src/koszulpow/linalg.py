@@ -29,13 +29,14 @@ from .poly import Domain, QQ
 
 def _clear_row(row: dict[int, object]) -> dict[int, int]:
     """The primitive integer row proportional to a row of rationals (int or
-    Fraction), with zero entries dropped."""
-    mult = lcm(*(v.denominator for v in row.values()))
-    out = {c: (v * mult).numerator for c, v in row.items() if v}
-    g = gcd(*out.values()) if out else 1
-    if g > 1:
-        out = {c: v // g for c, v in out.items()}
-    return out
+    Fraction), with zero entries dropped, in one pass on an int row."""
+    out = {c: v for c, v in row.items() if v}
+    try:
+        g = gcd(*out.values())
+    except TypeError:                  # a Fraction: clear the denominators
+        mult = lcm(*(v.denominator for v in out.values()))
+        return _clear_row({c: (v * mult).numerator for c, v in out.items()})
+    return {c: v // g for c, v in out.items()} if g > 1 else out
 
 
 def _insert(rows: dict[int, dict[int, int]], row: dict[int, object],

@@ -191,6 +191,10 @@ def _rho_factor(m: int) -> int:
             return d
 
 
+# every integral check (exactness, divisor certificate) reruns modulo these
+PROBE_PRIMES = (2, 3, 5)
+
+
 def verify_exactness(spec: RegularSequenceSpec, s: int,
                      max_internal: int | None = None) -> ExactnessReport:
     """Check the complex resolves R/I^s, slice by slice, on the Morse
@@ -200,7 +204,7 @@ def verify_exactness(spec: RegularSequenceSpec, s: int,
     Positive homological degrees must vanish in every internal degree up
     to the bound; the degree-0 cokernel dims must equal the independent
     Hilbert function.  Over ZZ the check runs over QQ and the prime fields
-    F_p for p = 2, 3, 5 and every prime dividing a coefficient of a
+    F_p for p in PROBE_PRIMES and every prime dividing a coefficient of a
     generator.  K and M are built once and each slice of M assembled
     once; the F_p runs rank that slice mod p.
     Tensoring the integral resolution with F_p gives
@@ -215,7 +219,7 @@ def verify_exactness(spec: RegularSequenceSpec, s: int,
         max_internal = default_internal_bound(spec, s)
     run_domains = [spec.domain]
     if not spec.domain.is_field:
-        primes = sorted({2, 3, 5} | _coefficient_primes(spec))
+        primes = sorted({*PROBE_PRIMES, *_coefficient_primes(spec)})
         run_domains = [QQ] + [GF(p) for p in primes]
     hfs = [{d: hilbert_function(spec.with_domain(dom), s, d)
             for d in range(max_internal + 1)} for dom in run_domains]
@@ -321,7 +325,6 @@ class MorseMatching:
         self.t, self.tensored, self._mate, self._memo = t, tensored, {}, {}
         self.critical = [[] for _ in range(t.max_degree + 1)]
         self.pairs = [0] * (t.max_degree + 1)
-        cells = {n: set(t.module(n)) for n in range(-1, t.max_degree + 2)}
         one = Polynomial.one(t.n_vars, t.domain)
         mate_of, fails = self._mate, []
         # zig-zag graph: a label matched down points to the mate of each
@@ -337,7 +340,7 @@ class MorseMatching:
                         fails.append(f"{g}: critical, nonzero differential")
                     continue
                 down = len(mate.exterior) < n
-                if mate not in cells[n - 1 if down else n + 1] or \
+                if mate not in t.module(n - 1 if down else n + 1) or \
                         _max_rule_mate(mate, s) != g:
                     fails.append(f"{g}: mate {mate} not matched back")
                     continue

@@ -9,8 +9,8 @@ from koszulpow.chain import (Label, make_label, FreeModule, SparseMap,
                              zero_map, compose, ChainComplex, verify_complex,
                              tensor_mod_I, graded_slice, map_slice,
                              slice_basis, ChainMap, element_add,
-                             element_str, _nonzero_source)
-from koszulpow.koszul import koszul_complex
+                             element_str, _nonzero_source, constant_rows)
+from koszulpow.koszul import koszul_complex, q_module
 from koszulpow.linalg import rank_dense
 from koszulpow.resolution import build_k_ris
 
@@ -86,6 +86,50 @@ class TestFreeModule:
         m = FreeModule((E1, E2))
         assert m == FreeModule((E1, E2)) and hash(m) == hash(FreeModule((E1, E2)))
         assert m != FreeModule((E2, E1)) and m != (E1, E2)
+
+
+class TestOneLabelIndex:
+    """FreeModule.index is the one map from a label to its position: the
+    readers of a map look entries up there instead of rebuilding an index
+    over all labels, so their cost follows the entries, not the modules."""
+
+    def test_readers_hash_per_entry_not_per_label(self, monkeypatch):
+        spec = RegularSequenceSpec.variables(4)
+        src, tgt = q_module(spec, 1, 2), q_module(spec, 2, 1)
+        assert (src.dim, tgt.dim) == (24, 40)
+        g, h = src.labels[5], tgt.labels[7]
+        entries = {(Label(h.exterior, h.tag, h.ideg),
+                    Label(g.exterior, g.tag, g.ideg)): Polynomial.one(4, QQ)}
+        calls = [0]
+        real_hash = Label.__hash__
+
+        def counting_hash(label):
+            calls[0] += 1
+            return real_hash(label)
+
+        monkeypatch.setattr(Label, "__hash__", counting_hash)
+        f = SparseMap(src, tgt, entries, 4, QQ)
+        assert calls[0] <= 4
+        (own_tgt, own_src), = f.entries
+        assert own_src is g and own_tgt is h
+        calls[0] = 0
+        rows = constant_rows(f)
+        assert calls[0] <= 2
+        assert rows == [{5: 1} if i == 7 else {} for i in range(40)]
+
+    def test_index_of_and_contains_agree_with_labels(self):
+        c = build_k_ris(RegularSequenceSpec.variables(3), 3)
+        mods = [c.module(n) for n in range(c.max_degree + 1)]
+        for n, mod in enumerate(mods):
+            for i, g in enumerate(mod.labels):
+                copy = Label(g.exterior, g.tag, g.ideg)
+                assert mod.index_of(g) == mod.index_of(copy) == i
+                assert g in mod and copy in mod
+            foreign = mods[n - 1].labels[0] if n else mods[1].labels[0]
+            assert foreign not in mod
+            with pytest.raises(KeyError) as err:
+                mod.index_of(foreign)
+            assert err.value.args == (f"label {foreign} not in module",)
 
 
 class TestSparseMap:

@@ -411,9 +411,14 @@ class TestEchelonIsTheGaussJordan:
 
     def test_clear_row_matches_primitive_int_vector(self):
         rng = random.Random(42)
-        for _ in range(300):
-            v = [Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-                 for _ in range(rng.randint(0, 6))]
+        fractions = [[Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+                      for _ in range(rng.randint(0, 6))] for _ in range(300)]
+        ints = [[k * rng.randint(-6, 6) for _ in range(rng.randint(0, 6))]
+                for k in rng.choices((1, 2, 6), k=300)]
+        mixed = [[rng.choice((rng.randint(-6, 6),
+                              Fraction(rng.randint(-6, 6), rng.randint(1, 6))))
+                  for _ in range(rng.randint(1, 6))] for _ in range(300)]
+        for v in fractions + ints + mixed:
             want = {j: x for j, x in
                     enumerate(reference_primitive_int_vector(v)) if x}
             assert _clear_row(dict(enumerate(v))) == want

@@ -60,6 +60,12 @@ CONTRACT = [
      "640dc2c69837f67664585294e22b2c0be1a8691306ef0e80d7937a428305c15d"),
     (["tor", "--n", "3", "--s", "3", "--sequence", "powers:2,1,3"], 0,
      "21538ee93f7a8b9d5092427d60d28657b80e9a3ac2a972a2e75f1d3a16f95ebe"),
+    # F_p: the spectral pages, and exactness of M with no freeness certificate
+    (["spectral", "--n", "3", "--s", "2", "--field", "Fp:7"], 0,
+     "1827ba06d3f09e475694e275d96a0e38fbb9d2e973be48a2dfe7dc9e05402d3c"),
+    (["verify", "--n", "3", "--s", "2", "--field", "Fp:7", "--sequence",
+      "powers:1,2,2"], 0,
+     "3165d29bb6772ffaf1fa65693378a6b031fbaa6bbe31257c1909add81e619bb4"),
 ]
 
 
@@ -102,6 +108,14 @@ CONFIG_CONTRACT = [
     ({"n": 2, "s": 3, "field": "Z", "sequence": ["2*x1", "x2"]},
      ["verify"], 0,
      "50dda189f26dcd569c95b71d1809982d8fc996da7262e0cfae4ad6958c1265bb"),
+    # quadrics: entries in entry_lines order, and theta through the
+    # general-regime subquotients
+    ({"n": 3, "s": 3, "sequence": ["x1^2+x2*x3", "x2^2-2*x1*x3", "x3^2"]},
+     ["build"], 0,
+     "6009d36aa1aec7ad7b33c21e5c321404235bd1beb87203c8bfd64cc204f1024f"),
+    ({"n": 3, "s": 2, "sequence": ["x1^2+x2*x3", "x2^2-2*x1*x3", "x3^2"]},
+     ["splice"], 0,
+     "1cc3b001e5913da481cb5eebc4f75ebabe20b911ad2b9727e69ba271dd4945e1"),
 ]
 
 
