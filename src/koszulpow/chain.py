@@ -12,9 +12,8 @@ row); its dense form is built only on request.
 
 One routine, _nonzero_source, decides whether a sum of signed composites
 f after g vanishes and names the least source label where it does not.
-verify_complex, ChainMap.verify, koszul.verify_identities and
-extensions.verify_connecting all read their witnesses from it; compose
-builds its map from the same sum.
+verify_complex, ChainMap.verify and extensions.verify_connecting read
+their witnesses from it; compose builds its map from the same sum.
 """
 
 from __future__ import annotations
@@ -247,7 +246,7 @@ def _composite_sum(terms):
 def _nonzero_source(*terms) -> Label | None:
     """The least source label on which the sum of sign * (f after g) over
     the terms (f, g) or (f, g, sign) is nonzero, or None if the sum
-    vanishes.  Every symbolic check reads its witness here."""
+    vanishes.  Every check on built maps reads its witness here."""
     ent, ring = _composite_sum(terms)
     return min((src for (_, src), raw in ent.items()
                 if any(map(ring[0].coerce, raw.values()))), default=None)

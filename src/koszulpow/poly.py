@@ -11,7 +11,6 @@ lexicographic order, so printing is canonical and ``parse(str(p)) == p``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import add
@@ -41,9 +40,15 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _fraction(a, b=1):
+    """a / b as a Fraction, importing fractions on first use."""
+    from fractions import Fraction
+    return Fraction(a, b)
+
+
 def _rational(v):
     """Q's canonical form of an int or Fraction: an int when integral."""
-    return v.numerator if v.__class__ is Fraction and v.denominator == 1 else v
+    return v.numerator if v.__class__ is not int and v.denominator == 1 else v
 
 
 class Domain:
@@ -84,12 +89,12 @@ class Domain:
     def coerce(self, value):
         """Bring an int/Fraction into this domain's canonical form."""
         if type(value) is not int:
-            value = _rational(Fraction(value))
-            if value.__class__ is Fraction and self.kind != "Q":
+            value = _rational(_fraction(value))
+            if value.__class__ is not int and self.kind != "Q":
                 if self.kind == "Z":
                     raise ValueError(f"{value} is not an integer")
                 if value.denominator % self.p == 0:
-                    raise ZeroDivisionError(f"denominator divisible by {self.p}")
+                    raise ValueError(f"{value} has no residue mod {self.p}")
                 return value.numerator * pow(value.denominator, -1, self.p) % self.p
         return value % self.p if self.kind == "Fp" else value
 
@@ -114,11 +119,13 @@ class Domain:
     def div(self, a, b):
         if self.kind == "Fp":
             return a * pow(b, -1, self.p) % self.p
+        if a.__class__ is int and b.__class__ is int:
+            q, r = divmod(a, b)
+            if not r:
+                return q
         if self.kind == "Q":
-            return _rational(Fraction(a) / b)
-        if a % b != 0:
-            raise ValueError(f"{a} not divisible by {b} over Z")
-        return a // b
+            return _rational(_fraction(a) / b)
+        raise ValueError(f"{a} not divisible by {b} over Z")
 
     def coeff_str(self, a) -> str:
         return str(a)
@@ -312,10 +319,10 @@ class Polynomial:
     def __pow__(self, k: int) -> Polynomial:
         if k < 0:
             raise ValueError("negative exponent")
-        out = Polynomial.one(self.n_vars, self.domain)
-        for _ in range(k):
-            out = out * self
-        return out
+        if k < 2:
+            return self if k else Polynomial.one(self.n_vars, self.domain)
+        half = self ** (k >> 1)             # square and multiply
+        return half * half * self if k & 1 else half * half
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polynomial) and self.n_vars == other.n_vars
@@ -336,8 +343,7 @@ class Polynomial:
         for m, c in self.sorted_terms():
             factors = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
                        for i, e in enumerate(m) if e != 0]
-            neg = (isinstance(c, (int, Fraction)) and c < 0
-                   and self.domain.kind != "Fp")
+            neg = self.domain.kind != "Fp" and c < 0
             mag = -c if neg else c
             if not factors:
                 body = self.domain.coeff_str(mag)
@@ -432,7 +438,9 @@ def parse_poly(text: str, n_vars: int, domain: Domain = QQ) -> Polynomial:
                 k2, v2, p2 = toks.next()
                 if k2 != "int":
                     raise ParseError("expected integer denominator", p2)
-                return Polynomial.constant(n_vars, domain, Fraction(value, v2))
+                if v2 == 0:
+                    raise ParseError("zero denominator", p2)
+                return Polynomial.constant(n_vars, domain, _fraction(value, v2))
             return Polynomial.constant(n_vars, domain, value)
         if kind == "var":
             if not 1 <= value <= n_vars:

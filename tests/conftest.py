@@ -1,7 +1,11 @@
 import importlib
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
+
+RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
 @pytest.fixture
@@ -35,3 +39,19 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """perfbench/run.py loaded as a module; it puts its own directory on
+    sys.path and imports its siblings checks and tracer from there."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    siblings = {"checks", "tracer"} - set(sys.modules)
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
+    run = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the class is made
+    monkeypatch.setitem(sys.modules, spec.name, run)
+    spec.loader.exec_module(run)
+    yield run
+    for name in siblings:
+        sys.modules.pop(name, None)

@@ -143,6 +143,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    @pytest.mark.parametrize("field,text", [
+        ("Fp:3", "1/3*x1"), ("Q", "1/0*x1"), ("Z", "1/0*x1"),
+        ("Fp:5", "1/0*x1")])
+    def test_bad_denominator_is_two(self, command, field, text, capsys):
+        code = run([command, "--n", "2", "--s", "2", "--field", field,
+                    "--sequence", f'explicit:["{text}", "x2"]'])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot parse '{text}': ")
+
     @staticmethod
     def assert_config_error(argv, capsys):
         code = run(argv)

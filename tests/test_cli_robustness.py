@@ -22,6 +22,7 @@ SEQUENCE_FILES = {
     "non-regular": ["x1*x2", "x1*x2"],
     "constant": ["3", "x2"],
     "unparsable": ["x1+*"],
+    "fraction": ["1/2*x1", "x2", "x3"],
 }
 
 
@@ -74,6 +75,8 @@ OPTIONAL_INT = st.one_of(st.none(), st.integers(-1, 4))
 @example(command="tor", n=2, s=1, field="Q", kind="explicit-bad",
          max_internal=None, max_degree=None, workers=None)
 @example(command="tor", n=2, s=1, field="Q", kind="explicit-nonstring",
+         max_internal=None, max_degree=None, workers=None)
+@example(command="tor", n=2, s=1, field="Fp:2", kind="fraction",
          max_internal=None, max_degree=None, workers=None)
 def test_exit_code_contract(tmp_path, command, n, s, field, kind,
                             max_internal, max_degree, workers):

@@ -12,7 +12,9 @@ standard library only, not the package.
 
 Every CLI job starts a fresh interpreter, so what ``import koszulpow.cli``
 loads is paid per job: it must load every module the benchmark tracer
-wraps, and neither ``dataclasses`` nor ``inspect``.
+wraps, and neither ``dataclasses`` nor ``inspect``.  ``fractions`` (with
+``decimal`` and ``numbers``) waits for the first proper fraction, which
+no benchmark job forms.
 
 No module-level function or class of the package is dead: each is named
 in the package, the tests, the demos or the benchmark outside its own
@@ -21,7 +23,9 @@ definition, so a deletion leaves no orphan behind.
 
 import ast
 import importlib.util
+import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -143,6 +147,46 @@ def test_cli_import_loads_traced_layers_and_no_dataclasses():
     loaded = set(out.split())
     assert {f"koszulpow.{m}" for m in tracer.LAYERS} <= loaded
     assert not {"dataclasses", "inspect"} & loaded
+    assert not RATIONALS & loaded
+
+
+RATIONALS = {"fractions", "decimal", "numbers"}
+
+# cli.run on each argv of argv[1] (a JSON list of lists), output discarded;
+# prints the exit codes and which of RATIONALS are loaded after the runs
+RUN_ALL = """
+import io, json, sys
+from koszulpow.cli import run
+stdout, codes = sys.stdout, []
+for argv in json.loads(sys.argv[1]):
+    sys.stdout = io.StringIO()
+    codes.append(run(argv))
+sys.stdout = stdout
+print(json.dumps([codes, sorted({"fractions", "decimal", "numbers"}
+                                & set(sys.modules))]))
+"""
+
+
+def run_all(jobs: list[list[str]]) -> tuple[list[int], list[str]]:
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", RUN_ALL, json.dumps(jobs)],
+                         cwd=PACKAGE.parents[1], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return tuple(json.loads(out))
+
+
+def test_benchmark_jobs_import_no_rationals(bench, tmp_path):
+    """Each benchmark job computes over native ints only; a proper
+    fraction in the sequence is what loads fractions."""
+    jobs = []
+    for workload in bench.WORKLOADS:
+        batch, _ = bench.make_jobs(workload, random.Random(3), tmp_path)
+        jobs += [job.argv for job in batch]
+    assert len(jobs) == 11
+    assert run_all(jobs) == ([0] * 11, [])
+    half = ["tor", "--n", "2", "--s", "1",
+            "--sequence", 'explicit:["1/2*x1", "x2"]']
+    assert run_all([half]) == ([0], sorted(RATIONALS))
 
 
 def unreferenced(sources: dict[str, str], defining: list[str]) -> list[str]:

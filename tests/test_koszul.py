@@ -6,7 +6,7 @@ from koszulpow.chain import (make_label, verify_complex, compose, SparseMap,
                              _nonzero_source)
 from koszulpow.koszul import (exterior_subsets, q_module, q_complex,
                               koszul_complex, del_map, verify_identities,
-                              transfer_entries)
+                              transfer_entries, transfer_rule)
 
 
 def P(text, n=2):
@@ -117,6 +117,11 @@ class TestDelMap:
         assert img == {make_label(SPEC2, (), (1, 2)): P("1")}
 
 
+def unsigned_transfer_rule(exterior, tag):
+    """The transfer rule with its alternating sign dropped."""
+    return [(rest, t, 1) for rest, t, _ in transfer_rule(exterior, tag)]
+
+
 class TestIdentities:
     def test_pass_small(self):
         rep = verify_identities(SPEC2, 3)
@@ -132,19 +137,14 @@ class TestIdentities:
         assert verify_identities(spec, 2).ok
 
     @pytest.mark.parametrize("s_max", [1, 2, 3])
-    def test_builds_only_the_levels_it_reads(self, monkeypatch, s_max):
-        import koszulpow.koszul as koszul
-        levels = []
-
-        def counting(spec, s):
-            levels.append(s)
-            return q_complex(spec, s)
-
-        monkeypatch.setattr(koszul, "q_complex", counting)
+    def test_builds_only_the_levels_it_reads(self, count_calls, s_max):
+        calls = count_calls("koszul.q_complex", "koszul.q_module",
+                            "koszul.del_map", "chain.SparseMap.__init__",
+                            "poly.Polynomial.__init__")
         rep = verify_identities(SPEC2, s_max)
         assert rep.ok and rep.checked == 4 * s_max
-        # the checks at tag levels r < s_max read the boundaries at r, r + 1
-        assert sorted(levels) == list(range(s_max + 1))
+        # the checks read the tuple rules: no level, map or polynomial
+        assert set(calls.values()) == {0}
 
     def test_sign_corrupted_transfer_fails(self):
         # drop the alternating sign: every transfer entry becomes +1
@@ -160,10 +160,10 @@ class TestIdentities:
 
     def test_unsigned_transfer_reported(self, monkeypatch):
         import koszulpow.koszul as koszul
-        one = Polynomial.one(2, QQ)
-        monkeypatch.setattr(
-            koszul, "transfer_entries",
-            lambda spec, src: {k: one for k in transfer_entries(spec, src)})
+        monkeypatch.setattr(koszul, "transfer_rule", unsigned_transfer_rule)
+        # the maps read the same rule as the check
+        assert {p.constant_value() for f in del_map(SPEC2, 0).values()
+                for p in f.entries.values()} == {1}
         rep = verify_identities(SPEC2, 2)
         e12t1 = make_label(SPEC2, (1, 2), (1,))
         assert not rep.ok and rep.checked == 8
@@ -176,8 +176,8 @@ class TestIdentities:
 
 
 class TestOneBuildPerCall:
-    """verify_identities and iterated_splice build each (tag level, degree)
-    module once per call, and keep nothing between calls."""
+    """iterated_splice builds each (tag level, degree) module once per
+    call and keeps nothing between calls; verify_identities builds none."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -195,12 +195,9 @@ class TestOneBuildPerCall:
         import koszulpow.koszul as koszul
         spec = RegularSequenceSpec.variables(3)
         assert verify_identities(spec, 4).ok
-        # levels 0..4 in degrees 0..3, and level 5 as the last target
-        assert len(built) == len(set(built)) == 5 * 4 + 3
-        one = Polynomial.one(3, QQ)
-        monkeypatch.setattr(
-            koszul, "transfer_entries",
-            lambda spec, src: {k: one for k in transfer_entries(spec, src)})
+        # the identities are read off the tuple rules, not the modules
+        assert built == []
+        monkeypatch.setattr(koszul, "transfer_rule", unsigned_transfer_rule)
         assert not verify_identities(spec, 4).ok
 
     def test_iterated_splice(self, built):

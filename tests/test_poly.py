@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,19 @@ class TestDomain:
         assert F.div(1, 3) == 5
         assert F.neg(2) == 5
 
+    def test_q_scalars_stay_native_ints(self):
+        # an exact quotient of ints is an int, an inexact one a Fraction
+        assert type(QQ.div(12, -4)) is int and QQ.div(12, -4) == -3
+        assert type(QQ.div(3, 6)) is Fraction and QQ.div(3, 6) == Fraction(1, 2)
+        assert type(QQ.coerce(Fraction(4, 2))) is int
+        assert QQ.coerce(Fraction(4, 2)) == 2
+
+    def test_bad_denominators_are_value_errors(self):
+        with pytest.raises(ValueError, match="no residue mod 3"):
+            GF(3).coerce(Fraction(1, 3))
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_poly("1/0*x1", 2)
+
     def test_z_div_exact_only(self):
         assert ZZ.div(6, 3) == 2
         with pytest.raises(ValueError):
@@ -165,6 +179,20 @@ class TestArithmetic:
 
     def test_power_expansion(self):
         assert P("(x1+x2)^2") == P("x1^2 + 2*x1*x2 + x2^2")
+
+    @pytest.mark.parametrize("dom", [QQ, ZZ, GF(7)], ids=str)
+    def test_power_is_the_repeated_product(self, dom):
+        base = P("x1+2*x2-x3", 3, dom)
+        product = Polynomial.one(3, dom)
+        for k in range(8):
+            assert base ** k == product
+            product = product * base
+
+    def test_huge_exponent_parses_fast(self):
+        start = time.perf_counter()
+        p = P("x1^1000000000000")
+        assert time.perf_counter() - start < 0.05
+        assert p.terms == {(10 ** 12, 0): 1}
 
     def test_zero_handling(self):
         z = P("x1") - P("x1")

@@ -66,6 +66,10 @@ CONTRACT = [
     (["verify", "--n", "3", "--s", "2", "--field", "Fp:7", "--sequence",
       "powers:1,2,2"], 0,
      "3165d29bb6772ffaf1fa65693378a6b031fbaa6bbe31257c1909add81e619bb4"),
+    # a proper fraction over Q
+    (["tor", "--n", "2", "--s", "2", "--sequence",
+      'explicit:["1/2*x1+x2","x2"]'], 0,
+     "864fae50b91765637f45efedd8d516be890dcd70fd5945d5fe1bc15d638315ab"),
 ]
 
 
