@@ -1,9 +1,10 @@
 """Tor of R/I against R/I^s: ranks, explicit generators, and the
 vanishing product table.
 
-Three routes compute the same ranks: block elimination of the tensored
-complex, a cokernel count through the transfer map, and the column sums
-of the degree-2 page of the filtration spectral sequence.
+Three routes compute the same ranks: the critical cells of the
+certified Morse matching on the tensored complex, a cokernel count
+through the transfer map, and the column sums of the degree-2 page of
+the filtration spectral sequence.
 For s >= 2 every product of positive-degree classes is a boundary; the
 s = 1 control shows that vanishing is a real phenomenon, not an artifact
 of the bookkeeping.

@@ -309,18 +309,16 @@ def cmd_tor(cfg: RunConfig, spec: RegularSequenceSpec):
                      "nonzero": rep.products.nonzero_lines(),
                      "pairs": len(rep.products.gens) ** 2},
     }
-    ok = rep.routes_agree and all(not t for t in rep.torsion)
+    ok = rep.routes_agree
     if rep.failure:
         payload["matching"] = rep.failure
         ok = False
     if cfg.s >= 2:
         ok = ok and rep.products.all_zero
     if rep.induced_reduction is not None:
-        matrices = {str(n): {"shape": [len(m), rep.ranks[n]],
-                             "nonzero": [[i, j, str(x)]
-                                         for i, row in enumerate(m)
-                                         for j, x in enumerate(row) if x]}
-                    for n, m in sorted(rep.induced_reduction.items())}
+        matrices = {str(n): {"shape": list(shape),
+                             "nonzero": [[i, j, str(x)] for i, j, x in nz]}
+                    for n, (shape, nz) in sorted(rep.induced_reduction.items())}
         # the 1 x 1 identity in degree 0, zero in every positive degree
         red_ok = all(m["nonzero"] == ([[0, 0, "1"]] if n == "0" else [])
                      for n, m in matrices.items())

@@ -78,9 +78,9 @@ class ProductTable:
 class TorReport:
     """Tor of (R/I, R/I^s) read off the max-rule matching on t = K (x) R/I:
     generators[n] is its list of critical labels, each standing for the
-    cycle with coefficient 1 on it.  tor() fills in the rest; failure is
-    None when the matching is certified, else its first failing label and
-    check."""
+    cycle with coefficient 1 on it.  tor() fills in the rest, the
+    reduction map in induced_tor_map's form; failure is None when the
+    matching is certified, else its first failing label and check."""
 
     __slots__ = ("generators", "t", "matching", "failure", "torsion",
                  "routes", "products", "induced_reduction")
@@ -129,10 +129,11 @@ def tor(spec: RegularSequenceSpec, s: int) -> TorReport:
     Ranks are cross-checked against two further routes, both read off
     one page 2 of the column filtration: the cokernel of the last
     transfer map (page 2's last column) and page 2's column sums.
-    The reduction map sends the unit to the unit and every positive-degree
-    generator, of tag length s - 1, to zero; its rows are t's labels below
-    that length left critical by the max rule at s - 1 (README, "Why Tor
-    needs no elimination").
+    The reduction map is computed generator by generator through the cut,
+    in induced_tor_map's sparse form: the unit, below tag length s - 1,
+    keeps 1 on its row, and the cut drops every other generator; the rows
+    are t's labels below that length left critical by the max rule at
+    s - 1 (README, "Why Tor needs no elimination").
     """
     if s < 1:
         raise ValueError("power must be >= 1")
@@ -143,10 +144,13 @@ def tor(spec: RegularSequenceSpec, s: int) -> TorReport:
                      "page2": page2.total_ranks()}
     report.products = tor_products(report)
     if s >= 2:
-        report.induced_reduction = {
-            n: [[int(n == 0)] * len(gens) for g in report.t.module(n)
-                if len(g.tag) < s - 1 and _max_rule_mate(g, s - 1) is None]
-            for n, gens in enumerate(report.generators)}
+        report.induced_reduction = {}
+        for n, gens in enumerate(report.generators):
+            rows = [g for g in report.t.module(n)
+                    if len(g.tag) < s - 1 and _max_rule_mate(g, s - 1) is None]
+            report.induced_reduction[n] = ((len(rows), len(gens)), [
+                (rows.index(g), j, 1) for j, g in enumerate(gens)
+                if len(g.tag) < s - 1])
     return report
 
 
@@ -239,13 +243,12 @@ def freeness_check(spec: RegularSequenceSpec, s: int) -> FreenessReport:
         [m.failure] if m.failure else [])
 
 
-def induced_tor_map(f: ChainMap) -> dict[int, list[list]]:
-    """Matrices of the map induced on Tor by a chain map of resolutions.
-
-    Both complexes must carry their construction parameters.  Rows index
-    target Tor generators, columns source generators, in the deterministic
-    generator bases of tor().
-    """
+def induced_tor_map(f: ChainMap) -> dict[int, tuple]:
+    """The map induced on Tor by a chain map of resolutions, per degree n
+    as ((rows, cols), its sorted nonzero (row, col, value) triples), the
+    form of tor()'s reduction map.  Rows index target Tor generators,
+    columns source generators, in the generator bases of tor(); both
+    complexes must carry their construction parameters."""
     for c in (f.source, f.target):
         if not hasattr(c, "spec"):
             raise ValueError("induced map needs system-built complexes")
@@ -264,10 +267,9 @@ def induced_tor_map(f: ChainMap) -> dict[int, list[list]]:
         cells = tgt.generators[n] if n < len(tgt.generators) else []
         row_of = {g: i for i, g in enumerate(cells)}
         comp = f.component(n)
-        out[n] = [[0] * len(src_gens) for _ in cells]
-        for j, g in enumerate(src_gens):
-            for h, x in tgt.matching.project(comp.apply({g: one})).items():
-                out[n][row_of[h]][j] = x.constant_value()
+        out[n] = ((len(cells), len(src_gens)), sorted(
+            (row_of[h], j, x.constant_value()) for j, g in enumerate(src_gens)
+            for h, x in tgt.matching.project(comp.apply({g: one})).items()))
     return out
 
 

@@ -20,8 +20,9 @@ from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec
 from koszulpow.chain import element_add, verify_complex
 from koszulpow.koszul import verify_identities
 from koszulpow.resolution import (build_k_ris, verify_exactness,
-                                  dga_multiply, dga_differential)
-from koszulpow.homology import tor, freeness_check
+                                  dga_multiply, dga_differential,
+                                  reduction_chain_map)
+from koszulpow.homology import tor, freeness_check, induced_tor_map
 from koszulpow.spectral import e2_page, off_support_cells, collapse_check
 from koszulpow.extensions import (power_connecting, verify_connecting,
                                   iterated_splice, splice)
@@ -178,10 +179,14 @@ def test_criterion_07_reduction_is_trivial():
                 rep = tor(spec, s)
                 induced = rep.induced_reduction
                 assert induced is not None
-                zero, one = QQ.zero(), QQ.one()
-                assert induced[0] == [[one]]
+                # one sparse form, {n: ((rows, cols), nonzero triples)},
+                # equal to the map the cut chain map induces
+                assert induced == induced_tor_map(
+                    reduction_chain_map(spec, s))
+                assert induced[0] == ((1, 1), [(0, 0, QQ.one())])
                 for deg in range(1, spec.n_gens + 1):
-                    assert all(x == zero for row in induced[deg] for x in row)
+                    (_, cols), entries = induced[deg]
+                    assert cols == rep.ranks[deg] and entries == []
 
 
 def test_criterion_08_integral_freeness():

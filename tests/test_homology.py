@@ -298,30 +298,33 @@ def identity_chain_map(c):
 
 
 class TestInducedMap:
+    """Each degree's map is ((rows, cols), its sorted nonzero
+    (row, col, value) triples)."""
+
     def test_reduction_square_to_exterior(self):
         mats = induced_tor_map(reduction_chain_map(SPEC2, 2))
-        assert mats[0] == [[1]]
-        assert mats[1] == [[0, 0, 0], [0, 0, 0]]
-        assert mats[2] == [[0, 0]]
+        assert mats[0] == ((1, 1), [(0, 0, 1)])
+        assert mats[1] == ((2, 3), [])
+        assert mats[2] == ((1, 2), [])
 
     def test_reduction_cube_to_square(self):
         mats = induced_tor_map(reduction_chain_map(SPEC2, 3))
-        assert mats[0] == [[1]]
+        assert mats[0] == ((1, 1), [(0, 0, 1)])
         for n in (1, 2):
-            assert all(v == 0 for row in mats[n] for v in row)
+            assert mats[n][1] == []
 
     def test_reduction_three_vars(self):
         mats = induced_tor_map(reduction_chain_map(SPEC3, 2))
-        assert mats[0] == [[1]]
+        assert mats[0] == ((1, 1), [(0, 0, 1)])
         for n in (1, 2, 3):
-            assert all(v == 0 for row in mats[n] for v in row)
+            assert mats[n][1] == []
 
     def test_identity_map(self):
         c = build_k_ris(SPEC2, 2)
         mats = induced_tor_map(identity_chain_map(c))
-        assert mats[0] == [[1]]
-        assert mats[1] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        assert mats[2] == [[1, 0], [0, 1]]
+        assert mats[0] == ((1, 1), [(0, 0, 1)])
+        assert mats[1] == ((3, 3), [(0, 0, 1), (1, 1, 1), (2, 2, 1)])
+        assert mats[2] == ((2, 2), [(0, 0, 1), (1, 1, 1)])
 
     def test_non_chain_map_rejected(self):
         c = build_k_ris(SPEC2, 2)
@@ -422,10 +425,22 @@ class TestSharedPass:
         assert tor(spec, s).induced_reduction == \
             induced_tor_map(reduction_chain_map(spec, s))
 
+    @pytest.mark.parametrize("n,s,dom", [(6, 5, QQ), (5, 4, ZZ),
+                                         (5, 4, GF(7))], ids=str)
+    def test_reduction_is_sparse_on_lower_tor(self, n, s, dom):
+        spec = RegularSequenceSpec.variables(n, dom)
+        rep, lower = tor(spec, s), tor(spec, s - 1)
+        red = rep.induced_reduction
+        # rows: the Tor generators at s - 1, counted by their own pass
+        assert {d: shape for d, (shape, _) in red.items()} == \
+            {d: (lower.ranks[d], r) for d, r in enumerate(rep.ranks)}
+        assert red[0][1] == [(0, 0, 1)]
+        assert all(entries == [] for d, (_, entries) in red.items() if d)
+
 
 class TestCutTopLevel:
     """The reference reduction map, which cuts the top tag level, is a
-    chain map; induced_tor_map reads tor()'s reduction matrices off it."""
+    chain map; induced_tor_map reads tor()'s sparse reduction map off it."""
 
     @pytest.mark.parametrize("dom", [QQ, ZZ, GF(5)], ids=str)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -566,7 +581,10 @@ def _dense_induced(f, src, tgt, fd):
             sol = solve(matrix, _dense_vector(tgt["t"], n, image, fd), fd)
             cols.append([int(x) if x.denominator == 1 else x
                          for x in sol[:len(tg)]])
-        comps[n] = [[c[i] for c in cols] for i in range(len(tg))]
+        # the dense solution, in induced_tor_map's sparse form
+        comps[n] = ((len(tg), len(sg)), [
+            (i, j, x) for i in range(len(tg))
+            for j, x in enumerate(c[i] for c in cols) if x])
     return comps
 
 

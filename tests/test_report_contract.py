@@ -60,6 +60,9 @@ CONTRACT = [
      "640dc2c69837f67664585294e22b2c0be1a8691306ef0e80d7937a428305c15d"),
     (["tor", "--n", "3", "--s", "3", "--sequence", "powers:2,1,3"], 0,
      "21538ee93f7a8b9d5092427d60d28657b80e9a3ac2a972a2e75f1d3a16f95ebe"),
+    # the largest reduction shapes pinned, up to 126 x 280 in degree 3
+    (["tor", "--n", "5", "--s", "4", "--field", "Fp:7"], 0,
+     "43112f65f9426682ee5cf5e49f9bbfa6a92987079999e7e6077550368ceb2928"),
     # F_p: the spectral pages, and exactness of M with no freeness certificate
     (["spectral", "--n", "3", "--s", "2", "--field", "Fp:7"], 0,
      "1827ba06d3f09e475694e275d96a0e38fbb9d2e973be48a2dfe7dc9e05402d3c"),
