@@ -39,8 +39,7 @@ for line in rep.lines():
 
 print()
 print("== block structure of a transfer map ==")
-f = p1.d1[(0, 2)]
-blocks = support_blocks(f)
+blocks = support_blocks(*p1.d1[(0, 2)])
 for b in blocks.blocks:
     print(f"  support {set(b.support)}: shape {b.shape}")
 print("blockwise divisors merged:", blocks.merged_divisors)

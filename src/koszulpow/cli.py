@@ -350,8 +350,8 @@ def cmd_spectral(cfg: RunConfig, spec: RegularSequenceSpec):
                              "block divisors need a char-0 domain"}
     else:
         blocks = {}
-        for (p, q), f in sorted((p1.d1 or {}).items()):
-            rep = support_blocks(f)
+        for (p, q), d1 in sorted(p1.d1.items()):
+            rep = support_blocks(*d1)
             blocks[f"{p},{q}"] = {
                 "ok": rep.ok,
                 "count": len(rep.blocks),

@@ -138,7 +138,7 @@ def tor(spec: RegularSequenceSpec, s: int) -> TorReport:
     if s < 1:
         raise ValueError("power must be >= 1")
     report = _tor_basis(spec, s)
-    page2 = e2_page(spec, s, _page_one(report.t, spec, s))
+    page2 = e2_page(spec, s, _page_one(report.t))
     report.routes = {"direct": report.ranks,
                      "transfer-cokernel": _coker_ranks(page2),
                      "page2": page2.total_ranks()}

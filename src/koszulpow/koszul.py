@@ -26,14 +26,13 @@ def exterior_subsets(n: int, p: int) -> list[tuple[int, ...]]:
 
 
 def q_module(spec: RegularSequenceSpec, s: int, p: int) -> FreeModule:
-    """Free module with basis {e_S t_m : |S| = p, |m| = s}, tag-major order."""
+    """Free module with basis {e_S t_m : |S| = p, |m| = s}, tag-major: in
+    Label order, since tags and exterior subsets come out lex ascending."""
     if p < 0 or p > spec.n_gens or s < 0:
         return EMPTY_MODULE
-    labels = [make_label(spec, ext, tag)
-              for tag in tags_of_length(spec.n_gens, s)
-              for ext in exterior_subsets(spec.n_gens, p)]
-    labels.sort(key=lambda g: g.sort_key)
-    return FreeModule(tuple(labels))
+    return FreeModule(tuple(make_label(spec, ext, tag)
+                            for tag in tags_of_length(spec.n_gens, s)
+                            for ext in exterior_subsets(spec.n_gens, p)))
 
 
 @cache
@@ -60,9 +59,9 @@ def boundary_entries(spec: RegularSequenceSpec, source: FreeModule) -> dict:
             for src in source for rest, sign, i in boundary_rule(src.exterior)}
 
 
-def transfer_entries(spec: RegularSequenceSpec, source: FreeModule) -> dict:
-    """The transfer_rule's entries +-1 out of source.  The index moves, so
-    the internal degree stays."""
+def transfer_entries(spec: RegularSequenceSpec, source) -> dict:
+    """The transfer_rule's entries +-1 out of the labels in source.  The
+    index moves, so the internal degree stays."""
     one = Polynomial.one(spec.n_vars, spec.domain)
     signed = {1: one, -1: -one}
     return {(Label(rest, tag, src.ideg), src): signed[sign]

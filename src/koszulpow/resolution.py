@@ -34,12 +34,9 @@ class KRIsComplex(ChainComplex):
 
 
 def resolution_module(spec: RegularSequenceSpec, s: int, n: int) -> FreeModule:
-    """Degree-n module: all e_S t_m with |S| = n over tag levels p < s."""
-    labels = []
-    for p in range(s):
-        labels.extend(q_module(spec, p, n).labels)
-    labels.sort(key=lambda g: g.sort_key)
-    return FreeModule(tuple(labels))
+    """Degree-n module: all e_S t_m with |S| = n over tag levels p < s, in
+    Label order: the q_module cells by p, which leads the sort key."""
+    return FreeModule(tuple(g for p in range(s) for g in q_module(spec, p, n)))
 
 
 def _on_labels(spec: RegularSequenceSpec, s: int, entries) -> KRIsComplex:
@@ -52,7 +49,7 @@ def _on_labels(spec: RegularSequenceSpec, s: int, entries) -> KRIsComplex:
                for q in range(spec.n_gens + 1)}
     diffs = {}
     for q in range(1, spec.n_gens + 1):
-        inner = FreeModule(tuple(g for g in modules[q] if len(g.tag) < s - 1))
+        inner = tuple(g for g in modules[q] if len(g.tag) < s - 1)
         diffs[q] = SparseMap(modules[q], modules[q - 1],
                              entries(modules[q], inner),
                              spec.n_vars, spec.domain)

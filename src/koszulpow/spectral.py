@@ -5,21 +5,21 @@ with tag length p and exterior degree q; koszul builds the double complex
 (q_module, q_complex, del_map) and checks its identities
 (verify_identities).  Page 1 splits the tensored resolution K (x) R/I by
 tag length: every entry that keeps the tag length is +-u_i, which R/I
-kills, so page 1 is the full cell grid and d1 is the +-1 transfer.  Page 2
-is the homology of those transfer chains; it is supported only at the
-unit cell (0,0) and in the last column p = s-1, and the column sums at
-fixed q reproduce the Tor ranks of the same tensored complex, which is
-the collapse statement checked here by exact rank accounting.  No later
-differential can move between the surviving cells, so no page-2
-differential is built.
+kills, so page 1 is the full cell grid and d1 is the +-1 transfer, in
+integer rows.  Page 2 is the homology of those transfer chains; it is
+supported only at the unit cell (0,0) and in the last column p = s-1, and
+the column sums at fixed q reproduce the Tor ranks of the same tensored
+complex, which is the collapse statement checked here by exact rank
+accounting.  No later differential can move between the surviving cells,
+so no page-2 differential is built.
 """
 
 from __future__ import annotations
 
 from .poly import RegularSequenceSpec
 from .linalg import sparse_rank, smith_normal_form, block_smith_form
-from .chain import FreeModule, SparseMap, ChainComplex, Label, constant_rows
-from .resolution import MorseMatching, tensor_mod_I_complex
+from .chain import Label, constant_rows
+from .resolution import KRIsComplex, MorseMatching, tensor_mod_I_complex
 
 
 # ---------------------------------------------------------------------------
@@ -30,19 +30,20 @@ class SpectralPage:
 
     cells holds the rank at every (tag level p, exterior degree q) in
     range, zeros included.  Both carry the tensored resolution they are
-    read from, page 1 also the integer d1 (transfer) maps out of each cell.
+    read from, page 1 also d1: the transfer out of each cell (p, q) with
+    an entry, as the labels of cells (p+1, q-1) and (p, q) and the rows.
     """
 
     __slots__ = ("r", "s", "n_gens", "cells", "tensored", "d1")
 
     def __init__(self, r: int, s: int, n_gens: int, cells: dict,
-                 tensored: ChainComplex, d1: dict | None = None):
+                 tensored: KRIsComplex, d1: dict | None = None):
         self.r = r
         self.s = s
         self.n_gens = n_gens
         self.cells = cells              # (p, q) -> rank
         self.tensored = tensored        # K (x) R/I
-        self.d1 = d1                    # page 1: (p, q) -> SparseMap
+        self.d1 = d1                    # page 1: (p, q) -> (tgts, srcs, rows)
 
     def rank(self, p: int, q: int) -> int:
         return self.cells.get((p, q), 0)
@@ -65,45 +66,45 @@ class SpectralPage:
 
 def e1_page(spec: RegularSequenceSpec, s: int) -> SpectralPage:
     """Page 1 of the tensored resolution of R/I^s."""
-    return _page_one(tensor_mod_I_complex(spec, s), spec, s)
+    return _page_one(tensor_mod_I_complex(spec, s))
 
 
-def _page_one(t: ChainComplex, spec: RegularSequenceSpec,
-              s: int) -> SpectralPage:
+def _page_one(t: KRIsComplex) -> SpectralPage:
     """Page 1 read off t, the tensored resolution of R/I^s: cell (p, q)
     holds t's degree-q labels of tag length p, in module order, and d1 out
-    of it is t's entries that raise the tag length.  Tensoring with R/I
-    kills every entry that keeps it (checked), so the page is the full
-    cell grid and d1 has +-1 entries."""
-    cells, parts = {}, {}
+    of it is t's entries that raise the tag length, cut from the integer
+    rows of t's differentials.  Tensoring with R/I kills every entry that
+    keeps it (checked first), so the page is the full cell grid."""
+    cells = {}
     for q, m in t.modules.items():
         for g in m:
             cells.setdefault((len(g.tag), q), []).append(g)
-    cells = {k: FreeModule(tuple(v)) for k, v in cells.items()}
+    at = {g: i for cell in cells.values() for i, g in enumerate(cell)}
+    parts = {}
     for q, f in t.diffs.items():
         for (tgt, src), poly in f.entries.items():
             if len(tgt.tag) == len(src.tag):
                 raise ValueError(
                     f"vertical entry {tgt} <- {src} : {poly} survives mod I")
-            parts.setdefault((len(src.tag), q), {})[(tgt, src)] = poly
-    d1 = {(p, q): SparseMap(cells[(p, q)], cells[(p + 1, q - 1)], ent,
-                            spec.n_vars, spec.domain)
-          for (p, q), ent in parts.items()}
-    dims = {(p, q): cells[(p, q)].dim if (p, q) in cells else 0
-            for p in range(s) for q in range(spec.n_gens + 1)}
-    return SpectralPage(1, s, spec.n_gens, dims, t, d1)
+        cols = f.source.labels
+        for g, row in zip(f.target, constant_rows(f)):
+            parts.setdefault((len(g.tag) - 1, q), []).append(
+                {at[cols[j]]: v for j, v in row.items()})
+    d1 = {(p, q): (tuple(cells[p + 1, q - 1]), tuple(cells[p, q]), rows)
+          for (p, q), rows in parts.items() if any(rows)}
+    dims = {(p, q): len(cells.get((p, q), ()))
+            for p in range(t.s) for q in range(t.spec.n_gens + 1)}
+    return SpectralPage(1, t.s, t.spec.n_gens, dims, t, d1)
 
 
 def e2_page(spec: RegularSequenceSpec, s: int,
             page1: SpectralPage | None = None) -> SpectralPage:
     """Page 2: homology of the transfer chains on page 1, cell by cell.
     page1, if given, must be e1_page(spec, s); it is then not rebuilt."""
-    if page1 is None:
-        page1 = e1_page(spec, s)
+    page1 = e1_page(spec, s) if page1 is None else page1
     fd = spec.domain.rank_field
     # each d1 map leaves one cell and enters another; rank it once
-    d1_rank = {k: sparse_rank(constant_rows(f), fd)
-               for k, f in page1.d1.items()}
+    d1_rank = {k: sparse_rank(r, fd) for k, (_, _, r) in page1.d1.items()}
     cells = {(p, q): page1.rank(p, q) - d1_rank.get((p, q), 0)
              - d1_rank.get((p - 1, q + 1), 0)
              for p in range(s) for q in range(spec.n_gens + 1)}
@@ -192,8 +193,8 @@ class SupportBlockReport:
         return self.global_divisors == self.merged_divisors
 
 
-def support_blocks(f: SparseMap) -> SupportBlockReport:
-    """Split a transfer map into independent blocks by generator support.
+def support_blocks(targets, sources, rows) -> SupportBlockReport:
+    """Split a page-1 d1 map into independent blocks by generator support.
 
     Moving a wedge index into the tag keeps the union of exterior and tag
     indices fixed, so rows and columns partition by that support set and
@@ -201,21 +202,20 @@ def support_blocks(f: SparseMap) -> SupportBlockReport:
     crossing blocks raises).  The Smith normal forms of the blocks merge
     to the Smith normal form of the whole map, computed both ways.
     """
-    rows = constant_rows(f)
-    row_sup = [label_support(g) for g in f.target]
-    col_sup = [label_support(g) for g in f.source]
+    row_sup = [label_support(g) for g in targets]
+    col_sup = [label_support(g) for g in sources]
     blocks = {sup: SupportBlock(sup, [], [], [])
               for sup in sorted(set(row_sup) | set(col_sup))}
     col_at = []                          # column position inside its block
-    for g, sup in zip(f.source, col_sup):
+    for g, sup in zip(sources, col_sup):
         col_at.append(len(blocks[sup].col_labels))
         blocks[sup].col_labels.append(g)
-    for g, sup, row in zip(f.target, row_sup, rows):
+    for g, sup, row in zip(targets, row_sup, rows):
         b = blocks[sup]
         b.row_labels.append(g)
         for j in row:
             if col_sup[j] != sup:
-                raise ValueError(f"entry {g} <- {f.source.labels[j]} "
+                raise ValueError(f"entry {g} <- {sources[j]} "
                                  f"crosses support blocks")
         b.matrix.append({col_at[j]: v for j, v in row.items()})
     return SupportBlockReport(

@@ -29,6 +29,8 @@ CONTRACT = [
      "2a1efe382a1b76e4560b10b56aa575fdf7738394511caccf36c9b801b7388f9c"),
     (["spectral", "--n", "4", "--s", "3", "--field", "Z"], 0,
      "e381d94fdd2f8a0be16f08474cd0ec2979bd8670c147aa782f772bf2be858ec3"),
+    (["spectral", "--n", "5", "--s", "4", "--field", "Z"], 0,
+     "688a7692e345d8b12b02fe7c0df4e55f6e4d598b3d5bfe559801c92d87dc3da0"),
     (["verify", "--n", "2", "--s", "2", "--field", "Z"], 0,
      "274b5c02ff9d19f0b2cbb57764dcd0256427c0cd46c946761409e428807e659e"),
     (["verify", "--n", "3", "--s", "3", "--field", "Z"], 0,

@@ -9,7 +9,7 @@ from koszulpow.poly import (QQ, ZZ, GF, RegularSequenceSpec, parse_poly,
 from koszulpow.ideals import PowerReducer, hilbert_function
 from koszulpow.chain import (make_label, verify_complex, element_add,
                              tensor_mod_I)
-from koszulpow.koszul import koszul_complex
+from koszulpow.koszul import koszul_complex, q_module
 from koszulpow.resolution import (build_k_ris, augment, verify_exactness,
                                   dga_multiply, dga_differential,
                                   reduction_chain_map, default_internal_bound,
@@ -107,6 +107,24 @@ class TestTensoredFromLabels:
     def test_s0_rejected(self):
         with pytest.raises(ValueError):
             tensor_mod_I_complex(SPEC2, 0)
+
+
+class TestLabelOrder:
+    """Modules are built in Label order, sort_key (tag length, tag,
+    exterior): every label position a report prints rests on it."""
+
+    @pytest.mark.parametrize("dom", [QQ, ZZ, GF(5)], ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_modules_in_sort_key_order(self, n, dom):
+        spec = RegularSequenceSpec.variables(n, dom)
+        modules = [q_module(spec, s, p)
+                   for s in range(4) for p in range(n + 1)]
+        for s in (1, 2, 3):
+            modules += build_k_ris(spec, s).modules.values()
+            modules += tensor_mod_I_complex(spec, s).modules.values()
+        for m in modules:
+            keys = [g.sort_key for g in m]
+            assert keys == sorted(keys)
 
 
 class TestAugment:

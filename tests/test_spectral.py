@@ -2,20 +2,21 @@ import pytest
 
 from oracles import e1_rank_formula
 from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec, parse_poly
-from koszulpow.chain import SparseMap, constant_matrix, make_label
+from koszulpow.chain import constant_rows, make_label
 from koszulpow.koszul import del_map, q_module
-from koszulpow.resolution import build_k_ris
+from koszulpow.resolution import build_k_ris, tensor_mod_I_complex
 from koszulpow.spectral import (e1_page, e2_page, off_support_cells,
                                 collapse_check, support_blocks,
                                 label_support, _page_one)
 
 
-def P(text, n=2):
-    return parse_poly(text, n, QQ)
-
-
 SPEC2 = RegularSequenceSpec.variables(2)
 SPEC3 = RegularSequenceSpec.variables(3)
+
+
+def d1_form(f):
+    """A transfer map in page 1's d1 form: target and source labels, rows."""
+    return f.target.labels, f.source.labels, constant_rows(f)
 
 
 def _linear_forms(dom):
@@ -26,13 +27,13 @@ def _linear_forms(dom):
 class TestSplitEquivalence:
     """Page 1's split of the tensored resolution is koszul's double
     complex: its cells are the q_module cells and d1 is the del_map
-    family."""
+    family, label for label and entry for entry."""
 
     @staticmethod
     def check(spec, s):
         n = spec.n_gens
         page = e1_page(spec, s)
-        assert page.d1 == {(p, q): del_map(spec, p)[q]
+        assert page.d1 == {(p, q): d1_form(del_map(spec, p)[q])
                            for p in range(s - 1) for q in range(1, n + 1)}
         assert page.cells == {(p, q): q_module(spec, p, q).dim
                               for p in range(s) for q in range(n + 1)}
@@ -54,7 +55,7 @@ class TestPageOne:
     def test_vertical_entry_surviving_mod_I_rejected(self):
         # the untensored resolution keeps its vertical (Koszul) entries
         with pytest.raises(ValueError, match="survives mod I"):
-            _page_one(build_k_ris(SPEC2, 2), SPEC2, 2)
+            _page_one(build_k_ris(SPEC2, 2))
 
     def test_binomial_formula_grid(self):
         for n in (1, 2, 3):
@@ -72,7 +73,7 @@ class TestPageOne:
 
     def test_first_transfer_is_identity(self):
         page = e1_page(SPEC2, 2)
-        assert constant_matrix(page.d1[(0, 1)]) == [[1, 0], [0, 1]]
+        assert page.d1[(0, 1)][2] == [{0: 1}, {1: 1}]
 
     def test_last_column_three_vars(self):
         page = e1_page(SPEC3, 3)
@@ -82,10 +83,10 @@ class TestPageOne:
 
     def test_transfer_entries_are_unit_constants(self):
         page = e1_page(SPEC3, 3)
-        for f in page.d1.values():
-            for poly in f.entries.values():
-                assert poly.is_constant()
-                assert poly.constant_value() in (1, -1)
+        for _, _, rows in page.d1.values():
+            for row in rows:
+                assert all(v.__class__ is int and v in (1, -1)
+                           for v in row.values())
 
     def test_no_transfer_out_of_last_column(self):
         page = e1_page(SPEC2, 3)
@@ -182,22 +183,41 @@ class TestCollapse:
         # one tensored resolution, written from its labels
         assert calls == {"resolution.build_k_ris": 0, "chain.tensor_mod_I": 0}
 
+    def test_one_integer_read_per_tensored_differential(self, count_calls,
+                                                        capsys):
+        from koszulpow import cli
+        calls = count_calls("chain.constant_rows")
+        assert cli.run(["spectral", "--n", "4", "--s", "3",
+                        "--field", "Z"]) == 0
+        assert '"ok": true' in capsys.readouterr().out
+        # page 1 cuts d1 from t's four differentials; page 2 and the
+        # support blocks read those rows
+        assert calls == {"chain.constant_rows": 4}
+
+    def test_page_one_builds_no_map_or_module(self, count_calls):
+        t = tensor_mod_I_complex(RegularSequenceSpec.variables(3, ZZ), 3)
+        calls = count_calls("chain.SparseMap.__init__",
+                            "chain.FreeModule.__init__")
+        assert _page_one(t).d1
+        assert calls == {"chain.SparseMap.__init__": 0,
+                         "chain.FreeModule.__init__": 0}
+
 
 class TestSupportBlocks:
     def test_supports_two_vars(self):
-        rep = support_blocks(del_map(SPEC2, 1)[1])
+        rep = support_blocks(*d1_form(del_map(SPEC2, 1)[1]))
         assert [b.support for b in rep.blocks] == [(1,), (1, 2), (2,)]
 
     def test_blockwise_equals_global_grid(self):
         for p in (0, 1, 2):
             for q in (1, 2, 3):
-                rep = support_blocks(del_map(SPEC3, p)[q])
+                rep = support_blocks(*d1_form(del_map(SPEC3, p)[q]))
                 assert rep.ok, (p, q)
                 assert rep.global_divisors == rep.merged_divisors
 
     def test_partition_covers_everything(self):
         f = del_map(SPEC3, 1)[2]
-        rep = support_blocks(f)
+        rep = support_blocks(*d1_form(f))
         assert sum(b.shape[0] for b in rep.blocks) == f.target.dim
         assert sum(b.shape[1] for b in rep.blocks) == f.source.dim
         total = sum(len(row) for b in rep.blocks for row in b.matrix)
@@ -215,7 +235,7 @@ class TestSupportBlocks:
     def test_each_label_support_read_once(self, count_calls):
         f = del_map(RegularSequenceSpec.variables(4), 1)[2]
         calls = count_calls("spectral.label_support")
-        assert support_blocks(f).ok
+        assert support_blocks(*d1_form(f)).ok
         assert calls["spectral.label_support"] <= f.source.dim + f.target.dim
 
     def test_label_support(self):
@@ -225,15 +245,12 @@ class TestSupportBlocks:
     def test_crossing_entry_rejected(self):
         src = make_label(SPEC2, (1,), (1,))
         tgt = make_label(SPEC2, (), (2, 2))
-        from koszulpow.chain import FreeModule
-        f = SparseMap(FreeModule((src,)), FreeModule((tgt,)),
-                      {(tgt, src): P("1")}, 2, QQ)
-        with pytest.raises(ValueError):
-            support_blocks(f)
+        with pytest.raises(ValueError, match="crosses support blocks"):
+            support_blocks((tgt,), (src,), [{0: 1}])
 
     def test_unit_divisors_on_transfer_maps(self):
         # every transfer block has unit elementary divisors
         for p in (0, 1):
             for q in (1, 2):
-                rep = support_blocks(del_map(SPEC2, p)[q])
+                rep = support_blocks(*d1_form(del_map(SPEC2, p)[q]))
                 assert all(d == 1 for d in rep.global_divisors)
