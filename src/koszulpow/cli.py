@@ -11,11 +11,11 @@ check failed, 2 for configuration or parse errors.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from collections import namedtuple
+from types import SimpleNamespace
 
 from .poly import Domain, RegularSequenceSpec, parse_domain, parse_poly
 from .chain import verify_complex
@@ -23,10 +23,7 @@ from .koszul import koszul_complex, verify_identities
 from .resolution import build_k_ris, verify_exactness
 from .homology import (tor, freeness_check, koszul_regularity_probe,
                        regularity_defect)
-from .spectral import e1_page, e2_page, off_support_cells, collapse_check, \
-    support_blocks
-from .extensions import power_ses, split_power_ses, iterated_splice, \
-    theta_representative
+from . import spectral, extensions
 
 SCHEMA_VERSION = 2
 
@@ -186,7 +183,7 @@ def _config_value(s: Setting, val):
     return val
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
+def build_config(args) -> RunConfig:
     """Each setting from its flag, else the config file, else its default."""
     raw = _load_config_file(args.config) if args.config else {}
     values = {}
@@ -330,15 +327,16 @@ def cmd_tor(cfg: RunConfig, spec: RegularSequenceSpec):
 
 def cmd_spectral(cfg: RunConfig, spec: RegularSequenceSpec):
     """page grids, collapse verdict, block decomposition"""
-    p1 = e1_page(spec, cfg.s)
-    p2 = e2_page(spec, cfg.s, p1)
-    collapse = collapse_check(spec, cfg.s, p2)
+    p1 = spectral.e1_page(spec, cfg.s)
+    p2 = spectral.e2_page(spec, cfg.s, p1)
+    collapse = spectral.collapse_check(spec, cfg.s, p2)
     payload = {
         "page1": {"ranks": _pair_keys(p1.cells),
                   "grid": p1.grid_lines()},
         "page2": {"ranks": _pair_keys(p2.cells),
                   "grid": p2.grid_lines(),
-                  "off_support": [list(c) for c in off_support_cells(p2)]},
+                  "off_support": [list(c) for c in
+                                  spectral.off_support_cells(p2)]},
         "collapse": {"ok": collapse.ok,
                      "page_ranks": list(collapse.page_ranks),
                      "tor_ranks": list(collapse.tor_ranks),
@@ -351,7 +349,7 @@ def cmd_spectral(cfg: RunConfig, spec: RegularSequenceSpec):
     else:
         blocks = {}
         for (p, q), d1 in sorted(p1.d1.items()):
-            rep = support_blocks(*d1)
+            rep = spectral.support_blocks(*d1)
             blocks[f"{p},{q}"] = {
                 "ok": rep.ok,
                 "count": len(rep.blocks),
@@ -366,7 +364,7 @@ def cmd_spectral(cfg: RunConfig, spec: RegularSequenceSpec):
 
 def cmd_splice(cfg: RunConfig, spec: RegularSequenceSpec):
     """iterated splice reconstruction and extension class"""
-    rebuilt = iterated_splice(spec, cfg.s)
+    rebuilt = extensions.iterated_splice(spec, cfg.s)
     direct = build_k_ris(spec, cfg.s)
     identical = rebuilt.equal_maps(direct)
     payload = {
@@ -376,9 +374,9 @@ def cmd_splice(cfg: RunConfig, spec: RegularSequenceSpec):
     }
     ok = identical
     if cfg.s == 2:
-        th = theta_representative(koszul_complex(spec), power_ses(spec, 2))
-        th_split = theta_representative(koszul_complex(spec),
-                                        split_power_ses(spec, 2))
+        k = koszul_complex(spec)
+        th, th_split = (extensions.theta_representative(k, ses(spec, 2)) for ses
+                        in (extensions.power_ses, extensions.split_power_ses))
         for key, t in (("theta", th), ("theta_split_control", th_split)):
             payload[key] = {
                 "verdict": "trivial" if t.trivial else "nontrivial",
@@ -396,7 +394,8 @@ _COMMANDS = {"build": cmd_build, "verify": cmd_verify, "tor": cmd_tor,
 # ---------------------------------------------------------------------------
 # Driver.
 
-def make_parser() -> argparse.ArgumentParser:
+def make_parser():
+    import argparse
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override")
     for s in SETTINGS:
@@ -409,6 +408,27 @@ def make_parser() -> argparse.ArgumentParser:
     for name, cmd in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=cmd.__doc__)
     return parser
+
+
+def parse_args(argv: list[str] | None = None):
+    """make_parser().parse_args(argv), read off SETTINGS if argv is plain:
+    COMMAND (--flag VALUE)..., no flag twice, no value starting with "-";
+    any other argv goes to argparse, the one author of help and errors."""
+    argv = sys.argv[1:] if argv is None else argv
+    kinds = {"--" + s.flag.replace("_", "-"): (s.flag, s.type)
+             for s in SETTINGS} | {"--config": ("config", str)}
+    args = dict.fromkeys(name for name, _ in kinds.values())
+    try:
+        for flag, text in zip(argv[1::2], argv[2::2]):
+            name, kind = kinds[flag]
+            if args[name] is not None or text.startswith("-"):
+                raise ValueError
+            args[name] = kind(text)
+        if len(argv) % 2 and argv[0] in _COMMANDS:
+            return SimpleNamespace(command=argv[0], **args)
+    except (KeyError, ValueError):
+        pass
+    return make_parser().parse_args(argv)
 
 
 def render_report(cfg: RunConfig, payload: dict, ok: bool) -> str:
@@ -424,7 +444,7 @@ def render_report(cfg: RunConfig, payload: dict, ok: bool) -> str:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         cfg = build_config(args)
         spec = cfg.spec()

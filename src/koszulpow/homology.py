@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from .poly import Polynomial, GF, RegularSequenceSpec
 from .linalg import kernel_basis, smith_normal_form, sparse_rank, Echelon
-from .chain import (ChainComplex, ChainMap, Element, constant_rows,
-                    element_str, element_add, map_slice)
+from .chain import (ChainComplex, ChainMap, constant_rows,
+                    element_str, map_slice)
 from .koszul import koszul_complex
 from .resolution import (MorseMatching, PROBE_PRIMES, _max_rule_mate, cut,
                          dga_multiply, homology_slice_dims,
                          default_internal_bound, tensor_mod_I_complex)
-from .spectral import _page_one, e2_page
+from . import spectral
 from .ideals import hilbert_function
 
 
@@ -111,7 +111,7 @@ class TorReport:
 
 def coker_transfer_ranks(spec: RegularSequenceSpec, s: int) -> tuple[int, ...]:
     """Tor ranks via the cokernel of the last transfer map."""
-    return _coker_ranks(e2_page(spec, s))
+    return _coker_ranks(spectral.e2_page(spec, s))
 
 
 def _coker_ranks(page2) -> tuple[int, ...]:
@@ -138,7 +138,7 @@ def tor(spec: RegularSequenceSpec, s: int) -> TorReport:
     if s < 1:
         raise ValueError("power must be >= 1")
     report = _tor_basis(spec, s)
-    page2 = e2_page(spec, s, _page_one(report.t))
+    page2 = spectral.e2_page(spec, s, spectral._page_one(report.t))
     report.routes = {"direct": report.ranks,
                      "transfer-cokernel": _coker_ranks(page2),
                      "page2": page2.total_ranks()}
@@ -348,9 +348,9 @@ def _slice_homology_witness(c: ChainComplex, n: int, d: int) -> str:
                   if span.insert(v)), None)
     if cycle is None:
         return "(none)"
-    elt: Element = {}
+    terms: dict = {}                    # label -> {monomial: coefficient}
     for (g, mono), coeff in zip(sl.col_basis, cycle):
         if coeff != dom.zero():
-            term = Polynomial(c.n_vars, dom, {mono: coeff})
-            elt = element_add(elt, {g: term})
-    return element_str(elt)
+            terms.setdefault(g, {})[mono] = coeff
+    return element_str({g: Polynomial(c.n_vars, dom, t)
+                        for g, t in terms.items()})

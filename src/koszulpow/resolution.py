@@ -418,7 +418,9 @@ def dga_multiply(c: KRIsComplex, a: Element, b: Element) -> Element:
             tag = tuple(sorted(g.tag + h.tag))
             lbl = make_label(spec, ext, tag)
             term = (pg * ph).scale(sign)
-            out = element_add(out, {lbl: term})
+            out[lbl] = out[lbl] + term if lbl in out else term
+            if out[lbl].is_zero():
+                del out[lbl]
     return out
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszulpow.poly import QQ, ZZ, RegularSequenceSpec
 from koszulpow.homology import tor
@@ -301,6 +304,64 @@ class TestStartup:
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(src)})
         assert out.stdout.strip() == "False"
+
+
+FLAGS = ["--n", "--s", "--field", "--sequence", "--max-degree",
+         "--max-internal", "--workers", "--out", "--config",
+         "--fie", "--seq", "--max-d", "--w", "--bogus", "-h", "--help"]
+VALUES = ["3", "-1", "x", "", "Q", "Fp:7"]
+
+
+def _no_parser():
+    raise AssertionError("argparse was asked to parse")
+
+
+def parsed(parse, argv):
+    """vars of the namespace, or ("exit", code), with what was printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = vars(parse(argv))
+        except SystemExit as e:
+            got = ("exit", e.code)
+    return got, out.getvalue(), err.getvalue()
+
+
+class TestParseArgs:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(command=st.sampled_from([*cli._COMMANDS, "bogus", "--n", ""]),
+           pairs=st.lists(st.tuples(st.sampled_from(FLAGS),
+                                    st.sampled_from(VALUES)), max_size=4),
+           extra=st.lists(st.sampled_from([*FLAGS, *VALUES, "--n=3"]),
+                          max_size=2),
+           at=st.integers(0, 9))
+    def test_agrees_with_argparse(self, command, pairs, extra, at):
+        """parse_args either hands argv to argparse or gives the namespace
+        argparse gives; an exit from argparse keeps its code and text."""
+        argv = [command] + [t for pair in pairs for t in pair]
+        argv[min(at, len(argv)):min(at, len(argv))] = extra
+        assert parsed(cli.parse_args, argv) == \
+            parsed(lambda a: cli.make_parser().parse_args(a), argv)
+
+    def test_plain_argv_builds_no_parser(self, monkeypatch):
+        monkeypatch.setattr(cli, "make_parser", _no_parser)
+        args = cli.parse_args(["tor", "--n", "3", "--field", "Fp:7",
+                               "--max-internal", "4", "--config", "c.json",
+                               "--sequence", ""])
+        assert vars(args) == {"command": "tor", "n": 3, "s": None,
+                              "field": "Fp:7", "sequence": "",
+                              "max_degree": None, "max_internal": 4,
+                              "workers": None, "out": None,
+                              "config": "c.json"}
+
+    @pytest.mark.parametrize("argv", [
+        [], ["tor", "--n"], ["tor", "--n", "3", "--n", "4"],
+        ["tor", "--n=3"], ["tor", "--fie", "Q"], ["tor", "--n", "-1"],
+        ["tor", "--n", "x"], ["tor", "--help"], ["bogus"]])
+    def test_other_argv_goes_to_argparse(self, argv, monkeypatch):
+        monkeypatch.setattr(cli, "make_parser", _no_parser)
+        with pytest.raises(AssertionError, match="argparse was asked"):
+            cli.parse_args(argv)
 
 
 class TestLargePrimeModulus:

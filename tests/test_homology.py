@@ -492,6 +492,21 @@ class TestRegularityProbe:
         assert not rep.ok
         assert rep.failures[0][0] == 1
 
+    @pytest.mark.parametrize("dom", [QQ, ZZ, GF(7)], ids=str)
+    def test_witness_gathers_each_label_s_terms(self, dom):
+        # the kernel vector has two monomials on e{1} or e{2}; the witness
+        # holds one polynomial per label, the sum of its terms
+        for seq, first, second in (
+                (("x1*x2+x1*x3", "x1*x2"), "-x2", "x2 + x3"),
+                (("x1^2+x1*x2", "x1*x3-x1*x2", "x2*x3"), "x2 - x3",
+                 "x1 + x2")):
+            bad = RegularSequenceSpec.explicit(
+                [parse_poly(t, 3, dom) for t in seq])
+            rep = koszul_regularity_probe(bad)
+            a, b = (str(parse_poly(t, 3, dom)) for t in (first, second))
+            assert rep.failures[0] == (1, 3)
+            assert rep.witness == f"({a})*e{{1}} + ({b})*e{{2}}"
+
 
 # ---------------------------------------------------------------------------
 # Reference: the whole-matrix elimination that tor() replaced, first by

@@ -11,10 +11,12 @@ no dependencies, so every absolute import must name a module of
 standard library only, not the package.
 
 Every CLI job starts a fresh interpreter, so what ``import koszulpow.cli``
-loads is paid per job: it must load every module the benchmark tracer
-wraps, and neither ``dataclasses`` nor ``inspect``.  ``fractions`` (with
-``decimal`` and ``numbers``) waits for the first proper fraction, which
-no benchmark job forms.
+loads is paid per job: it must register every module the benchmark tracer
+wraps, and load neither ``dataclasses`` nor ``inspect``.  ``fractions``
+(with ``decimal`` and ``numbers``) waits for the first proper fraction,
+which no benchmark job forms.  The package's submodules load lazily, so a
+job compiles only the modules its command reads, and only help and errors
+import ``argparse``; the package still re-exports the same objects.
 
 No module-level function or class of the package is dead: each is named
 in the package, the tests, the demos or the benchmark outside its own
@@ -133,9 +135,10 @@ def test_oracle_imports_only_the_standard_library():
 
 def test_cli_import_loads_traced_layers_and_no_dataclasses():
     """perfbench/tracer.py patches the functions in its LAYERS table right
-    after ``import koszulpow``, so each of those modules must be loaded by
-    then.  ``dataclasses`` (which pulls in ``inspect``) cost each job about
-    13 ms to import and 20 ms to generate the record classes' methods."""
+    after ``import koszulpow``, so each of those modules must be registered
+    by then; a lazy one loads on the tracer's first attribute access.
+    ``dataclasses`` (which pulls in ``inspect``) cost each job about 13 ms
+    to import and 20 ms to generate the record classes' methods."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -187,6 +190,144 @@ def test_benchmark_jobs_import_no_rationals(bench, tmp_path):
     half = ["tor", "--n", "2", "--s", "1",
             "--sequence", 'explicit:["1/2*x1", "x2"]']
     assert run_all([half]) == ([0], sorted(RATIONALS))
+
+
+# The names the package re-exports, by home module; __all__ also lists the
+# submodules themselves (all but cli), as `from koszulpow import *` did when
+# every submodule was imported eagerly.
+REEXPORTS = {
+    "poly": ["Domain", "QQ", "ZZ", "GF", "parse_domain", "Polynomial",
+             "parse_poly", "ParseError", "RegularSequenceSpec"],
+    "linalg": ["rank_dense", "kernel_basis", "solve", "sparse_rank",
+               "SmithForm", "smith_normal_form"],
+    "ideals": ["hilbert_function", "PowerReducer", "SubquotientModule",
+               "tags_of_length", "tag_product"],
+    "chain": ["Label", "FreeModule", "SparseMap", "ChainComplex", "ChainMap",
+              "make_label", "verify_complex", "tensor_mod_I", "element_str"],
+    "koszul": ["koszul_complex", "q_complex", "q_module", "del_map",
+               "verify_identities"],
+    "resolution": ["build_k_ris", "tensor_mod_I_complex", "augment",
+                   "verify_exactness", "dga_multiply", "dga_differential",
+                   "reduction_chain_map", "homology_slice_dims"],
+    "homology": ["tor", "TorReport", "tor_products", "homology_ranks",
+                 "freeness_check", "divisor_report", "induced_tor_map",
+                 "koszul_regularity_probe"],
+    "spectral": ["e1_page", "e2_page", "collapse_check", "support_blocks"],
+    "extensions": ["GradedSES", "power_ses", "split_power_ses",
+                   "ConnectingMap", "verify_connecting", "splice",
+                   "power_connecting", "iterated_splice",
+                   "theta_representative"],
+}
+
+
+def test_reexports_are_the_home_objects():
+    import koszulpow
+    names = [name for names in REEXPORTS.values() for name in names]
+    assert sorted(koszulpow.__all__) == sorted([*REEXPORTS, *names])
+    for module, names in REEXPORTS.items():
+        home = importlib.import_module(f"koszulpow.{module}")
+        assert getattr(koszulpow, module) is home
+        for name in names:
+            scope = {}
+            exec(f"from koszulpow import {name}", scope)
+            assert getattr(koszulpow, name) is scope[name] \
+                is getattr(home, name)
+    star = {}
+    exec("from koszulpow import *", star)
+    assert star.keys() - {"__builtins__"} == set(koszulpow.__all__)
+
+
+def test_unknown_name_raises_the_standard_error():
+    import types
+    import koszulpow
+    with pytest.raises(AttributeError) as plain:
+        types.ModuleType("koszulpow").mono_mul
+    for lookup in (lambda: koszulpow.mono_mul,
+                   lambda: koszulpow.__getattr__("mono_mul")):
+        with pytest.raises(AttributeError) as got:
+            lookup()
+        assert str(got.value) == str(plain.value)
+    with pytest.raises(ImportError, match="cannot import name 'mono_mul'"):
+        exec("from koszulpow import mono_mul", {})
+
+
+# installs the benchmark tracer and prints the LAYERS functions that carry
+# no __wrapped__, looked up on their home modules and on the package
+TRACED = """
+import sys
+import koszulpow
+from tracer import LAYERS, Tracer
+Tracer().install()
+bare = []
+for mod, fns in LAYERS.items():
+    for fn in fns:
+        obj = sys.modules[f"koszulpow.{mod}"]
+        for part in fn.split("."):
+            obj = getattr(obj, part)
+        if not hasattr(obj, "__wrapped__") or \
+                fn in koszulpow.__all__ and getattr(koszulpow, fn) is not obj:
+            bare.append(f"{mod}.{fn}")
+print(bare)
+"""
+
+
+def test_tracer_wraps_every_layer_of_the_lazy_package():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), str(TRACER.parent)]))
+    out = subprocess.run([sys.executable, "-c", TRACED], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+# cli.run(argv[1]) with output discarded; prints the package files whose
+# code ran (an "exec" audit event for each module body, from source or
+# .pyc) and whether argparse was imported
+EXECUTED = """
+import io, json, os, sys
+ran = set()
+sys.addaudithook(lambda event, args: event == "exec"
+                 and ran.add(args[0].co_filename))
+from koszulpow.cli import run
+sys.stdout = io.StringIO()
+try:
+    run(json.loads(sys.argv[1]))
+except SystemExit:
+    pass
+sys.stdout = sys.__stdout__
+print(json.dumps([sorted(os.path.basename(f) for f in ran
+                         if os.path.dirname(f) == sys.argv[2]),
+                  "argparse" in sys.modules]))
+"""
+
+
+def executed(argv: list[str]) -> tuple[set[str], bool]:
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", EXECUTED, json.dumps(argv), str(PACKAGE)],
+        cwd=PACKAGE.parents[1], env=env, capture_output=True, text=True,
+        check=True).stdout
+    files, parser = json.loads(out)
+    return set(files), parser
+
+
+def test_each_job_runs_only_the_modules_its_command_reads(bench, tmp_path):
+    jobs = []
+    for workload in bench.WORKLOADS:
+        batch, _ = bench.make_jobs(workload, random.Random(5), tmp_path)
+        jobs += [job.argv for job in batch]
+    assert len(jobs) == 11
+    skipped = {"tor": {"extensions.py"}, "spectral": {"extensions.py"},
+               "verify": {"spectral.py", "extensions.py"},
+               "build": {"spectral.py", "extensions.py"}, "splice": set()}
+    for argv in jobs:
+        files, parser = executed(argv)
+        assert not files & skipped[argv[0]], argv
+        assert {"cli.py", "homology.py"} <= files, argv
+        assert not parser, argv
+        if argv[0] == "splice":
+            assert "extensions.py" in files
+    files, parser = executed(["tor", "--help"])
+    assert parser and "extensions.py" not in files
 
 
 def unreferenced(sources: dict[str, str], defining: list[str]) -> list[str]:

@@ -367,6 +367,24 @@ class TestDGA:
             rhs = dga_multiply(c, a, dga_multiply(c, b, d))
             assert lhs == rhs
 
+    def test_multi_term_product_is_the_termwise_sum(self):
+        # the product accumulates its terms in one dict; e1 + e2 times
+        # itself cancels on e{1,2}, so a zero sum must drop its label
+        rng = random.Random(6)
+        for s in (1, 2):
+            c = build_k_ris(SPEC3, s)
+            e12 = {make_label(SPEC3, (i,), ()): P("1", 3) for i in (1, 2)}
+            assert dga_multiply(c, e12, e12) == {}
+            for _ in range(40):
+                a = random_element(rng, c, rng.randint(0, 2), density=0.7)
+                b = random_element(rng, c, rng.randint(0, 2), density=0.7)
+                total = {}
+                for g, p in a.items():
+                    for h, q in b.items():
+                        total = element_add(
+                            total, dga_multiply(c, {g: p}, {h: q}))
+                assert dga_multiply(c, a, b) == total
+
     def test_leibniz(self):
         rng = random.Random(4)
         for spec, s in ((SPEC2, 2), (SPEC2, 3), (SPEC3, 2)):

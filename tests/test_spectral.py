@@ -164,8 +164,9 @@ class TestCollapse:
             for mod in modules:
                 monkeypatch.setattr(mod, name, wrapper)
 
-        count("e1_page", spectral.e1_page, spectral, cli)
-        count("e2_page", spectral.e2_page, spectral, cli)
+        # cli and homology read the pages through the spectral module
+        count("e1_page", spectral.e1_page, spectral)
+        count("e2_page", spectral.e2_page, spectral)
         count("tor", homology.tor, homology, cli)
         cfg = cli.build_config(
             cli.make_parser().parse_args(["spectral", "--n", "3", "--s", "3"]))
