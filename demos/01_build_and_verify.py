@@ -9,7 +9,7 @@ exact arithmetic; nothing is sampled or approximated.
 
 from koszulpow import (RegularSequenceSpec, build_k_ris, koszul_complex,
                        verify_complex, verify_identities, verify_exactness)
-from koszulpow.resolution import MorseMatching
+from koszulpow.morse import MorseMatching
 
 spec = RegularSequenceSpec.variables(2)        # R = Q[x1,x2], I = (x1,x2)
 

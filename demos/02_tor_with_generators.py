@@ -11,7 +11,7 @@ of the bookkeeping.
 """
 
 from koszulpow import RegularSequenceSpec, tor, koszul_regularity_probe
-from koszulpow.poly import parse_poly
+from koszulpow.parse import parse_poly
 
 spec = RegularSequenceSpec.variables(2)
 

@@ -11,18 +11,18 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 
 # submodule -> the public names it defines, re-exported here
 _EXPORTS = {
-    "poly": "Domain QQ ZZ GF parse_domain Polynomial parse_poly ParseError "
-            "RegularSequenceSpec",
+    "poly": "Domain QQ ZZ GF parse_domain Polynomial RegularSequenceSpec",
+    "parse": "parse_poly ParseError",
     "linalg": "rank_dense kernel_basis solve sparse_rank SmithForm "
               "smith_normal_form",
-    "ideals": "hilbert_function PowerReducer SubquotientModule "
-              "tags_of_length tag_product",
+    "ideals": "hilbert_function tags_of_length tag_product",
+    "quotients": "PowerReducer SubquotientModule",
     "chain": "Label FreeModule SparseMap ChainComplex ChainMap make_label "
              "verify_complex tensor_mod_I element_str",
     "koszul": "koszul_complex q_complex q_module del_map verify_identities",
-    "resolution": "build_k_ris tensor_mod_I_complex augment verify_exactness "
-                  "dga_multiply dga_differential reduction_chain_map "
-                  "homology_slice_dims",
+    "morse": "tensor_mod_I_complex",
+    "resolution": "build_k_ris verify_exactness dga_multiply "
+                  "reduction_chain_map homology_slice_dims",
     "homology": "tor TorReport tor_products homology_ranks freeness_check "
                 "divisor_report induced_tor_map koszul_regularity_probe",
     "spectral": "e1_page e2_page collapse_check support_blocks",

@@ -373,7 +373,7 @@ def tensor_mod_I(c: ChainComplex, spec: RegularSequenceSpec) -> ChainComplex:
     entry: one that keeps the tag length must be +-u_i (a boundary) and is
     dropped; one that raises it by one must be a constant (a transfer) and
     is kept; anything else raises.  The output has constant entries on the
-    same labels.  resolution.tensor_mod_I_complex writes the tensored
+    same labels.  morse.tensor_mod_I_complex writes the tensored
     resolution down directly; this is its reference.
     """
     dom = c.domain

@@ -17,13 +17,12 @@ import sys
 from collections import namedtuple
 from types import SimpleNamespace
 
-from .poly import Domain, RegularSequenceSpec, parse_domain, parse_poly
+from .poly import Domain, RegularSequenceSpec, parse_domain
 from .chain import verify_complex
 from .koszul import koszul_complex, verify_identities
-from .resolution import build_k_ris, verify_exactness
 from .homology import (tor, freeness_check, koszul_regularity_probe,
                        regularity_defect)
-from . import spectral, extensions
+from . import extensions, parse, resolution, spectral
 
 SCHEMA_VERSION = 2
 
@@ -78,29 +77,6 @@ def parse_field(text: str) -> Domain:
         raise ConfigError(f"bad field {text!r}: {e}") from None
 
 
-def _string_list(text: str, what: str) -> list[str]:
-    """The JSON list of polynomial strings in text."""
-    try:
-        items = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"bad {what}: {e}") from None
-    if not isinstance(items, list) or \
-            not all(isinstance(x, str) for x in items):
-        raise ConfigError(f"{what} must hold a list of polynomial strings")
-    return items
-
-
-def _read_sequence_file(path: str) -> list[str]:
-    try:
-        with open(path) as fh:
-            body = fh.read().strip()
-    except (OSError, UnicodeDecodeError) as e:
-        raise ConfigError(f"cannot read sequence file: {e}") from None
-    if body.startswith("["):
-        return _string_list(body, f"sequence file {path}")
-    return [ln for ln in body.splitlines() if ln.strip()]
-
-
 def parse_sequence(text: str, n_vars: int, domain: Domain) -> RegularSequenceSpec:
     """The sequence text names: "vars", "powers:a1,a2,..", "file:PATH" (a
     JSON list of polynomial strings, or one per line) or
@@ -121,12 +97,14 @@ def parse_sequence(text: str, n_vars: int, domain: Domain) -> RegularSequenceSpe
             return RegularSequenceSpec.variable_powers(expo, domain)
         except ValueError as e:
             raise ConfigError(str(e)) from None
-    if text.startswith("file:"):
-        strings = _read_sequence_file(text[len("file:"):])
-    elif text.startswith("explicit:"):
-        strings = _string_list(text[len("explicit:"):], "explicit sequence")
-    else:
+    if not text.startswith(("file:", "explicit:")):
         raise ConfigError(f"unknown sequence source {text!r}")
+    source, _, body = text.partition(":")
+    try:
+        strings = (parse.read_sequence_file(body) if source == "file"
+                   else parse.string_list(body, "explicit sequence"))
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     return explicit_spec(strings, n_vars, domain)
 
 
@@ -139,7 +117,7 @@ def explicit_spec(strings: list[str], n_vars: int,
     polys = []
     for text in strings:
         try:
-            polys.append(parse_poly(text, n_vars, domain))
+            polys.append(parse.parse_poly(text, n_vars, domain))
         except ValueError as e:
             raise ConfigError(f"cannot parse {text!r}: {e}") from None
     try:
@@ -153,14 +131,9 @@ def explicit_spec(strings: list[str], n_vars: int,
 
 def _load_config_file(path: str) -> dict:
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, UnicodeDecodeError) as e:
-        raise ConfigError(f"cannot read config: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from None
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
+        data = parse.read_config(path)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     known = {s.flag for s in SETTINGS} | {s.attr for s in SETTINGS}
     for k in data:
         if k not in known:
@@ -231,7 +204,7 @@ def _int_keys(d: dict) -> dict:
 
 def cmd_build(cfg: RunConfig, spec: RegularSequenceSpec):
     """construct the resolution and check its identities"""
-    c = build_k_ris(spec, cfg.s)
+    c = resolution.build_k_ris(spec, cfg.s)
     squared = verify_complex(c)
     ids = verify_identities(spec, cfg.s)
     probe = koszul_regularity_probe(spec)
@@ -257,7 +230,7 @@ def cmd_build(cfg: RunConfig, spec: RegularSequenceSpec):
 def cmd_verify(cfg: RunConfig, spec: RegularSequenceSpec):
     """exactness grid, Hilbert comparison, divisor certificate"""
     try:
-        exact = verify_exactness(spec, cfg.s, cfg.max_internal)
+        exact = resolution.verify_exactness(spec, cfg.s, cfg.max_internal)
     except ValueError as e:              # a coefficient it cannot factor
         raise ConfigError(str(e)) from None
     ids = verify_identities(spec, cfg.s)
@@ -365,7 +338,7 @@ def cmd_spectral(cfg: RunConfig, spec: RegularSequenceSpec):
 def cmd_splice(cfg: RunConfig, spec: RegularSequenceSpec):
     """iterated splice reconstruction and extension class"""
     rebuilt = extensions.iterated_splice(spec, cfg.s)
-    direct = build_k_ris(spec, cfg.s)
+    direct = resolution.build_k_ris(spec, cfg.s)
     identical = rebuilt.equal_maps(direct)
     payload = {
         "steps": cfg.s - 1,

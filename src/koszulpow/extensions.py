@@ -22,7 +22,7 @@ from .poly import Polynomial, RegularSequenceSpec
 from .linalg import rank_dense, solve, mat_mul, mat_vec
 from .chain import (FreeModule, SparseMap, ChainComplex, zero_map,
                     verify_complex, _nonzero_source)
-from .ideals import SubquotientModule
+from .quotients import SubquotientModule
 from .koszul import q_complex, transfer_entries, koszul_complex
 
 

@@ -3,7 +3,7 @@ torsion certificates, product triviality, freeness, and induced maps.
 
 The tensored resolution t = K (x) R/I has the +-1 transfer entries as
 its differentials and carries the max-rule acyclic matching
-(resolution.MorseMatching).  Once its certificate holds, it settles Tor
+(morse.MorseMatching).  Once its certificate holds, it settles Tor
 with no elimination: the generators are the matching's critical labels,
 each standing for the cycle with coefficient 1 on it (zero differential),
 so Tor is free on them over Z and every field; d_n has pairs[n]
@@ -26,10 +26,8 @@ from .linalg import kernel_basis, smith_normal_form, sparse_rank, Echelon
 from .chain import (ChainComplex, ChainMap, constant_rows,
                     element_str, map_slice)
 from .koszul import koszul_complex
-from .resolution import (MorseMatching, PROBE_PRIMES, _max_rule_mate, cut,
-                         dga_multiply, homology_slice_dims,
-                         default_internal_bound, tensor_mod_I_complex)
-from . import spectral
+from .morse import MorseMatching, _max_rule_mate, cut, tensor_mod_I_complex
+from . import resolution, spectral
 from .ideals import hilbert_function
 
 
@@ -179,7 +177,7 @@ def tor_products(report: TorReport) -> ProductTable:
             if cut(t.s, tau[ai], tau[bi]):
                 continue
             certificate = "reduced"
-            resid = report.matching.project(dga_multiply(
+            resid = report.matching.project(resolution.dga_multiply(
                 t, {gens[na][ia]: one}, {gens[nb][ib]: one}))
             if resid:
                 entries[(ai, bi)] = resid
@@ -211,7 +209,8 @@ def divisor_report(matrices: dict[int, list[list[int]]]) -> FreenessReport:
     modulo each probe prime."""
     divisors = {}
     offending = []
-    rank_by_field = {f: {} for f in ["QQ"] + [f"F{p}" for p in PROBE_PRIMES]}
+    primes = resolution.PROBE_PRIMES
+    rank_by_field = {f: {} for f in ["QQ"] + [f"F{p}" for p in primes]}
     for n, m in sorted(matrices.items()):
         rows = [{j: v for j, v in enumerate(r) if v} for r in m]
         snf = smith_normal_form(rows)
@@ -219,7 +218,7 @@ def divisor_report(matrices: dict[int, list[list[int]]]) -> FreenessReport:
         for d in snf.torsion:
             offending.append(f"degree {n}: elementary divisor {d} != 1")
         rank_by_field["QQ"][n] = snf.rank
-        for p in PROBE_PRIMES:
+        for p in primes:
             rp = rank_by_field[f"F{p}"][n] = sparse_rank(rows, GF(p))
             if rp != snf.rank:
                 offending.append(
@@ -239,7 +238,8 @@ def freeness_check(spec: RegularSequenceSpec, s: int) -> FreenessReport:
     ranks = {n: r for n, r in enumerate(m.pairs) if n}
     return FreenessReport(
         m.failure is None, {n: (1,) * r for n, r in ranks.items()},
-        {f: dict(ranks) for f in ["QQ"] + [f"F{p}" for p in PROBE_PRIMES]},
+        {f: dict(ranks) for f in
+         ["QQ"] + [f"F{p}" for p in resolution.PROBE_PRIMES]},
         [m.failure] if m.failure else [])
 
 
@@ -301,10 +301,10 @@ def koszul_regularity_probe(spec: RegularSequenceSpec,
     the sequence has no homology in positive degrees.  A clean pass is
     evidence (not proof); any failure certifies non-regularity."""
     if max_internal is None:
-        max_internal = default_internal_bound(spec, 1)
+        max_internal = resolution.default_internal_bound(spec, 1)
     rspec = spec.with_domain(spec.domain.rank_field)
     c = koszul_complex(rspec)
-    dims, = homology_slice_dims(c, max_internal)
+    dims, = resolution.homology_slice_dims(c, max_internal)
     failures = [(n, d) for (n, d), h in sorted(dims.items())
                 if n >= 1 and h != 0]
     witness = None
@@ -323,7 +323,10 @@ def regularity_defect(spec: RegularSequenceSpec,
     that is checked over Q, a necessary condition: regular over Z implies
     regular over Q by flat base change.  With fewer generators, homology
     found by the Koszul probe (run here unless given) proves it; a clean
-    probe decides nothing, and None is returned."""
+    probe decides nothing, and None is returned.  The monomial shapes are
+    regular by construction (RegularSequenceSpec): None, unchecked."""
+    if spec.monomial_regime:
+        return None
     if spec.n_gens > spec.n_vars:
         return (f"not regular: {spec.n_gens} generators, more than the "
                 f"{spec.n_vars} variables")

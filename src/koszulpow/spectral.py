@@ -19,7 +19,7 @@ from __future__ import annotations
 from .poly import RegularSequenceSpec
 from .linalg import sparse_rank, smith_normal_form, block_smith_form
 from .chain import Label, constant_rows
-from .resolution import KRIsComplex, MorseMatching, tensor_mod_I_complex
+from .morse import KRIsComplex, MorseMatching, tensor_mod_I_complex
 
 
 # ---------------------------------------------------------------------------

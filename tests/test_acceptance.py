@@ -16,12 +16,12 @@ import pytest
 
 from oracles import tor_ranks as oracle_tor_ranks
 from test_poly import random_polynomial
+from test_resolution import dga_differential
 from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec
 from koszulpow.chain import element_add, verify_complex
 from koszulpow.koszul import verify_identities
 from koszulpow.resolution import (build_k_ris, verify_exactness,
-                                  dga_multiply, dga_differential,
-                                  reduction_chain_map)
+                                  dga_multiply, reduction_chain_map)
 from koszulpow.homology import tor, freeness_check, induced_tor_map
 from koszulpow.spectral import e2_page, off_support_cells, collapse_check
 from koszulpow.extensions import (power_connecting, verify_connecting,

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from koszulpow.poly import (QQ, ZZ, GF, Polynomial, parse_poly,
-                            RegularSequenceSpec, mono_mul, monomials_of_degree)
+from koszulpow.poly import (QQ, ZZ, GF, Polynomial, RegularSequenceSpec,
+                            mono_mul, monomials_of_degree)
+from koszulpow.parse import parse_poly
 from koszulpow.chain import (Label, make_label, FreeModule, SparseMap,
                              zero_map, compose, ChainComplex, verify_complex,
                              tensor_mod_I, graded_slice, map_slice,
@@ -151,7 +152,7 @@ class TestSparseMap:
 
     def test_entries_keyed_on_module_labels(self):
         # equal labels built apart are replaced by the modules' own ones
-        from koszulpow.resolution import MorseMatching
+        from koszulpow.morse import MorseMatching
         spec = RegularSequenceSpec.variables(3)
         for c in (build_k_ris(spec, 3),
                   MorseMatching(build_k_ris(spec, 3), 3, False).complex()):

@@ -59,11 +59,11 @@ class TestConfigParsing:
                                              count_calls, capsys):
         f = tmp_path / "seq.json"
         f.write_text('["x1", "x2"]')
-        calls = count_calls("cli._read_sequence_file")
+        calls = count_calls("parse.read_sequence_file")
         assert run([command, "--n", "2", "--s", "2",
                     "--sequence", f"file:{f}"]) == 0
         assert '"ok": true' in capsys.readouterr().out
-        assert calls == {"cli._read_sequence_file": 1}
+        assert calls == {"parse.read_sequence_file": 1}
 
     def test_sequence_file_lines(self, tmp_path):
         f = tmp_path / "seq.txt"
@@ -218,6 +218,27 @@ class TestExitCodes:
             os.close(w)
         assert res.returncode == 2
         assert res.stderr.startswith("error: cannot write report:")
+        assert len(res.stderr.splitlines()) == 1
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("flags", [
+        ["--sequence", "file:missing.json"],
+        ["--sequence", 'explicit:["x1 +"]'],
+        ["--config", "run.json"]],
+        ids=["missing-file", "bad-polynomial", "config-not-json"])
+    def test_read_errors_under_dash_m_are_two(self, flags, tmp_path):
+        # under -m, cli runs as __main__, not koszulpow.cli: parse raises
+        # ValueError, which this cli's ConfigError handler must see
+        (tmp_path / "run.json").write_text("{not json")
+        src = Path(__file__).resolve().parent.parent / "src"
+        res = subprocess.run(
+            [sys.executable, "-m", "koszulpow.cli", "tor", "--n", "2",
+             "--s", "1", *flags],
+            cwd=tmp_path, capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
         assert len(res.stderr.splitlines()) == 1
         assert "Traceback" not in res.stderr
 

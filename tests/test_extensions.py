@@ -1,8 +1,8 @@
 import pytest
 
-from koszulpow.poly import (QQ, ZZ, GF, RegularSequenceSpec, Polynomial,
-                            parse_poly)
-from koszulpow.ideals import SubquotientModule
+from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec, Polynomial
+from koszulpow.parse import parse_poly
+from koszulpow.quotients import SubquotientModule
 from koszulpow.linalg import mat_vec
 from koszulpow.chain import SparseMap, make_label, verify_complex, slice_basis
 from koszulpow.koszul import koszul_complex, q_complex

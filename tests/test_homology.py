@@ -3,7 +3,8 @@ from math import comb
 import pytest
 
 from oracles import betti_closed_form
-from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec, parse_poly, Polynomial
+from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec, Polynomial
+from koszulpow.parse import parse_poly
 from koszulpow.linalg import (Echelon, kernel_basis, rank_dense, solve,
                               smith_normal_form, dense_row)
 from koszulpow.chain import (SparseMap, ChainMap, element_str,
@@ -14,7 +15,8 @@ from koszulpow.resolution import (build_k_ris, reduction_chain_map,
 from koszulpow.homology import (homology_ranks,
                                 tensor_mod_I_complex, tor, coker_transfer_ranks,
                                 tor_products, freeness_check, divisor_report,
-                                induced_tor_map, koszul_regularity_probe)
+                                induced_tor_map, koszul_regularity_probe,
+                                regularity_defect)
 
 
 def tensored_matrices(t):
@@ -377,7 +379,7 @@ class TestSharedPass:
 
     def test_one_resolution_per_power(self, count_calls):
         calls = count_calls("resolution.build_k_ris", "chain.tensor_mod_I",
-                            "resolution.tensor_mod_I_complex",
+                            "morse.tensor_mod_I_complex",
                             "koszul.del_map", "koszul.q_module",
                             "koszul.transfer_entries")
         tor(RegularSequenceSpec.variables(4, GF(31991)), 3)
@@ -385,18 +387,18 @@ class TestSharedPass:
         # read off the tensored resolution of R/I^3, built once; nothing
         # builds R/I^2 or rebuilds a piece of R/I^3
         assert calls == {"resolution.build_k_ris": 0, "chain.tensor_mod_I": 0,
-                         "resolution.tensor_mod_I_complex": 1,
+                         "morse.tensor_mod_I_complex": 1,
                          "koszul.del_map": 0, "koszul.q_module": 15,
                          "koszul.transfer_entries": 4}
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_one_complex_one_matching_no_chain_map(self, s, count_calls):
-        calls = count_calls("resolution.tensor_mod_I_complex",
-                            "resolution.MorseMatching.__init__",
+        calls = count_calls("morse.tensor_mod_I_complex",
+                            "morse.MorseMatching.__init__",
                             "chain.ChainMap.__init__")
         tor(SPEC3, s)
-        assert calls == {"resolution.tensor_mod_I_complex": 1,
-                         "resolution.MorseMatching.__init__": 1,
+        assert calls == {"morse.tensor_mod_I_complex": 1,
+                         "morse.MorseMatching.__init__": 1,
                          "chain.ChainMap.__init__": 0}
 
     def test_each_d1_map_ranked_once(self, count_calls):
@@ -491,6 +493,18 @@ class TestRegularityProbe:
         rep = koszul_regularity_probe(bad)
         assert not rep.ok
         assert rep.failures[0][0] == 1
+
+    @pytest.mark.parametrize("spec", [
+        RegularSequenceSpec.variables(4, ZZ),
+        RegularSequenceSpec.variable_powers((40, 40, 40, 40)),
+        RegularSequenceSpec.variable_powers((2, 3), GF(7))],
+        ids=["vars", "powers:40,40,40,40", "powers:2,3"])
+    def test_monomial_shapes_are_regular_unchecked(self, spec, count_calls):
+        calls = count_calls("ideals.hilbert_function",
+                            "homology.koszul_regularity_probe")
+        assert regularity_defect(spec) is None
+        assert calls == {"ideals.hilbert_function": 0,
+                         "homology.koszul_regularity_probe": 0}
 
     @pytest.mark.parametrize("dom", [QQ, ZZ, GF(7)], ids=str)
     def test_witness_gathers_each_label_s_terms(self, dom):

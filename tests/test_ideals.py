@@ -4,14 +4,14 @@ from math import comb
 
 import pytest
 
-from koszulpow.poly import (QQ, ZZ, GF, RegularSequenceSpec, parse_poly,
-                            count_monomials)
+from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec, count_monomials
+from koszulpow.parse import parse_poly
 from test_linalg import reference_rref
 from koszulpow.linalg import Echelon
 from koszulpow.ideals import (tags_of_length, tag_degree, tag_product,
-                              monomial_in_power, hilbert_function,
-                              power_span_vectors, PowerReducer,
-                              SubquotientModule)
+                              monomial_in_power, hilbert_function)
+from koszulpow.quotients import (power_span_vectors, PowerReducer,
+                                 SubquotientModule)
 
 
 def vars_spec(n):

@@ -197,17 +197,18 @@ def test_benchmark_jobs_import_no_rationals(bench, tmp_path):
 # every submodule was imported eagerly.
 REEXPORTS = {
     "poly": ["Domain", "QQ", "ZZ", "GF", "parse_domain", "Polynomial",
-             "parse_poly", "ParseError", "RegularSequenceSpec"],
+             "RegularSequenceSpec"],
+    "parse": ["parse_poly", "ParseError"],
     "linalg": ["rank_dense", "kernel_basis", "solve", "sparse_rank",
                "SmithForm", "smith_normal_form"],
-    "ideals": ["hilbert_function", "PowerReducer", "SubquotientModule",
-               "tags_of_length", "tag_product"],
+    "ideals": ["hilbert_function", "tags_of_length", "tag_product"],
+    "quotients": ["PowerReducer", "SubquotientModule"],
     "chain": ["Label", "FreeModule", "SparseMap", "ChainComplex", "ChainMap",
               "make_label", "verify_complex", "tensor_mod_I", "element_str"],
     "koszul": ["koszul_complex", "q_complex", "q_module", "del_map",
                "verify_identities"],
-    "resolution": ["build_k_ris", "tensor_mod_I_complex", "augment",
-                   "verify_exactness", "dga_multiply", "dga_differential",
+    "morse": ["tensor_mod_I_complex"],
+    "resolution": ["build_k_ris", "verify_exactness", "dga_multiply",
                    "reduction_chain_map", "homology_slice_dims"],
     "homology": ["tor", "TorReport", "tor_products", "homology_ranks",
                  "freeness_check", "divisor_report", "induced_tor_map",
@@ -279,9 +280,9 @@ def test_tracer_wraps_every_layer_of_the_lazy_package():
     assert out == "[]\n"
 
 
-# cli.run(argv[1]) with output discarded; prints the package files whose
-# code ran (an "exec" audit event for each module body, from source or
-# .pyc) and whether argparse was imported
+# cli.run(argv[1]) with output discarded, or only the import if argv[1] is
+# null; prints the package files whose code ran (an "exec" audit event for
+# each module body, from source or .pyc) and whether argparse was imported
 EXECUTED = """
 import io, json, os, sys
 ran = set()
@@ -290,7 +291,9 @@ sys.addaudithook(lambda event, args: event == "exec"
 from koszulpow.cli import run
 sys.stdout = io.StringIO()
 try:
-    run(json.loads(sys.argv[1]))
+    argv = json.loads(sys.argv[1])
+    if argv is not None:
+        run(argv)
 except SystemExit:
     pass
 sys.stdout = sys.__stdout__
@@ -300,7 +303,7 @@ print(json.dumps([sorted(os.path.basename(f) for f in ran
 """
 
 
-def executed(argv: list[str]) -> tuple[set[str], bool]:
+def executed(argv: list[str] | None) -> tuple[set[str], bool]:
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(
         [sys.executable, "-c", EXECUTED, json.dumps(argv), str(PACKAGE)],
@@ -316,18 +319,29 @@ def test_each_job_runs_only_the_modules_its_command_reads(bench, tmp_path):
         batch, _ = bench.make_jobs(workload, random.Random(5), tmp_path)
         jobs += [job.argv for job in batch]
     assert len(jobs) == 11
-    skipped = {"tor": {"extensions.py"}, "spectral": {"extensions.py"},
-               "verify": {"spectral.py", "extensions.py"},
-               "build": {"spectral.py", "extensions.py"}, "splice": set()}
+    tor = {"resolution.py", "parse.py", "quotients.py", "extensions.py"}
+    checks = {"spectral.py", "extensions.py", "quotients.py"}
+    skipped = {"tor": tor, "spectral": tor, "verify": checks,
+               "build": checks, "splice": set()}
     for argv in jobs:
         files, parser = executed(argv)
         assert not files & skipped[argv[0]], argv
         assert {"cli.py", "homology.py"} <= files, argv
         assert not parser, argv
+        assert ("parse.py" in files) == any(a.startswith("file:")
+                                            for a in argv), argv
         if argv[0] == "splice":
-            assert "extensions.py" in files
+            assert {"extensions.py", "quotients.py"} <= files
     files, parser = executed(["tor", "--help"])
     assert parser and "extensions.py" not in files
+
+
+def test_cli_import_runs_no_module_only_some_commands_read():
+    files, parser = executed(None)
+    assert {"cli.py", "homology.py", "morse.py"} <= files
+    assert not files & {"resolution.py", "parse.py", "quotients.py",
+                        "spectral.py", "extensions.py"}
+    assert not parser
 
 
 def unreferenced(sources: dict[str, str], defining: list[str]) -> list[str]:

@@ -1,7 +1,8 @@
 import pytest
 
 from oracles import q_dims_formula
-from koszulpow.poly import QQ, RegularSequenceSpec, parse_poly, Polynomial
+from koszulpow.poly import QQ, RegularSequenceSpec, Polynomial
+from koszulpow.parse import parse_poly
 from koszulpow.chain import (make_label, verify_complex, compose, SparseMap,
                              _nonzero_source)
 from koszulpow.koszul import (exterior_subsets, q_module, q_complex,

@@ -1,4 +1,4 @@
-"""The max-rule Morse matching on K (x) R/I (resolution.MorseMatching): its
+"""The max-rule Morse matching on K (x) R/I (morse.MorseMatching): its
 critical cells against a closed form, its projection against the
 boundaries, and its runtime certificate against broken complexes.  Tor,
 freeness and collapse read all their numbers off it, so they must do no
@@ -7,14 +7,16 @@ elimination, and a broken certificate must fail them with exit code 1."""
 import pytest
 
 from oracles import betti_closed_form, critical_cell_counts
+import koszulpow.koszul as koszul
 import koszulpow.linalg as linalg
+import koszulpow.morse as morse
 import koszulpow.resolution as resolution
 from koszulpow import cli
 from koszulpow.chain import ChainComplex, FreeModule, Label, SparseMap
 from koszulpow.homology import freeness_check, induced_tor_map, tor
 from koszulpow.poly import GF, QQ, ZZ, Polynomial, RegularSequenceSpec
-from koszulpow.resolution import (MorseMatching, reduction_chain_map,
-                                  tensor_mod_I_complex)
+from koszulpow.morse import MorseMatching, tensor_mod_I_complex
+from koszulpow.resolution import reduction_chain_map
 from koszulpow.spectral import collapse_check
 
 
@@ -122,17 +124,22 @@ def test_certificate_rejects_a_missing_mate():
 def doubled_pair(monkeypatch):
     """The transfer entries the resolutions are built from, with the
     matched entry e{1} -> t(1) doubled: an integral defect that every
-    rank over Q misses."""
-    real = resolution.transfer_entries
+    rank over Q misses.  Both modules that read them are patched, morse
+    for K (x) R/I and resolution for K; the test must build the entry."""
+    real, built = koszul.transfer_entries, []
 
     def doubled(spec, source):
         ent = real(spec, source)
         key = (Label((), (1,), 1), Label((1,), (), 1))
         if key in ent:
             ent[key] = ent[key].scale(2)
+            built.append(key)
         return ent
 
-    monkeypatch.setattr(resolution, "transfer_entries", doubled)
+    for module in (morse, resolution):
+        monkeypatch.setattr(module, "transfer_entries", doubled)
+    yield
+    assert built, "the doubled entry was never built"
 
 
 def test_broken_pair_fails_every_reader(doubled_pair):
@@ -173,7 +180,7 @@ def k_with_d1(monkeypatch, edit):
     spec = RegularSequenceSpec.variables(2)
     k = resolution.build_k_ris(spec, 2)
     d1 = k.differential(1)
-    broken = resolution.KRIsComplex(spec, 2, k.modules, {
+    broken = morse.KRIsComplex(spec, 2, k.modules, {
         **k.diffs, 1: SparseMap(d1.source, d1.target, edit(dict(d1.entries)),
                                 2, QQ)})
     monkeypatch.setattr(resolution, "build_k_ris", lambda *_: broken)

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from koszulpow.poly import (Domain, QQ, ZZ, GF, parse_domain, Polynomial,
-                            _is_prime,
-                            parse_poly, ParseError, RegularSequenceSpec,
+                            _is_prime, RegularSequenceSpec,
                             monomials_of_degree, count_monomials)
+from koszulpow.parse import parse_poly, ParseError
 
 
 def random_polynomial(rng, n_vars, domain, max_degree=3, n_terms=4):

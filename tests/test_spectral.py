@@ -1,10 +1,12 @@
 import pytest
 
 from oracles import e1_rank_formula
-from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec, parse_poly
+from koszulpow.poly import QQ, ZZ, GF, RegularSequenceSpec
+from koszulpow.parse import parse_poly
 from koszulpow.chain import constant_rows, make_label
 from koszulpow.koszul import del_map, q_module
-from koszulpow.resolution import build_k_ris, tensor_mod_I_complex
+from koszulpow.morse import tensor_mod_I_complex
+from koszulpow.resolution import build_k_ris
 from koszulpow.spectral import (e1_page, e2_page, off_support_cells,
                                 collapse_check, support_blocks,
                                 label_support, _page_one)
